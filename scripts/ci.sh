@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # One-command CI: lint, autograd contract check, tier-1 tests,
-# smoke-scale suite + benches, bench gate.
+# smoke-scale suite, repo-benchmark smoke, benches, bench gate.
 #
 #   scripts/ci.sh            # full pipeline (writes fresh benches to a tmp dir)
-#   SKIP_BENCH=1 scripts/ci.sh   # lint + tests only (no bench regeneration)
+#   SKIP_BENCH=1 scripts/ci.sh   # no bench regeneration (lint, tests, perfbench smoke)
 #
 # The bench stage regenerates BENCH_*.json at smoke scale — the same
 # scale the committed baselines in benchmarks/baselines/ were recorded
@@ -48,6 +48,22 @@ DIGEST_PAR="$(grep '^digest:' <<<"$SWEEP_PAR")"
     echo "sweep digest mismatch: sequential=$DIGEST_SEQ workers-2=$DIGEST_PAR" >&2
     exit 1
 }
+
+# The repo benchmark (perfbench/, declared by BENCHMARK.json) hooks
+# library internals in its traced runs; run its self-tests and one
+# short traced serve-mixed run so a refactor that breaks a hook fails
+# here rather than at the next benchmark run.
+echo "==> perfbench self-tests"
+python3 perfbench/selftest.py
+echo "==> perfbench traced serve-mixed smoke"
+PERFBENCH_OUT="$(python3 perfbench/run.py --workload serve-mixed --seed 0 --seconds 3 --trace 1)"
+python - "$(tail -n 1 <<<"$PERFBENCH_OUT")" <<'PYEOF'
+import json
+import sys
+result = json.loads(sys.argv[1])
+assert result["correct"] is True, f"perfbench serve-mixed failed: {result['failed']} of {result['attempted']}"
+print(f"perfbench serve-mixed ok: {result['attempted']} responses checked")
+PYEOF
 
 if [[ "${SKIP_BENCH:-0}" != "1" ]]; then
     BENCH_DIR="$(mktemp -d)"

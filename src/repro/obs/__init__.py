@@ -55,6 +55,7 @@ and :func:`record_events` captures telemetry::
 
 from repro.obs.autograd import AutogradProfiler, OpStats, profile_autograd
 from repro.obs.context import (
+    PATH_STAGES,
     REQUEST_SPAN,
     REQUEST_STAGES,
     RequestTrace,
@@ -165,6 +166,7 @@ __all__ = [
     "mirror_span",
     "REQUEST_SPAN",
     "REQUEST_STAGES",
+    "PATH_STAGES",
     "SNAPSHOT_VERSION",
     "MetricsSnapshotter",
     "read_snapshots",

@@ -48,6 +48,7 @@ __all__ = [
     "mirror_span",
     "REQUEST_SPAN",
     "REQUEST_STAGES",
+    "PATH_STAGES",
 ]
 
 # The root span name every request tree hangs off, and the canonical
@@ -62,6 +63,13 @@ REQUEST_STAGES = (
     "slice",
     "resolve",
 )
+# The stages a complete tree records, by the ``path`` attribute of its
+# root: a queued request needing a forward goes through every stage; a
+# memoized one is sliced and resolved on the caller's thread.
+PATH_STAGES = {
+    "forward": REQUEST_STAGES,
+    "memo": ("slice", "resolve"),
+}
 
 
 @dataclasses.dataclass(frozen=True)

@@ -17,15 +17,19 @@ cannot — *where* a slow p99 went — with three sections:
   end-to-end duration, one stage-by-stage line each, with the
   stage-sum coverage of the root span.
 
-If the trace file carries a ``metrics`` record (the CLI appends the
-final registry snapshot), the SLO counters are summarised too.
+A tree is *complete* when it recorded every stage of its own path
+(``PATH_STAGES``, keyed by the root's ``path`` attribute): all six for
+a queued request that needed a forward, ``slice`` and ``resolve`` for
+one answered from the engine's memo. If the trace file carries a
+``metrics`` record (the CLI appends the final registry snapshot), the
+SLO counters are summarised too.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from repro.obs.context import REQUEST_SPAN, REQUEST_STAGES
+from repro.obs.context import PATH_STAGES, REQUEST_SPAN, REQUEST_STAGES
 from repro.obs.report import format_table
 from repro.obs.sinks import read_trace
 
@@ -52,6 +56,17 @@ class RequestTree:
     @property
     def status(self) -> str:
         return (self.root.get("attrs") or {}).get("status", "?")
+
+    @property
+    def path(self) -> str:
+        """``memo`` or ``forward``; traces that predate the attribute
+        queued every request, so they read as ``forward``."""
+        return (self.root.get("attrs") or {}).get("path", "forward")
+
+    def complete(self) -> bool:
+        """Every stage of this tree's path was recorded."""
+        names = {span["name"] for span in self.stages}
+        return names >= set(PATH_STAGES.get(self.path, REQUEST_STAGES))
 
     def stage_sum(self) -> float:
         return sum(float(span["dur"]) for span in self.stages)
@@ -238,14 +253,12 @@ def render_serve_report(path: str | Path, top: int = 5) -> str:
     trees = load_request_trees(records)
     if not trees:
         raise ValueError(f"{path}: no serve.request spans in trace")
-    complete = sum(
-        1 for tree in trees
-        if {span["name"] for span in tree.stages} >= set(REQUEST_STAGES)
-    )
+    complete = sum(1 for tree in trees if tree.complete())
+    memo = sum(1 for tree in trees if tree.path == "memo")
     lines = [
         f"Serve trace: {path}",
-        f"requests: {len(trees)} ({complete} with all "
-        f"{len(REQUEST_STAGES)} stages)",
+        f"requests: {len(trees)} ({complete} with every stage of their "
+        f"path; {len(trees) - memo} forward, {memo} memo)",
         "",
     ]
     lines += _render_stage_breakdown(trees)

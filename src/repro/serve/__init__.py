@@ -11,8 +11,11 @@ kernels and per-kernel counters were built for. Three layers:
 * :mod:`repro.serve.plans` + :mod:`repro.serve.engine` +
   :mod:`repro.serve.server` — a content-keyed LRU of per-graph
   :class:`~repro.gnn.common.GraphCache` plans, an inference engine
-  that coalesces concurrent requests into single tape-free forward
-  passes, and the synchronous-API/threaded-worker server on top;
+  that answers requests on the artifact's own graph from logits
+  memoized at load and coalesces concurrent foreign-graph requests
+  into single tape-free forward passes, and the synchronous-API
+  server on top (memoized answers inline on the caller's thread,
+  forwards on worker threads);
 * :mod:`repro.serve.metrics` + :mod:`repro.serve.loadgen` — serve
   instruments (queue depth, batch size, p50/p99 latency, requests/s)
   and the deterministic closed-loop load generator behind

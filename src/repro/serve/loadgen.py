@@ -9,6 +9,12 @@ seeded, so two runs issue byte-identical work; only wall-clock
 varies, and the bench gate applies its wall-clock tolerance to
 exactly those numbers.
 
+Every ``FOREIGN_EVERY``-th request of a classification engine carries
+an explicit graph: an equal-content copy of the artifact's own graph.
+The engine answers the rest from its memoized logits on the caller's
+thread, so without this share the sweep would measure no forward,
+queue or batch stage at all.
+
 Per level the sweep reports requests/s and nearest-rank p50/p99
 enqueue→resolve latency, published as ``serve.c<N>.rps`` /
 ``serve.c<N>.p50_latency_s`` / ``serve.c<N>.p99_latency_s`` gauges —
@@ -28,12 +34,14 @@ from pathlib import Path
 import numpy as np
 
 from repro import obs
+from repro.graph.data import Graph
 from repro.obs import MetricsRegistry, TRACE_VERSION, aggregate_spans
 from repro.obs.report import format_table
 from repro.serve.metrics import nearest_rank_percentile
 from repro.serve.server import ServeServer
 
 __all__ = [
+    "FOREIGN_EVERY",
     "LevelResult",
     "sweep_levels",
     "run_load",
@@ -41,6 +49,10 @@ __all__ = [
     "bench_metrics",
     "emit_serve_bench",
 ]
+
+# One request in this many carries its own graph and takes the queued
+# forward path; the others are answered from the engine's memo.
+FOREIGN_EVERY = 4
 
 # 1 → 10k simulated clients at full scale; the smaller presets keep the
 # smoke/default sweeps inside CI budgets while preserving ≥3 levels.
@@ -98,8 +110,10 @@ def run_load(
 ) -> list[LevelResult]:
     """Closed-loop sweep over ``levels``; the server must be started."""
     num_targets = server.engine.num_targets
+    foreign = _equal_copy(server.engine.default_graph)
     rng = np.random.default_rng(seed)
     results: list[LevelResult] = []
+    issued = 0
     for level in levels:
         samples: list[tuple[float, str | None]] = []
         span = obs.span(
@@ -108,13 +122,16 @@ def run_load(
         done = 0
         while done < requests_per_level:
             wave = min(level, requests_per_level - done)
-            pendings = [
-                server.submit_async(
-                    node_ids=rng.integers(0, num_targets, size=ids_per_request),
+            pendings = []
+            for __ in range(wave):
+                ids = rng.integers(0, num_targets, size=ids_per_request)
+                explicit = issued % FOREIGN_EVERY == FOREIGN_EVERY - 1
+                pendings.append(server.submit_async(
+                    node_ids=ids,
+                    graph=foreign if explicit else None,
                     deadline_s=deadline_s,
-                )
-                for __ in range(wave)
-            ]
+                ))
+                issued += 1
             for pending in pendings:
                 pending.result()
                 samples.append((pending.latency, pending.trace_id))
@@ -136,6 +153,17 @@ def run_load(
             )
         )
     return results
+
+
+def _equal_copy(graph: Graph | None) -> Graph | None:
+    """A distinct graph object with the same structure and features."""
+    if graph is None:
+        return None
+    return Graph(
+        edge_index=graph.edge_index.copy(),
+        features=graph.features.copy(),
+        name=f"{graph.name}-copy",
+    )
 
 
 def render_load_report(results: list[LevelResult]) -> str:

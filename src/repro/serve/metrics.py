@@ -137,7 +137,10 @@ class ServeMetrics:
         self.latencies = Reservoir(capacity=reservoir_capacity, seed=seed)
         self.stages: dict[str, Reservoir] = {}
         self.exemplars: dict[str, str] = {}
-        self._stage_lock = threading.Lock()
+        # Requests are observed from caller threads (inline memo
+        # answers) and worker threads at once; counter and histogram
+        # updates are read-modify-write, so they share one lock.
+        self._lock = threading.Lock()
         # Pre-register the SLO counters: a scrape must always expose
         # them, and "zero errors" is a statement, not an absence.
         self.registry.counter("serve.requests")
@@ -146,24 +149,27 @@ class ServeMetrics:
 
     # ------------------------------------------------------------------
     def observe_requests(self, count: int = 1) -> None:
-        self.registry.counter("serve.requests").inc(count)
+        with self._lock:
+            self.registry.counter("serve.requests").inc(count)
 
     def observe_queue_depth(self, depth: int) -> None:
         self.registry.gauge("serve.queue_depth").set(depth)
 
     def observe_batch(self, size: int) -> None:
-        self.registry.counter("serve.batches").inc()
-        self.registry.histogram("serve.batch_size").observe(size)
+        with self._lock:
+            self.registry.counter("serve.batches").inc()
+            self.registry.histogram("serve.batch_size").observe(size)
 
     def observe_latency(self, seconds: float, trace_id: str | None = None) -> None:
         self.latencies.add(seconds, trace_id)
-        self.registry.histogram("serve.latency_s").observe(seconds)
+        with self._lock:
+            self.registry.histogram("serve.latency_s").observe(seconds)
 
     def observe_stage(
         self, name: str, seconds: float, trace_id: str | None = None
     ) -> None:
         """Record one stage duration (``enqueue``, ``forward``, ...)."""
-        with self._stage_lock:
+        with self._lock:
             reservoir = self.stages.get(name)
             if reservoir is None:
                 reservoir = Reservoir(
@@ -173,10 +179,12 @@ class ServeMetrics:
         reservoir.add(seconds, trace_id)
 
     def observe_error(self, count: int = 1) -> None:
-        self.registry.counter("serve.errors").inc(count)
+        with self._lock:
+            self.registry.counter("serve.errors").inc(count)
 
     def observe_deadline_exceeded(self, count: int = 1) -> None:
-        self.registry.counter("serve.deadline_exceeded").inc(count)
+        with self._lock:
+            self.registry.counter("serve.deadline_exceeded").inc(count)
 
     def observe_plan_cache(self, stats: dict) -> None:
         # Cumulative cache stats land as gauges (last snapshot wins);

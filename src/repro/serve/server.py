@@ -1,30 +1,38 @@
-"""Synchronous-API, threaded-worker batching server.
+"""Synchronous-API server: inline memoized answers, threaded batching.
 
-Callers submit requests from any thread; worker threads drain the
-queue in batches of up to ``max_batch`` and hand them to the
-:class:`~repro.serve.engine.InferenceEngine` as one coalesced
-``predict_batch``. The queue is the batching mechanism: requests that
-arrive while a batch is in flight pile up and are coalesced into the
-next one, so throughput rises with concurrency while each forward
-stays full-graph-sized.
+Callers submit requests from any thread. A request the engine answers
+from its memo (``graph=None``, or any alignment request — see
+:meth:`~repro.serve.engine.InferenceEngine.needs_forward`) is sliced
+and resolved **on the caller's thread** inside ``submit_async``: it
+never touches the queue, its lock or a worker. Only requests that
+carry their own graph need a forward, and only they are queued:
+worker threads drain the queue in batches of up to ``max_batch`` and
+hand them to the :class:`~repro.serve.engine.InferenceEngine` as one
+coalesced ``predict_batch``. Requests that arrive while a batch is in
+flight pile up and are coalesced into the next one, so throughput
+rises with concurrency while each forward stays full-graph-sized.
 
 The API is synchronous (``submit`` blocks until the prediction is
 ready) with an async escape hatch (``submit_async`` returns a
-:class:`PendingRequest` whose ``result()`` blocks) — which is exactly
-what a closed-loop load generator needs to simulate N outstanding
-clients without N OS threads.
+:class:`PendingRequest` whose ``result()`` blocks; an inline answer
+comes back already resolved) — which is exactly what a closed-loop
+load generator needs to simulate N outstanding clients without N OS
+threads.
 
 Every request carries a :class:`~repro.obs.context.RequestTrace`:
-the root ``serve.request`` span opens at submission, stage spans
-(``enqueue``, ``queue_wait``, ``batch_assemble``, ``resolve`` here;
-``forward``/``slice`` in the engine) attach to it by explicit parent
-id, and the tree closes when the request resolves — so N concurrent
-requests produce N disjoint span trees regardless of which worker
-thread finishes them. Tracing is always on: spans cost two clock reads
-each, draw nothing from any RNG, and are discarded unless a sink is
-attached, so traced serving output is bit-identical to untraced.
+the root ``serve.request`` span opens at submission and records its
+path (``memo`` or ``forward``) as an attribute; stage spans attach to
+it by explicit parent id, never through the shared ``obs.span`` stack,
+and the tree closes when the request resolves — so N concurrent
+requests produce N disjoint span trees regardless of which thread
+finishes them. A memoized request records ``slice`` and ``resolve``;
+a queued one records all six stages (``enqueue``, ``queue_wait``,
+``batch_assemble``, ``resolve`` here; ``forward``/``slice`` in the
+engine). Tracing is always on: spans cost two clock reads each, draw
+nothing from any RNG, and are discarded unless a sink is attached, so
+traced serving output is bit-identical to untraced.
 
-Latency is measured enqueue→resolve on the tracer's clock
+Latency is measured submit→resolve on the tracer's clock
 (injectable, like every clock in ``repro.obs``), so tests can drive
 the timeline deterministically. A request may carry a ``deadline_s``;
 deadlines are *accounting-only* (the SLO counters record misses, no
@@ -96,7 +104,7 @@ class PendingRequest:
 
 
 class ServeServer:
-    """Queue + worker threads around one inference engine."""
+    """Inline memo answers plus a queue and worker threads for forwards."""
 
     def __init__(
         self,
@@ -167,17 +175,15 @@ class ServeServer:
     def submit_async(
         self, node_ids=None, graph=None, deadline_s=None
     ) -> PendingRequest:
-        """Enqueue a request; returns a handle that resolves later."""
-        trace = self.request_tracer.start_request()
+        """Submit a request; returns a handle that resolves later (or
+        already has: memoized requests are answered inline)."""
+        request = Request(node_ids=node_ids, graph=graph, deadline_s=deadline_s)
+        if not self.engine.needs_forward(request):
+            return self._answer_inline(request)
+        trace = self.request_tracer.start_request(path="forward")
+        request.ctx = trace.context
         with trace.stage("enqueue") as enqueue_span:
-            pending = PendingRequest(
-                Request(
-                    node_ids=node_ids, graph=graph,
-                    ctx=trace.context, deadline_s=deadline_s,
-                ),
-                self._clock(),
-                trace=trace,
-            )
+            pending = PendingRequest(request, self._clock(), trace=trace)
             # queue_wait must open before the append: once notified, a
             # worker may pick the request up (and finish this span)
             # before submit_async regains the GIL.
@@ -195,11 +201,28 @@ class ServeServer:
         self.metrics.observe_queue_depth(depth)
         return pending
 
+    def _answer_inline(self, request: Request) -> PendingRequest:
+        """Slice a memoized answer and resolve it on the caller's thread."""
+        trace = self.request_tracer.start_request(path="memo")
+        request.ctx = trace.context
+        pending = PendingRequest(request, self._clock(), trace=trace)
+        if self._stopping or not self._started:
+            trace.finish(status="rejected")
+            raise RuntimeError("server is not accepting requests")
+        self.metrics.observe_requests()
+        try:
+            value = self.engine.answer(request)
+        except Exception as error:
+            self._settle([pending], error=error)
+        else:
+            self._settle([pending], [value])
+        return pending
+
     def submit(
         self, node_ids=None, graph=None,
         timeout: float | None = None, deadline_s=None,
     ):
-        """Synchronous predict: enqueue and block for the result."""
+        """Synchronous predict: submit and block for the result."""
         return self.submit_async(
             node_ids=node_ids, graph=graph, deadline_s=deadline_s
         ).result(timeout)
@@ -235,26 +258,32 @@ class ServeServer:
             try:
                 results = self.engine.predict_batch(requests)
             except Exception as error:  # resolve, don't kill the worker
-                now = self._clock()
-                for pending in batch:
-                    with pending.trace.stage("resolve") as resolve_span:
-                        pending._fail(error, now)
-                    self._record_stage(pending.trace, resolve_span)
-                    self.metrics.observe_error()
-                    pending.trace.finish(
-                        status="error", error=type(error).__name__
-                    )
+                self._settle(batch, error=error)
+            else:
+                self._settle(batch, results)
+
+    def _settle(self, batch, results=None, error=None) -> None:
+        """Resolve each request with its result (or fail it with
+        ``error``) inside its ``resolve`` stage, then close its tree."""
+        now = self._clock()
+        for index, pending in enumerate(batch):
+            with pending.trace.stage("resolve") as resolve_span:
+                if error is None:
+                    pending._resolve(results[index], now)
+                else:
+                    pending._fail(error, now)
+            self._record_stage(pending.trace, resolve_span)
+            if error is not None:
+                self.metrics.observe_error()
+                pending.trace.finish(
+                    status="error", error=type(error).__name__
+                )
                 continue
-            now = self._clock()
-            for pending, value in zip(batch, results):
-                with pending.trace.stage("resolve") as resolve_span:
-                    pending._resolve(value, now)
-                self._record_stage(pending.trace, resolve_span)
-                latency = pending.latency
-                self.metrics.observe_latency(latency, pending.trace_id)
-                status = "ok"
-                deadline = pending.request.deadline_s
-                if deadline is not None and latency > deadline:
-                    self.metrics.observe_deadline_exceeded()
-                    status = "deadline_exceeded"
-                pending.trace.finish(status=status, latency_s=latency)
+            latency = pending.latency
+            self.metrics.observe_latency(latency, pending.trace_id)
+            status = "ok"
+            deadline = pending.request.deadline_s
+            if deadline is not None and latency > deadline:
+                self.metrics.observe_deadline_exceeded()
+                status = "deadline_exceeded"
+            pending.trace.finish(status=status, latency_s=latency)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.obs import JsonlSink, MetricsRegistry, Tracer
-from repro.obs.context import REQUEST_STAGES, RequestTracer
+from repro.obs.context import PATH_STAGES, REQUEST_STAGES, RequestTracer
 from repro.obs.serve_report import (
     load_request_trees,
     render_serve_report,
@@ -22,15 +22,17 @@ class FakeClock:
         return value
 
 
-def write_trace(path, requests=3, with_metrics=False):
-    """Record ``requests`` complete request trees with a fake clock."""
+def write_trace(path, requests=3, with_metrics=False, memo=0):
+    """Record ``requests`` complete forward-path request trees, then
+    ``memo`` complete memo-path ones, with a fake clock."""
     tracer = Tracer(clock=FakeClock())
     factory = RequestTracer(tracer)
     with JsonlSink(path, meta={"label": "serve:test"}) as sink:
         tracer.add_sink(sink)
-        for __ in range(requests):
-            trace = factory.start_request()
-            for stage in REQUEST_STAGES:
+        for index in range(requests + memo):
+            path_name = "forward" if index < requests else "memo"
+            trace = factory.start_request(path=path_name)
+            for stage in PATH_STAGES[path_name]:
                 trace.stage(stage).finish()
             trace.finish(status="ok")
         tracer.remove_sink(sink)
@@ -71,7 +73,28 @@ class TestRenderServeReport:
         assert "Slowest traces (top 2)" in text
         for stage in REQUEST_STAGES:
             assert stage in text
-        assert "requests: 3 (3 with all 6 stages)" in text
+        assert "requests: 3 (3 with every stage of their path; 3 forward, 0 memo)" in text
+
+    def test_trees_complete_against_their_own_path(self, tmp_path):
+        path = write_trace(tmp_path / "trace.jsonl", requests=2, memo=3)
+        trees = load_request_trees(read_trace(path))
+        assert [tree.path for tree in trees] == ["forward"] * 2 + ["memo"] * 3
+        assert all(tree.complete() for tree in trees)
+        text = render_serve_report(path)
+        assert "requests: 5 (5 with every stage of their path; 2 forward, 3 memo)" in text
+
+    def test_memo_tree_missing_resolve_is_incomplete(self, tmp_path):
+        tracer = Tracer(clock=FakeClock())
+        path = tmp_path / "trace.jsonl"
+        with JsonlSink(path) as sink:
+            tracer.add_sink(sink)
+            trace = RequestTracer(tracer).start_request(path="memo")
+            trace.stage("slice").finish()
+            trace.finish(status="ok")
+            tracer.remove_sink(sink)
+        (tree,) = load_request_trees(read_trace(path))
+        assert not tree.complete()
+        assert "requests: 1 (0 with every stage" in render_serve_report(path)
 
     def test_stage_sums_consistent_with_latency(self, tmp_path):
         # Fake clock: every span is exactly one step long; the root

@@ -1,8 +1,10 @@
-"""Engine semantics: coalesced batches, plan cache, pinned default graph."""
+"""Engine semantics: memoized answers, coalesced batches, plan cache."""
 
 import numpy as np
 import pytest
 
+from repro.autograd import kernels, no_grad
+from repro.gnn.common import GraphCache
 from repro.serve import InferenceEngine, PlanCache, Request
 from repro.serve.plans import graph_key
 
@@ -52,6 +54,62 @@ class TestBatching:
         assert np.array_equal(results[2], engine.predict(node_ids=[4, 5]))
 
 
+class TestMemo:
+    """Default-graph answers come from one forward made at construction."""
+
+    @pytest.mark.parametrize("backend", ["naive", "fused"])
+    def test_memo_is_bit_identical_to_a_fresh_forward(self, node_artifact, backend):
+        with kernels.use_backend(backend):
+            engine = InferenceEngine.from_artifact(node_artifact)
+            model, data = node_artifact.instantiate()
+            with no_grad():
+                fresh = model.forward(data.features, GraphCache(data)).numpy()
+            assert np.array_equal(engine.predict(), fresh)
+            ids = np.array([5, 0, 5, engine.num_targets - 1])
+            assert np.array_equal(engine.predict(node_ids=ids), fresh[ids])
+
+    @pytest.mark.parametrize("backend", ["naive", "fused"])
+    def test_alignment_memo_is_bit_identical_to_a_fresh_encode(
+        self, kg_artifact, backend
+    ):
+        with kernels.use_backend(backend):
+            engine = InferenceEngine.from_artifact(kg_artifact)
+            model, __ = kg_artifact.instantiate()
+            with no_grad():
+                z1, z2 = (z.numpy() for z in model.encode())
+            ids = np.array([3, 1])
+            expected = -np.abs(z1[ids][:, None, :] - z2[None, :, :]).sum(axis=-1)
+            assert np.array_equal(engine.predict(node_ids=ids), expected)
+
+    def test_mutating_a_full_answer_leaves_later_answers_unchanged(self, node_artifact):
+        engine = InferenceEngine.from_artifact(node_artifact)
+        first = engine.predict()
+        before = first.copy()
+        first[:] = 0.0
+        assert np.array_equal(engine.predict(), before)
+        assert np.array_equal(engine.predict(node_ids=[0, 1]), before[:2])
+
+    def test_matches_a_forward_on_an_equal_copy_of_the_graph(self, node_artifact):
+        engine = InferenceEngine.from_artifact(node_artifact)
+        graph = engine.default_graph
+        copy = type(graph)(
+            edge_index=graph.edge_index.copy(), features=graph.features.copy()
+        )
+        ids = np.arange(6)
+        assert np.array_equal(
+            engine.predict(node_ids=ids, graph=copy), engine.predict(node_ids=ids)
+        )
+
+    def test_default_graph_needs_no_forward_and_no_plan_slot(self, node_artifact):
+        engine = InferenceEngine.from_artifact(node_artifact)
+        assert not engine.needs_forward(Request(node_ids=np.array([0])))
+        engine.predict(node_ids=np.array([0, 1]))
+        engine.predict()
+        stats = engine.plan_cache.stats()
+        assert stats["size"] == 0 and stats["hits"] == stats["misses"] == 0
+        assert not hasattr(engine, "data")
+
+
 class TestPlanCache:
     def test_same_structure_shares_a_key(self, node_artifact):
         dim = node_artifact.features["num_features"]
@@ -83,6 +141,7 @@ class TestPlanCache:
         assert cache.stats()["misses"] == 4
 
     def test_default_graph_is_pinned_across_evictions(self, node_artifact):
+        # The default graph's answers are memoized, outside the LRU.
         engine = InferenceEngine.from_artifact(node_artifact, plan_capacity=2)
         baseline = engine.predict(node_ids=np.array([0, 1, 2]))
         dim = node_artifact.features["num_features"]

@@ -1,10 +1,12 @@
 """Request tracing through the server: tree integrity under concurrency.
 
 The load-bearing guarantee: N requests submitted from N threads
-produce N complete, disjoint span trees — correct parent links, the
-full stage vocabulary, no orphans — no matter how worker threads
-interleave, under both kernel backends. Plus the identity guarantee
-tracing rests on: recording a trace changes no prediction bytes.
+produce N complete, disjoint span trees — correct parent links, exactly
+the stages of the request's path (all six for a queued forward
+request, ``slice``/``resolve`` for one answered from the memo on the
+caller's thread), no orphans — no matter how threads interleave,
+under both kernel backends. Plus the identity guarantee tracing rests
+on: recording a trace changes no prediction bytes.
 """
 
 import threading
@@ -14,13 +16,23 @@ import pytest
 
 from repro.autograd import kernels
 from repro.obs import InMemorySink, get_tracer
-from repro.obs.context import REQUEST_SPAN, REQUEST_STAGES
+from repro.obs.context import PATH_STAGES, REQUEST_SPAN
 from repro.serve import InferenceEngine, ServeServer
+
+from tests.serve.conftest import make_ring_graph
 
 
 @pytest.fixture()
 def engine(node_artifact):
     return InferenceEngine.from_artifact(node_artifact)
+
+
+@pytest.fixture(scope="module")
+def foreign(node_artifact):
+    """A graph of the artifact's feature width that it never saw."""
+    return make_ring_graph(
+        12, node_artifact.features["num_features"], seed=5, name="ring"
+    )
 
 
 def collect_trees(spans):
@@ -41,11 +53,14 @@ def collect_trees(spans):
 class TestConcurrentTraceIntegrity:
     @pytest.mark.parametrize("backend", ["naive", "fused"])
     def test_n_threads_produce_n_disjoint_complete_trees(
-        self, engine, backend
+        self, engine, foreign, backend
     ):
         num_threads = 8
         sink = InMemorySink()
         ids = [np.array([index, index + 1]) for index in range(num_threads)]
+        # Odd threads send their own graph (queued, forward path); even
+        # threads ask the artifact's graph (memo path, inline).
+        graphs = [foreign if index % 2 else None for index in range(num_threads)]
         with kernels.use_backend(backend):
             with get_tracer().collect(sink):
                 with ServeServer(engine, max_batch=4, workers=2) as server:
@@ -53,7 +68,7 @@ class TestConcurrentTraceIntegrity:
 
                     def client(index):
                         barrier.wait()
-                        server.submit(node_ids=ids[index])
+                        server.submit(node_ids=ids[index], graph=graphs[index])
 
                     threads = [
                         threading.Thread(target=client, args=(index,))
@@ -68,15 +83,18 @@ class TestConcurrentTraceIntegrity:
         assert len(trees) == num_threads
         all_ids = [span.span_id for span in sink.spans]
         assert len(all_ids) == len(set(all_ids)), "span ids must be unique"
+        paths = []
         for trace_id, tree in trees.items():
             root = tree["root"]
             assert root is not None, f"{trace_id}: root span missing"
             assert root.name == REQUEST_SPAN
             assert root.parent_id is None and root.depth == 0
             assert root.attrs["status"] == "ok"
+            path = root.attrs["path"]
+            paths.append(path)
             names = [span.name for span in tree["stages"]]
-            assert sorted(names) == sorted(REQUEST_STAGES), (
-                f"{trace_id}: stages {names}"
+            assert sorted(names) == sorted(PATH_STAGES[path]), (
+                f"{trace_id}: stages {names} on the {path} path"
             )
             for span in tree["stages"]:
                 assert span.parent_id == root.span_id, (
@@ -86,38 +104,61 @@ class TestConcurrentTraceIntegrity:
                 assert span.depth == 1
                 assert span.attrs["trace"] == trace_id
                 assert span.t_end is not None
+        assert sorted(paths) == ["forward"] * 4 + ["memo"] * 4
 
-    def test_stage_windows_sit_inside_the_root(self, engine):
-        sink = InMemorySink()
-        with get_tracer().collect(sink):
-            with ServeServer(engine, max_batch=4) as server:
-                server.submit(node_ids=np.array([0, 1, 2]))
-        ((_, tree),) = collect_trees(sink.spans).items()
-        root = tree["root"]
-        for span in tree["stages"]:
-            assert span.t_start >= root.t_start - 1e-9
-            assert span.t_end <= root.t_end + 1e-9
-        stage_sum = sum(span.duration for span in tree["stages"])
-        # enqueue/queue_wait overlap by a hair; everything else is
-        # sequential, so the sum stays in the same ballpark as the root.
-        assert 0.0 < stage_sum <= 2.0 * root.duration
+    def test_stage_windows_sit_inside_the_root(self, engine, foreign):
+        for graph in (None, foreign):  # memo path, then forward path
+            sink = InMemorySink()
+            with get_tracer().collect(sink):
+                with ServeServer(engine, max_batch=4) as server:
+                    server.submit(node_ids=np.array([0, 1, 2]), graph=graph)
+            ((_, tree),) = collect_trees(sink.spans).items()
+            root = tree["root"]
+            for span in tree["stages"]:
+                assert span.t_start >= root.t_start - 1e-9
+                assert span.t_end <= root.t_end + 1e-9
+            stage_sum = sum(span.duration for span in tree["stages"])
+            # enqueue/queue_wait overlap by a hair; everything else is
+            # sequential, so the sum stays in the same ballpark as the root.
+            assert 0.0 < stage_sum <= 2.0 * root.duration
 
-    def test_error_trees_are_complete_too(self, engine):
+    def test_error_trees_are_complete_too(self, engine, foreign):
         sink = InMemorySink()
         with get_tracer().collect(sink):
             with ServeServer(engine, max_batch=4) as server:
                 pending = server.submit_async(
-                    node_ids=np.array([10 ** 9])  # out of range -> engine error
+                    node_ids=np.array([10 ** 9]),  # out of range -> engine error
+                    graph=foreign,
                 )
-                with pytest.raises(Exception):
+                with pytest.raises(IndexError):
                     pending.result(timeout=30)
         ((_, tree),) = collect_trees(sink.spans).items()
         assert tree["root"].attrs["status"] == "error"
+        assert tree["root"].attrs["path"] == "forward"
         names = {span.name for span in tree["stages"]}
-        # forward/slice never happened; the queue-side stages and the
-        # terminal resolve did.
-        assert {"enqueue", "queue_wait", "batch_assemble", "resolve"} <= names
+        # the slice never finished; the queue-side stages, the forward
+        # and the terminal resolve did.
+        assert {"enqueue", "queue_wait", "batch_assemble", "forward",
+                "resolve"} <= names
         assert engine.metrics.registry.counter("serve.errors").value == 1.0
+
+    def test_out_of_range_pinned_id_fails_inline(self, engine):
+        sink = InMemorySink()
+        with get_tracer().collect(sink):
+            with ServeServer(engine, max_batch=4) as server:
+                pending = server.submit_async(node_ids=np.array([10 ** 9]))
+                # Answered on this thread: already failed on return.
+                assert pending.resolved_at is not None
+                with pytest.raises(IndexError):
+                    pending.result(timeout=0)
+        ((_, tree),) = collect_trees(sink.spans).items()
+        root = tree["root"]
+        assert root.attrs["status"] == "error"
+        assert root.attrs["error"] == "IndexError"
+        assert root.attrs["path"] == "memo"
+        assert {span.name for span in tree["stages"]} == set(PATH_STAGES["memo"])
+        assert engine.metrics.registry.counter("serve.errors").value == 1.0
+        assert engine.metrics.registry.counter("serve.requests").value == 1.0
 
 
 class TestTracedUntracedIdentity:
@@ -140,10 +181,10 @@ class TestTracedUntracedIdentity:
                         outputs.append(server.submit(node_ids=ids))
         assert np.array_equal(outputs[0], outputs[1])
 
-    def test_direct_predict_records_no_request_spans(self, engine):
+    def test_direct_predict_records_no_request_spans(self, engine, foreign):
         sink = InMemorySink()
         with get_tracer().collect(sink):
-            engine.predict(node_ids=np.arange(3))
+            engine.predict(node_ids=np.arange(3), graph=foreign)
         assert collect_trees(sink.spans) == {}
         assert any(span.name == "serve.forward" for span in sink.spans)
 
@@ -175,4 +216,5 @@ class TestDeadlineAccounting:
         assert slo["errors"] == 0.0
         assert slo["availability"] == 0.5
         assert "stages" in summary
-        assert set(summary["stages"]) == set(REQUEST_STAGES)
+        # Both requests were answered from the memo.
+        assert set(summary["stages"]) == set(PATH_STAGES["memo"])
