@@ -64,6 +64,20 @@ result = json.loads(sys.argv[1])
 assert result["correct"] is True, f"perfbench serve-mixed failed: {result['failed']} of {result['attempted']}"
 print(f"perfbench serve-mixed ok: {result['attempted']} responses checked")
 PYEOF
+# trials-cora trains candidates on spawned pool workers; its traced run
+# hooks repro.parallel.worker.worker_main inside each worker, so a
+# nonzero worker-side train.fit_ms proves the hook survived.
+echo "==> perfbench traced trials-cora smoke"
+PERFBENCH_OUT="$(python3 perfbench/run.py --workload trials-cora --seed 0 --seconds 3 --trace 1)"
+python - "$(tail -n 1 <<<"$PERFBENCH_OUT")" <<'PYEOF'
+import json
+import sys
+result = json.loads(sys.argv[1])
+assert result["correct"] is True, f"perfbench trials-cora failed: {result['failed']} of {result['attempted']}"
+fit = result["metrics"]["train.fit_ms"]["value"]
+assert fit > 0, f"perfbench trials-cora recorded no worker-side train.fit_ms ({fit})"
+print(f"perfbench trials-cora ok: {result['attempted']} candidates, train.fit_ms={fit:.1f}")
+PYEOF
 
 if [[ "${SKIP_BENCH:-0}" != "1" ]]; then
     BENCH_DIR="$(mktemp -d)"

@@ -15,8 +15,8 @@ linter cannot express (see DESIGN section 9):
   writes that can reach tape-held storage (parameter arrays, parent
   ``.data``, arrays already promoted onto the tape).
 * **kernel purity** (:mod:`.effects`) — public kernel entry points
-  neither mutate their inputs nor write module globals, so the
-  ``REPRO_KERNELS`` backends stay freely swappable.
+  neither mutate their inputs nor write module globals, so counted
+  runs stay bit-identical and the test oracle stays substitutable.
 
 :func:`check_paths` is the façade the CLI and the tier-1 self-check
 test call; it reuses the PR-1 finding/result machinery so text/JSON

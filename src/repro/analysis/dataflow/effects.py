@@ -12,16 +12,17 @@ two user-facing checks:
   forward arrays are the classic silent-corruption bug this exists to
   catch. Declared mutators (``index_add``'s ``out``) are exempt.
 * **impure-kernel** — a public function of the kernels module with a
-  non-empty undeclared effect set. The ``REPRO_KERNELS`` backends stay
-  swappable only while every kernel is a pure function of its inputs;
-  sanctioned exceptions (backend switches, the plan memo) are declared
-  in the contract table and anything else fails the check.
+  non-empty undeclared effect set. Counted runs stay bit-identical to
+  uncounted ones, and the test oracle stays substitutable for the
+  planned kernels, only while every kernel is a pure function of its
+  inputs; sanctioned exceptions (the counter slot, the plan memo) are
+  declared in the contract table and anything else fails the check.
 
 Method self-state is out of scope by design (``SegmentPlan.__init__``
 building its own CSR arrays is not a side effect on callers), and only
-*direct* global writes are charged to a function — ``use_backend``
-calling ``set_backend`` is the sanctioned indirection, not a second
-offender.
+*direct* global writes are charged to a function — ``count_kernels``
+calling ``set_kernel_counters`` is the sanctioned indirection, not a
+second offender.
 """
 
 from __future__ import annotations
@@ -157,8 +158,9 @@ def purity_findings(
                 info,
                 module.path,
                 f"{info.key}: public kernel mutates parameter(s) {names}; "
-                "kernels must be pure so REPRO_KERNELS backends stay "
-                "swappable — return a fresh array or declare mutates=(...)",
+                "kernels must be pure so counted runs stay bit-identical "
+                "and the test oracle stays substitutable — return a fresh "
+                "array or declare mutates=(...)",
             )
         if undeclared_globals:
             names = ", ".join(sorted(undeclared_globals))

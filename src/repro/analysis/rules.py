@@ -432,11 +432,11 @@ class BufferedScatterRule(Rule):
     """Direct ``np.add.at``/``np.maximum.at`` outside the kernel module.
 
     Buffered ``ufunc.at`` scatters are 4-6x slower than the planned CSR
-    kernels in :mod:`repro.autograd.kernels` and bypass the
-    ``REPRO_KERNELS`` backend switch, so a stray call silently forks
-    the scatter implementation and re-introduces exactly the hotspot
-    the fused kernels removed. Only ``repro/autograd/kernels.py`` — the
-    naive reference backend's home — may call them; everywhere else the
+    kernels in :mod:`repro.autograd.kernels`, so a stray call
+    re-introduces exactly the hotspot the planned kernels removed, and
+    bypasses the kernel counters that account for scatter traffic.
+    Only ``repro/autograd/kernels.py`` — home of the 1-D max fast path
+    and the ``index_add`` fallback — may call them; everywhere else the
     code must go through ``kernels.scatter_sum``/``scatter_max``/
     ``index_add`` or carry a ``# lint: disable=buffered-scatter``
     justification.
@@ -467,7 +467,7 @@ class BufferedScatterRule(Rule):
                 ctx,
                 f"{dotted}() is a buffered scatter outside the kernel module; "
                 "route it through repro.autograd.kernels (scatter_sum/"
-                "scatter_max/index_add) so the REPRO_KERNELS backend applies",
+                "scatter_max/index_add) so it runs on the planned kernels",
             )
 
     @staticmethod

@@ -5,7 +5,8 @@ over this package — VJP completeness, closure-capture weight, in-place
 escape, kernel purity. Real code has a handful of *intentional*
 deviations: ``index_add`` mutates its ``out`` argument by design,
 ``relu`` retains its activation mask because recomputing it would cost
-a full forward read, ``set_backend`` exists to mutate a module global.
+a full forward read, ``set_kernel_counters`` exists to swap a module
+global.
 Those exceptions are declared here, in one reviewable place, instead of
 being sprinkled as inline suppressions.
 
@@ -33,7 +34,7 @@ Contract keys
     (the sanctioned in-place API, e.g. ``index_add(out, ...)``).
 ``globals``
     Tuple of module-global names the function reassigns or mutates
-    (backend switches, memo caches, counter slots).
+    (memo caches, counter slots).
 ``nondiff``
     Tuple of parent *positions* (ints) that intentionally receive no
     gradient on any path.

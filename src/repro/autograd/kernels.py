@@ -1,16 +1,15 @@
-"""Segment-reduction kernels with selectable backends.
+"""Segment-reduction kernels over precomputed CSR plans.
 
 Message passing spends its time in two raw array operations: scattering
 edge values into node buckets (``segment_*`` forwards, gather adjoints)
-and gathering node rows out along edges. The *naive* backend runs the
-scatters through numpy's buffered ``np.add.at`` / ``np.maximum.at`` —
-correct, simple, and the well-known slow path. The *fused* backend
-precomputes a :class:`SegmentPlan` (CSR layout: destination-sorted edge
-permutation, row pointers, per-segment counts) once per segment-id
-array and reduces over the planned layout.
+and gathering node rows out along edges. The textbook way to scatter —
+numpy's buffered ``np.add.at`` / ``np.maximum.at`` — is correct,
+simple, and slow. These kernels instead precompute a
+:class:`SegmentPlan` (CSR layout: destination-sorted edge permutation,
+row pointers, per-segment counts) once per segment-id array and reduce
+over the planned layout.
 
-Kernel choice inside the fused backend is measurement-driven (numpy
-2.x, see DESIGN):
+Kernel choice is measurement-driven (numpy 2.x, see DESIGN):
 
 * sums run through ``np.bincount`` on flattened ``segment*width + col``
   indices — one C pass over the data, ~4–6x faster than ``np.add.at``
@@ -20,27 +19,25 @@ Kernel choice inside the fused backend is measurement-driven (numpy
   plus ``np.maximum.reduceat`` over the CSR row starts; 1-D maxima stay
   on ``np.maximum.at``, whose 1-D fast path already wins.
 
-Both backends produce the same results (sums bit-identical, maxima
-exactly equal); the naive backend is kept as the reference
-implementation and for pinpointing kernel regressions. Select with
-``REPRO_KERNELS=naive|fused`` (default ``fused``), or
-:func:`set_backend` / :func:`use_backend` at runtime.
+The buffered-scatter formulation survives as the test oracle
+(``tests/naive_kernels.py``): the planned kernels must match it
+exactly (sums bit-identical, maxima equal), and its ``naive_kernels``
+fixture swaps it in to rerun any test against the textbook path.
 
 Everything here operates on raw ``numpy.ndarray`` values — the
 differentiable wrappers live in :mod:`repro.autograd.scatter`.
 
-When a :class:`KernelCounters` collector is installed (PR 5, see
+When a :class:`KernelCounters` collector is installed (see
 ``repro.obs``), every public kernel call additionally records bytes
 read/written and elements reduced — the raw numbers behind the
-fused-vs-naive *effective bandwidth* comparison in ``BENCH_*.json``.
-While no collector is installed the kernels pay one module-global load
-per call and nothing else.
+*effective bandwidth* gauges in ``BENCH_*.json``. While no collector
+is installed the kernels pay one module-global load per call and
+nothing else.
 """
 
 from __future__ import annotations
 
 import contextlib
-import os
 from collections import OrderedDict
 
 import numpy as np
@@ -48,15 +45,11 @@ import numpy as np
 from repro.autograd.contracts import contract
 
 __all__ = [
-    "BACKENDS",
     "LruMap",
     "SegmentPlan",
     "plan_for",
     "peek_plan",
     "segment_counts",
-    "get_backend",
-    "set_backend",
-    "use_backend",
     "scatter_sum",
     "scatter_max",
     "scatter_add_rows",
@@ -67,49 +60,6 @@ __all__ = [
     "get_kernel_counters",
     "count_kernels",
 ]
-
-BACKENDS = ("naive", "fused")
-
-
-def _initial_backend() -> str:
-    name = os.environ.get("REPRO_KERNELS", "fused")
-    if name not in BACKENDS:
-        raise ValueError(
-            f"REPRO_KERNELS={name!r} unknown; choose from {BACKENDS}"
-        )
-    return name
-
-
-_BACKEND = _initial_backend()
-
-
-def get_backend() -> str:
-    """Name of the active kernel backend (``naive`` or ``fused``)."""
-    return _BACKEND
-
-
-@contract(
-    globals=("_BACKEND",),
-    reason="the backend switch is this global's one sanctioned writer",
-)
-def set_backend(name: str) -> None:
-    """Select the kernel backend for every subsequent segment reduction."""
-    global _BACKEND
-    if name not in BACKENDS:
-        raise ValueError(f"unknown kernel backend {name!r}; choose from {BACKENDS}")
-    _BACKEND = name
-
-
-@contextlib.contextmanager
-def use_backend(name: str):
-    """Context manager pinning the kernel backend inside its block."""
-    previous = get_backend()
-    set_backend(name)
-    try:
-        yield
-    finally:
-        set_backend(previous)
-
 
 class SegmentPlan:
     """Immutable CSR layout of one segment-id array.
@@ -412,8 +362,8 @@ def scatter_sum(
 ) -> np.ndarray:
     """``out[s] = sum of values rows with segment_ids == s`` (float64).
 
-    Repeated ids accumulate; empty segments are zero. The fused path is
-    bit-identical to the naive one (same per-slot accumulation order).
+    Repeated ids accumulate; empty segments are zero. Bit-identical to
+    a buffered ``np.add.at`` (same per-slot accumulation order).
     """
     values = np.asarray(values)
     counters = _COUNTERS
@@ -437,10 +387,6 @@ def _scatter_sum_impl(
     num_segments: int,
     plan: SegmentPlan | None,
 ) -> np.ndarray:
-    if _BACKEND == "naive":
-        out = np.zeros((num_segments,) + values.shape[1:], dtype=np.float64)
-        _index_add_impl(out, segment_ids, values)
-        return out
     if values.ndim == 1:
         out = np.bincount(segment_ids, weights=values, minlength=num_segments)
         if out.shape[0] != num_segments:
@@ -472,8 +418,9 @@ def scatter_max(
 ) -> np.ndarray:
     """``out[s] = max over values rows with segment_ids == s``.
 
-    Empty segments are ``-inf`` (callers decide how to mask them). The
-    fused path equals the naive one exactly — max is order-insensitive.
+    Empty segments are ``-inf`` (callers decide how to mask them).
+    Equals a buffered ``np.maximum.at`` exactly — max is
+    order-insensitive.
     """
     values = np.asarray(values)
     counters = _COUNTERS
@@ -501,8 +448,8 @@ def _scatter_max_impl(
         (num_segments,) + values.shape[1:], -np.inf, dtype=np.float64
     )
     # 1-D values: numpy's ufunc.at fast path already beats the sorted
-    # reduceat (measured); the "fused" backend keeps it.
-    if _BACKEND == "naive" or values.ndim == 1 or len(values) == 0:
+    # reduceat (measured), so they keep it.
+    if values.ndim == 1 or len(values) == 0:
         np.maximum.at(out, segment_ids, values)
         return out
     if plan is None:
@@ -540,12 +487,12 @@ def _selects_unique_elements(index) -> bool:
 def index_add(out: np.ndarray, index, values) -> None:
     """``out[index] += values`` with repeated-index accumulation, in place.
 
-    The one sanctioned home of ``np.add.at``: the naive reference
-    kernel, and the general fallback for index expressions (slices,
-    tuples, boolean masks) the planned kernels do not cover. Index
-    expressions that provably select unique elements (basic indexing,
-    boolean masks) take a plain in-place ``+=`` instead — bit-identical,
-    without the unbuffered ufunc's per-element dispatch.
+    The one sanctioned home of ``np.add.at``: the general fallback for
+    index expressions (slices, tuples, boolean masks) the planned
+    kernels do not cover. Index expressions that provably select unique
+    elements (basic indexing, boolean masks) take a plain in-place
+    ``+=`` instead — bit-identical, without the unbuffered ufunc's
+    per-element dispatch.
     """
     counters = _COUNTERS
     if counters is None:
@@ -576,7 +523,7 @@ def scatter_add_rows(
     """Adjoint of row gathering: scatter ``values`` rows back to ``num_rows``.
 
     Equivalent to ``np.add.at(zeros, index, values)`` — and routed
-    through :func:`scatter_sum`, so the fused backend accelerates
+    through :func:`scatter_sum`, so the planned kernels accelerate
     gather backwards exactly like segment sums.
     """
     return scatter_sum(values, index, num_rows)

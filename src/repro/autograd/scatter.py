@@ -10,8 +10,8 @@ space (Table I / Table XI) composes out of differentiable pieces:
 ``segment_ids`` plays the role of ``dst``. Segments may be empty (an
 isolated node); empty segments reduce to zero.
 
-The raw reductions run on :mod:`repro.autograd.kernels`
-(``REPRO_KERNELS=naive|fused``). Every function takes an optional
+The raw reductions run on the planned CSR kernels in
+:mod:`repro.autograd.kernels`. Every function takes an optional
 precomputed :class:`~repro.autograd.kernels.SegmentPlan`; hot callers
 (the GNN aggregators) thread the per-graph plans a
 :class:`~repro.gnn.common.GraphCache` holds, everyone else falls back

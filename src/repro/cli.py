@@ -23,9 +23,8 @@ via ``REPRO_HISTORY_DIR``, recording disabled with
 keeps it that way.
 
 All commands take ``--scale smoke|default|full`` (default: value of
-``REPRO_SCALE`` or ``default``), ``--seed``, and ``--kernels
-naive|fused`` (default: value of ``REPRO_KERNELS`` or ``fused``),
-accepted both before and after the subcommand.
+``REPRO_SCALE`` or ``default``) and ``--seed``, accepted both before
+and after the subcommand.
 """
 
 from __future__ import annotations
@@ -137,9 +136,6 @@ def _add_common_options(*parsers) -> None:
             "--scale", choices=sorted(SCALES), default=argparse.SUPPRESS
         )
         sub.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-        sub.add_argument(
-            "--kernels", choices=kernels.BACKENDS, default=argparse.SUPPRESS
-        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -155,12 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="compute budget preset",
     )
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--kernels",
-        choices=kernels.BACKENDS,
-        default=kernels.get_backend(),
-        help="segment-kernel backend (default: REPRO_KERNELS or 'fused')",
-    )
     commands = parser.add_subparsers(dest="command", required=True)
 
     stats = commands.add_parser("stats", help="dataset statistics (Tables IV/V)")
@@ -624,7 +614,6 @@ def _ledger_env(args) -> dict:
     return env_fingerprint(
         scale=args.scale,
         seed=getattr(args, "seed", None),
-        kernels=args.kernels,
         workers=getattr(args, "workers", 0) or 0,
     )
 
@@ -639,7 +628,6 @@ def main(argv: list[str] | None = None) -> int:
     justified suppression instead).
     """
     args = build_parser().parse_args(argv)
-    kernels.set_backend(args.kernels)
 
     scaleless = {
         "lint": _cmd_lint,

@@ -69,12 +69,6 @@ class OpStats:
         return dataclasses.asdict(self)
 
 
-def _op_name(backward_fn: Callable) -> str:
-    qualname = getattr(backward_fn, "__qualname__", "") or ""
-    name = qualname.split(".", 1)[0]
-    return name or "<anonymous>"
-
-
 class AutogradProfiler:
     """Installable per-op profiler over the autograd substrate.
 
@@ -163,7 +157,7 @@ class AutogradProfiler:
         return timed
 
     def _tape_hook(self, data, parents, backward_fn):
-        stats = self.stat(_op_name(backward_fn))
+        stats = self.stat(tape.op_name(backward_fn))
         stats.tape_entries += 1
         stats.output_bytes += int(getattr(data, "nbytes", 0))
         clock = self.clock

@@ -177,12 +177,6 @@ def _span_provenance() -> tuple[int | None, str]:
     return epoch, "/".join(span.name for span in stack)
 
 
-def _op_name(backward_fn) -> str:
-    qualname = getattr(backward_fn, "__qualname__", "") or ""
-    name = qualname.split(".", 1)[0]
-    return name or "<anonymous>"
-
-
 # ---------------------------------------------------------------------
 # the monitor
 # ---------------------------------------------------------------------
@@ -259,7 +253,7 @@ class HealthMonitor:
 
     def _tape_hook(self, data, parents, backward_fn):
         self.checked_entries += 1
-        op = _op_name(backward_fn)
+        op = tape.op_name(backward_fn)
         scope = current_op_scope() or {}
         kind = self._classify(np.asarray(data))
         epoch, span_path = _span_provenance()

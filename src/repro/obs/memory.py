@@ -34,7 +34,7 @@ import weakref
 import numpy as np
 
 from repro.obs import tape
-from repro.obs.report import format_table
+from repro.obs.report import _bytes_human, format_table
 from repro.obs.sinks import read_trace
 from repro.obs.spans import get_tracer
 
@@ -44,12 +44,6 @@ __all__ = [
     "render_memory_report",
     "render_memory_report_file",
 ]
-
-
-def _op_name(backward_fn) -> str:
-    qualname = getattr(backward_fn, "__qualname__", "") or ""
-    name = qualname.split(".", 1)[0]
-    return name or "<anonymous>"
 
 
 def _retained_bytes(backward_fn, data, parents) -> int:
@@ -156,7 +150,7 @@ class MemoryTracker:
         in_bytes = sum(int(p.data.nbytes) for p in parents)
         retained = _retained_bytes(backward_fn, data, parents)
         path, epoch = self._span_context()
-        op = _op_name(backward_fn)
+        op = tape.op_name(backward_fn)
 
         entry_bytes = out_bytes + retained
         self.current_live += entry_bytes
@@ -224,14 +218,6 @@ def track_memory() -> MemoryTracker:
 # ---------------------------------------------------------------------
 # report rendering (`repro report memory`)
 # ---------------------------------------------------------------------
-def _bytes_human(num: float) -> str:
-    for unit in ("B", "KB", "MB", "GB"):
-        if abs(num) < 1024.0 or unit == "GB":
-            return f"{num:.1f}{unit}" if unit != "B" else f"{int(num)}B"
-        num /= 1024.0
-    return f"{num:.1f}GB"
-
-
 def render_memory_report(stats: dict, top: int = 10) -> str:
     """Render the per-span peak-memory hotspot table from a stats dict."""
     sections: list[str] = []

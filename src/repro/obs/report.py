@@ -120,9 +120,14 @@ def _seconds(value: float) -> str:
     return f"{value:.4f}"
 
 
+def _num(value, digits: int = 4) -> str:
+    return "-" if value is None else f"{value:.{digits}f}"
+
+
 def _bytes_human(num: float) -> str:
+    """Human byte count; negative deltas keep their sign."""
     for unit in ("B", "KB", "MB", "GB"):
-        if num < 1024.0 or unit == "GB":
+        if abs(num) < 1024.0 or unit == "GB":
             return f"{num:.1f}{unit}" if unit != "B" else f"{int(num)}B"
         num /= 1024.0
     return f"{num:.1f}GB"

@@ -129,15 +129,13 @@ def git_revision() -> str | None:
 def env_fingerprint(
     scale: str | None = None,
     seed: int | None = None,
-    kernels: str | None = None,
     workers: int | None = None,
 ) -> dict:
     """The environment facts a manifest pins: scale preset, seed,
-    kernel backend, worker count, git revision, python version."""
+    worker count, git revision, python version."""
     return {
         "scale": scale,
         "seed": seed,
-        "kernels": kernels or os.environ.get("REPRO_KERNELS", "fused"),
         "workers": int(workers or 0),
         "git_rev": git_revision(),
         "python": "{}.{}.{}".format(*sys.version_info[:3]),

@@ -23,7 +23,7 @@ import statistics
 from datetime import datetime, timezone
 
 from repro.obs.bench_gate import metric_direction
-from repro.obs.report import format_table
+from repro.obs.report import _num, format_table
 from repro.obs.runs import RunManifest
 from repro.obs.search_report import _sparkline
 
@@ -51,10 +51,6 @@ def _when(t_wall: float | None) -> str:
         return "-"
     stamp = datetime.fromtimestamp(float(t_wall), tz=timezone.utc)
     return stamp.strftime("%Y-%m-%d %H:%M")
-
-
-def _num(value, digits: int = 4) -> str:
-    return "-" if value is None else f"{value:.{digits}f}"
 
 
 def metric_series(
@@ -266,10 +262,10 @@ def render_run_show(
         lines.append(f"  {key}: {manifest.config[key]!r}")
     env = manifest.env
     lines.append(
-        "env:           scale={scale} seed={seed} kernels={kernels} "
+        "env:           scale={scale} seed={seed} "
         "workers={workers} git={git} py={py}".format(
             scale=env.get("scale"), seed=env.get("seed"),
-            kernels=env.get("kernels"), workers=env.get("workers"),
+            workers=env.get("workers"),
             git=env.get("git_rev") or "-", py=env.get("python") or "-",
         )
     )

@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 from pathlib import Path
 
-from repro.obs.report import aggregate_spans, format_table
+from repro.obs.report import _bytes_human, _num, aggregate_spans, format_table
 from repro.obs.sinks import read_trace
 
 __all__ = ["SearchRun", "load_run_records", "split_searches", "render_run", "render_diff"]
@@ -39,10 +39,6 @@ def _sparkline(values: list[float]) -> str:
         return _SPARK[0] * len(values)
     scale = (len(_SPARK) - 1) / (high - low)
     return "".join(_SPARK[int((v - low) * scale)] for v in values)
-
-
-def _num(value, digits: int = 4) -> str:
-    return "-" if value is None else f"{value:.{digits}f}"
 
 
 @dataclasses.dataclass
@@ -623,7 +619,6 @@ def _memory_deltas(
     stats_b = _last_memory_stats(records_b)
     if stats_a is None or stats_b is None:
         return []
-    from repro.obs.memory import _bytes_human
 
     peak_a = stats_a.get("peak_live_bytes", 0)
     peak_b = stats_b.get("peak_live_bytes", 0)

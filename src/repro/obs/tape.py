@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from repro.autograd import tensor
 
-__all__ = ["add_tape_hook", "remove_tape_hook", "active_tape_hooks"]
+__all__ = ["add_tape_hook", "remove_tape_hook", "active_tape_hooks", "op_name"]
 
 _HOOKS: list = []
 
@@ -60,3 +60,10 @@ def remove_tape_hook(hook) -> None:
 def active_tape_hooks() -> tuple:
     """The registered hooks, in dispatch order (a snapshot)."""
     return tuple(_HOOKS)
+
+
+def op_name(backward_fn) -> str:
+    """The op a backward closure belongs to: its qualname's first part."""
+    qualname = getattr(backward_fn, "__qualname__", "") or ""
+    name = qualname.split(".", 1)[0]
+    return name or "<anonymous>"

@@ -45,7 +45,6 @@ from __future__ import annotations
 import pickle
 import queue as queue_module
 
-from repro.autograd import kernels
 from repro.obs import MetricsRegistry, get_tracer
 from repro.obs import events
 from repro.parallel.jobs import (
@@ -76,14 +75,12 @@ class WorkerPool:
         timeout_s: float | None = None,
         metrics: MetricsRegistry | None = None,
         poll_s: float = 0.1,
-        backend: str | None = None,
     ):
         self.workers = int(workers)
         self.max_retries = int(max_retries)
         self.timeout_s = timeout_s
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.poll_s = poll_s
-        self._backend = backend
         self._ctx = None
         self._task_queue = None
         self._result_queue = None
@@ -332,7 +329,6 @@ class WorkerPool:
             self._ctx = multiprocessing.get_context("spawn")
             self._task_queue = self._ctx.Queue()
             self._result_queue = self._ctx.Queue()
-        backend = self._backend or kernels.get_backend()
         from repro.parallel.worker import worker_main
 
         while len(self._procs) < self.workers:
@@ -340,7 +336,7 @@ class WorkerPool:
             self._next_worker_id += 1
             proc = self._ctx.Process(
                 target=worker_main,
-                args=(worker_id, self._task_queue, self._result_queue, backend),
+                args=(worker_id, self._task_queue, self._result_queue),
                 daemon=True,
                 name=f"repro-worker-{worker_id}",
             )

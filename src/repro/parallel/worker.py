@@ -16,10 +16,9 @@ the result queue:
   traceback)`` — the job raised; the formatted traceback travels
   because the exception object itself may not pickle.
 
-A ``None`` task is the shutdown sentinel. The kernel backend is
-passed explicitly: ``REPRO_KERNELS`` is read at import time in the
-parent, and a ``--kernels`` CLI override never reaches the child's
-environment.
+A ``None`` task is the shutdown sentinel. Workers import the same
+single kernel implementation as the parent, so no kernel setting
+crosses the process boundary.
 """
 
 from __future__ import annotations
@@ -27,16 +26,14 @@ from __future__ import annotations
 import pickle
 import traceback
 
-from repro.autograd import kernels
 from repro.obs import InMemorySink, get_tracer
 from repro.parallel.jobs import execute_job
 
 __all__ = ["worker_main"]
 
 
-def worker_main(worker_id: int, task_queue, result_queue, backend: str) -> None:
+def worker_main(worker_id: int, task_queue, result_queue) -> None:
     """Loop: pull a task, run it, ship the result; exit on sentinel."""
-    kernels.set_backend(backend)
     tracer = get_tracer()
     while True:
         item = task_queue.get()

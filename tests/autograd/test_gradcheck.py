@@ -1,10 +1,11 @@
-"""Registry-driven gradcheck: every registered op, both kernel backends.
+"""Registry-driven gradcheck: every registered op, both kernel paths.
 
 ``tests/autograd/test_ops.py`` and friends verify hand-picked gradients;
 this harness closes the coverage gap the static VJP analysis
 (``repro check``) cannot: it *executes* every differentiable op exported
 by ``repro.autograd.{ops,functional,scatter}`` against central
-finite differences, under both ``REPRO_KERNELS`` backends, and a
+finite differences, on the planned kernels and on the buffered-scatter
+test oracle (``tests/naive_kernels.py``), and a
 companion test asserts the registry stays exhaustive — adding an op to
 ``__all__`` without a gradcheck case fails the suite.
 
@@ -22,8 +23,9 @@ import pytest
 
 from repro.autograd import Tensor, ops
 from repro.autograd import functional as F
-from repro.autograd import kernels, scatter
+from repro.autograd import scatter
 from tests.helpers import check_gradient
+from tests.naive_kernels import KERNEL_PATHS, kernel_path
 
 RNG = np.random.default_rng(1234)
 
@@ -231,12 +233,12 @@ _ALL_CASES = [
 ]
 
 
-@pytest.mark.parametrize("backend", kernels.BACKENDS)
+@pytest.mark.parametrize("backend", KERNEL_PATHS)
 @pytest.mark.parametrize("module_name, op_name, index", _ALL_CASES)
 def test_gradcheck(backend, module_name, op_name, index):
     _, registry = _REGISTRIES[module_name]
     data, builder = registry[op_name][index]
-    with kernels.use_backend(backend):
+    with kernel_path(backend):
         _case(builder)(np.array(data, dtype=np.float64))
 
 

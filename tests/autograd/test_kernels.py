@@ -1,10 +1,11 @@
-"""Fused-vs-naive kernel equivalence, plan structure, and memo identity.
+"""Planned-kernel equivalence with the buffered oracle, plan structure, memo.
 
-The fused CSR backend must be indistinguishable from the naive
-``ufunc.at`` reference: property tests drive both backends over random
-segment structures (including empty segments, isolated outputs and
-zero-length inputs) and assert forward agreement within 1e-9 and
-finite-difference gradients under each backend.
+The planned CSR kernels must be indistinguishable from the buffered
+``ufunc.at`` oracle in ``tests/naive_kernels.py``: property tests drive
+both over random segment structures (including empty segments,
+isolated outputs and zero-length inputs) and assert forward agreement
+within 1e-9. Gradchecks run on both paths, and a corrupted-plan test
+proves the oracle really is substituted.
 """
 
 import numpy as np
@@ -20,7 +21,6 @@ from repro.autograd.kernels import (
     plan_for,
     scatter_max,
     scatter_sum,
-    use_backend,
 )
 from repro.autograd.scatter import (
     gather,
@@ -31,6 +31,14 @@ from repro.autograd.scatter import (
 )
 from repro.autograd.tensor import Tensor
 from tests.helpers import check_gradient
+from tests.naive_kernels import (
+    KERNEL_PATHS,
+    kernel_path,
+    naive_scatter_max,
+    naive_scatter_sum,
+    oracle_kernels,
+    planned_and_oracle,
+)
 
 finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 
@@ -50,15 +58,6 @@ def segmented_values(draw, max_rows=12, max_segments=8, max_cols=4):
     return values, ids, num_segments
 
 
-def both_backends(fn):
-    """Run ``fn()`` under each backend, return {backend: result}."""
-    results = {}
-    for name in kernels.BACKENDS:
-        with use_backend(name):
-            results[name] = fn()
-    return results
-
-
 # ----------------------------------------------------------------------
 # raw kernel equivalence
 # ----------------------------------------------------------------------
@@ -66,16 +65,19 @@ def both_backends(fn):
 @settings(max_examples=80, deadline=None)
 def test_scatter_sum_backends_agree(case):
     values, ids, n = case
-    out = both_backends(lambda: scatter_sum(values, ids, n))
-    np.testing.assert_allclose(out["fused"], out["naive"], atol=1e-9, rtol=0)
+    np.testing.assert_allclose(
+        scatter_sum(values, ids, n), naive_scatter_sum(values, ids, n),
+        atol=1e-9, rtol=0,
+    )
 
 
 @given(segmented_values())
 @settings(max_examples=80, deadline=None)
 def test_scatter_max_backends_agree(case):
     values, ids, n = case
-    out = both_backends(lambda: scatter_max(values, ids, n))
-    np.testing.assert_array_equal(out["fused"], out["naive"])
+    np.testing.assert_array_equal(
+        scatter_max(values, ids, n), naive_scatter_max(values, ids, n)
+    )
 
 
 @given(segmented_values())
@@ -83,51 +85,88 @@ def test_scatter_max_backends_agree(case):
 def test_scatter_sum_1d_backends_agree(case):
     values, ids, n = case
     flat = values[:, 0]
-    out = both_backends(lambda: scatter_sum(flat, ids, n))
-    np.testing.assert_allclose(out["fused"], out["naive"], atol=1e-9, rtol=0)
+    np.testing.assert_allclose(
+        scatter_sum(flat, ids, n), naive_scatter_sum(flat, ids, n),
+        atol=1e-9, rtol=0,
+    )
 
 
 def test_scatter_sum_fused_is_bit_identical_to_naive():
     rng = np.random.default_rng(0)
     ids = rng.integers(0, 50, size=400)
     values = rng.normal(size=(400, 16))
-    out = both_backends(lambda: scatter_sum(values, ids, 50))
     # Same accumulation order per output slot => exact equality.
-    np.testing.assert_array_equal(out["fused"], out["naive"])
+    np.testing.assert_array_equal(
+        scatter_sum(values, ids, 50), naive_scatter_sum(values, ids, 50)
+    )
 
 
 def test_scatter_sum_rejects_out_of_range_ids():
-    values = np.ones((3, 2))
-    ids = np.array([0, 1, 5])
-    for name in kernels.BACKENDS:
-        with use_backend(name):
-            with pytest.raises(IndexError):
-                scatter_sum(values, ids, 3)
+    for kernel in (scatter_sum, naive_scatter_sum):
+        with pytest.raises(IndexError):
+            kernel(np.ones((3, 2)), np.array([0, 1, 5]), 3)
 
 
 def test_empty_input_and_empty_segments():
     values = np.zeros((0, 3))
     ids = np.zeros(0, dtype=np.int64)
-    for name in kernels.BACKENDS:
-        with use_backend(name):
-            total = scatter_sum(values, ids, 4)
-            np.testing.assert_array_equal(total, np.zeros((4, 3)))
-            peak = scatter_max(values, ids, 4)
-            assert np.isneginf(peak).all()
+    for sum_kernel, max_kernel in (
+        (scatter_sum, scatter_max),
+        (naive_scatter_sum, naive_scatter_max),
+    ):
+        total = sum_kernel(values, ids, 4)
+        np.testing.assert_array_equal(total, np.zeros((4, 3)))
+        assert np.isneginf(max_kernel(values, ids, 4)).all()
+
+
+@pytest.mark.parametrize("kernel", [scatter_sum, scatter_max])
+def test_oracle_ignores_a_corrupted_plan(kernel):
+    """Non-vacuity check for every oracle comparison in the suite.
+
+    A plan built from the reversed id array is wrong for ``ids``: the
+    planned kernels trust it and produce a different result, while the
+    oracle ignores plans. So an oracle-run result that equals the clean
+    one proves the oracle really was substituted.
+    """
+    rng = np.random.default_rng(6)
+    ids = rng.integers(0, 7, size=30)
+    values = rng.normal(size=(30, 4))
+    corrupt = SegmentPlan(ids[::-1].copy(), 7)
+    clean = kernel(values, ids, 7)
+    assert not np.array_equal(kernel(values, ids, 7, plan=corrupt), clean)
+    with oracle_kernels():
+        np.testing.assert_array_equal(
+            kernel(values, ids, 7, plan=corrupt), clean
+        )
+
+
+def test_naive_kernels_fixture_swaps_in_the_oracle(naive_kernels):
+    rng = np.random.default_rng(6)
+    ids = rng.integers(0, 7, size=30)
+    values = rng.normal(size=(30, 4))
+    corrupt = SegmentPlan(ids[::-1].copy(), 7)
+    np.testing.assert_array_equal(
+        scatter_sum(values, ids, 7, plan=corrupt),
+        naive_scatter_sum(values, ids, 7),
+    )
+    np.testing.assert_array_equal(
+        scatter_max(values, ids, 7, plan=corrupt),
+        naive_scatter_max(values, ids, 7),
+    )
 
 
 # ----------------------------------------------------------------------
-# differentiable ops agree across backends, gradcheck under both
+# differentiable ops agree with the oracle; gradcheck
 # ----------------------------------------------------------------------
 @given(segmented_values())
 @settings(max_examples=40, deadline=None)
 def test_segment_ops_forward_agree(case):
     values, ids, n = case
     for op in (segment_sum, segment_mean, segment_max):
-        out = both_backends(lambda: op(Tensor(values), ids, n).data)
-        np.testing.assert_allclose(
-            out["fused"], out["naive"], atol=1e-9, rtol=0
+        planned, oracle = planned_and_oracle(
+            lambda: op(Tensor(values), ids, n).data
         )
+        np.testing.assert_allclose(planned, oracle, atol=1e-9, rtol=0)
 
 
 @given(segmented_values(max_rows=8, max_cols=1))
@@ -137,38 +176,40 @@ def test_segment_softmax_forward_agree(case):
     if len(values) == 0:
         return
     scores = values[:, 0]
-    out = both_backends(lambda: segment_softmax(Tensor(scores), ids, n).data)
-    np.testing.assert_allclose(out["fused"], out["naive"], atol=1e-9, rtol=0)
+    planned, oracle = planned_and_oracle(
+        lambda: segment_softmax(Tensor(scores), ids, n).data
+    )
+    np.testing.assert_allclose(planned, oracle, atol=1e-9, rtol=0)
 
 
-@pytest.mark.parametrize("backend", kernels.BACKENDS)
+@pytest.mark.parametrize("backend", KERNEL_PATHS)
 @pytest.mark.parametrize("op", [segment_sum, segment_mean, segment_max])
 def test_segment_op_gradients(backend, op):
     rng = np.random.default_rng(3)
     values = rng.normal(size=(9, 3))
     ids = np.array([0, 2, 2, 1, 0, 4, 4, 4, 2])  # segment 3 empty
     weights = Tensor(rng.normal(size=(5, 3)))
-    with use_backend(backend):
+    with kernel_path(backend):
         check_gradient(lambda t: (op(t, ids, 5) * weights).sum(), values)
 
 
-@pytest.mark.parametrize("backend", kernels.BACKENDS)
+@pytest.mark.parametrize("backend", KERNEL_PATHS)
 def test_gather_gradient(backend):
     rng = np.random.default_rng(4)
     values = rng.normal(size=(5, 3))
     index = np.array([0, 4, 4, 2, 0, 1])  # node 3 isolated
     weights = Tensor(rng.normal(size=(6, 3)))
-    with use_backend(backend):
+    with kernel_path(backend):
         check_gradient(lambda t: (gather(t, index) * weights).sum(), values)
 
 
-@pytest.mark.parametrize("backend", kernels.BACKENDS)
+@pytest.mark.parametrize("backend", KERNEL_PATHS)
 def test_segment_softmax_gradient(backend):
     rng = np.random.default_rng(5)
     scores = rng.normal(size=8)
     ids = np.array([0, 0, 1, 1, 1, 3, 3, 3])  # segment 2 empty
     weights = Tensor(rng.normal(size=8))
-    with use_backend(backend):
+    with kernel_path(backend):
         check_gradient(
             lambda t: (segment_softmax(t, ids, 4) * weights).sum(), scores
         )
@@ -222,11 +263,3 @@ def test_plan_for_memoises_by_identity():
     assert wider is not plan
     assert wider.num_segments == 5
 
-
-def test_backend_switch_validates():
-    with pytest.raises(ValueError):
-        kernels.set_backend("vectorized")
-    before = kernels.get_backend()
-    with use_backend("naive"):
-        assert kernels.get_backend() == "naive"
-    assert kernels.get_backend() == before

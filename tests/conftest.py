@@ -11,6 +11,7 @@ from repro.graph.data import Graph, MultiGraphDataset
 from repro.graph.datasets import transductive_split
 from repro.graph.generators import citation_graph, community_multilabel_graph
 from repro.gnn.common import GraphCache
+from tests.naive_kernels import naive_kernels  # noqa: F401  (fixture)
 
 
 @pytest.fixture(scope="session", autouse=True)

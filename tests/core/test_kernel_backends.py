@@ -1,15 +1,16 @@
-"""End-to-end search equivalence of the naive and fused kernel backends.
+"""End-to-end search equivalence of the planned kernels and the oracle.
 
-The strongest fused-kernel guarantee: an identical seeded search run —
-supernet forwards, bi-level updates, derivation — produces the same
-``Architecture`` (and the same alpha trajectory) under either backend.
+The strongest planned-kernel guarantee: an identical seeded search run
+— supernet forwards, bi-level updates, derivation — produces the same
+``Architecture`` (and the same alpha trajectory) on the planned kernels
+and on the buffered-scatter test oracle (``tests/naive_kernels.py``).
 """
 
 import numpy as np
 
-from repro.autograd import kernels
 from repro.core.search import SaneSearcher, SearchConfig
 from repro.core.search_space import SearchSpace
+from tests.naive_kernels import planned_and_oracle
 
 SPACE = SearchSpace(
     num_layers=2,
@@ -19,21 +20,20 @@ SPACE = SearchSpace(
 CONFIG = SearchConfig(epochs=3, hidden_dim=8, dropout=0.1)
 
 
-def _search(backend: str, tiny_graph):
-    with kernels.use_backend(backend):
-        result = SaneSearcher(SPACE, tiny_graph, CONFIG, seed=11).search()
-    return result
+def _searches(tiny_graph):
+    """``(planned, oracle)`` results of the same seeded search."""
+    return planned_and_oracle(
+        lambda: SaneSearcher(SPACE, tiny_graph, CONFIG, seed=11).search()
+    )
 
 
 def test_seeded_search_derives_identical_architecture(tiny_graph):
-    naive = _search("naive", tiny_graph)
-    fused = _search("fused", tiny_graph)
+    fused, naive = _searches(tiny_graph)
     assert fused.architecture == naive.architecture
 
 
 def test_seeded_search_alpha_trajectories_match(tiny_graph):
-    naive = _search("naive", tiny_graph)
-    fused = _search("fused", tiny_graph)
+    fused, naive = _searches(tiny_graph)
     assert len(fused.alpha_snapshots) == len(naive.alpha_snapshots)
     for snap_fused, snap_naive in zip(
         fused.alpha_snapshots, naive.alpha_snapshots

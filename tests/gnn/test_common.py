@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.autograd import kernels
 from repro.autograd.kernels import peek_plan
 from repro.autograd.tensor import Tensor
 from repro.gnn.aggregators import create_node_aggregator
 from repro.gnn.common import GraphCache, LayerContext
 from repro.graph.data import Graph
+from tests.naive_kernels import planned_and_oracle
 
 
 @pytest.fixture
@@ -134,12 +134,11 @@ class TestBackendEquivalenceOnGraph:
             aggregator = create_node_aggregator(
                 name, 6, 4, np.random.default_rng(5)
             )
-            outs = {}
-            for backend in kernels.BACKENDS:
-                with kernels.use_backend(backend):
-                    outs[backend] = aggregator(x, cache).data
+            planned, oracle = planned_and_oracle(
+                lambda: aggregator(x, cache).data
+            )
             np.testing.assert_allclose(
-                outs["fused"], outs["naive"], atol=1e-9, rtol=0, err_msg=name
+                planned, oracle, atol=1e-9, rtol=0, err_msg=name
             )
 
     def test_isolated_node_graph(self, rng):
@@ -153,11 +152,10 @@ class TestBackendEquivalenceOnGraph:
             aggregator = create_node_aggregator(
                 name, 3, 3, np.random.default_rng(7)
             )
-            outs = {}
-            for backend in kernels.BACKENDS:
-                with kernels.use_backend(backend):
-                    outs[backend] = aggregator(x, cache).data
-            np.testing.assert_allclose(
-                outs["fused"], outs["naive"], atol=1e-9, rtol=0, err_msg=name
+            planned, oracle = planned_and_oracle(
+                lambda: aggregator(x, cache).data
             )
-            assert np.isfinite(outs["fused"]).all()
+            np.testing.assert_allclose(
+                planned, oracle, atol=1e-9, rtol=0, err_msg=name
+            )
+            assert np.isfinite(planned).all()

@@ -1,6 +1,7 @@
 """The run ledger: ids, the store, and the cross-run trend gate."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -27,9 +28,12 @@ from repro.obs.runs_report import (
 )
 
 ENV = {
-    "scale": "smoke", "seed": 0, "kernels": "fused", "workers": 0,
+    "scale": "smoke", "seed": 0, "workers": 0,
     "git_rev": "abc123abc123", "python": "3.11.0",
 }
+SEED_HISTORY = (
+    Path(__file__).resolve().parents[2] / "benchmarks" / "history" / "seed.jsonl"
+)
 
 
 def _manifest(command="search", config=None, **kwargs):
@@ -321,7 +325,39 @@ class TestManifestRecord:
             RunManifest.from_record("nope")
 
     def test_env_fingerprint_shape(self):
-        env = env_fingerprint(scale="smoke", seed=3, kernels="naive", workers=2)
+        env = env_fingerprint(scale="smoke", seed=3, workers=2)
+        assert set(env) == {"scale", "seed", "workers", "git_rev", "python"}
         assert env["scale"] == "smoke" and env["seed"] == 3
-        assert env["kernels"] == "naive" and env["workers"] == 2
-        assert "python" in env and "git_rev" in env
+        assert env["workers"] == 2
+
+
+class TestLegacyManifests:
+    """Manifests written before ``env.kernels`` was dropped still work."""
+
+    def test_legacy_manifest_loads_and_renders(self):
+        record = _manifest(metrics={"search.epoch_ms": 100.0}).to_record()
+        record["env"] = dict(record["env"], kernels="naive")
+        legacy = RunManifest.from_record(json.loads(json.dumps(record)))
+        assert legacy.env["kernels"] == "naive"
+        shown = render_run_show(legacy, seq=0)
+        assert "env:           scale=smoke seed=0 workers=0" in shown
+        # Diffing against a current manifest reports the key as drift.
+        diff = render_runs_diff(legacy, _manifest())
+        assert "kernels: 'naive' -> None" in diff
+
+    def test_committed_seed_history_keeps_its_trend_verdicts(self, capsys):
+        manifests = RunLedger(SEED_HISTORY).read()
+        assert manifests and all("kernels" in m.env for m in manifests)
+        for metric in (
+            "search.epoch_ms",
+            "serve.latency.p99_s",
+            "kernel.scatter_sum.effective_gbps",
+        ):
+            verdict = evaluate_trend(metric_series(manifests, metric), metric)
+            assert (verdict.status, verdict.points) == ("ok", 6), metric
+        assert main([
+            "runs", "trend", "search.epoch_ms", "serve.latency.p99_s",
+            "kernel.scatter_sum.effective_gbps", "--gate",
+            "--history", str(SEED_HISTORY),
+        ]) == 0
+        assert "GATE" not in capsys.readouterr().out

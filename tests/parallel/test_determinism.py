@@ -11,7 +11,6 @@ import dataclasses
 
 import pytest
 
-from repro.autograd import kernels
 from repro.experiments.config import SCALES
 from repro.experiments.runners import run_sane
 from repro.nas.encoding import sane_decision_space
@@ -23,6 +22,7 @@ from repro.core.search_space import SearchSpace
 from repro.parallel import WorkerPool
 from repro.parallel.sweep import run_sweep
 from repro.train.trainer import TrainConfig
+from tests.naive_kernels import KERNEL_PATHS, kernel_path
 
 
 def small_scale(**overrides):
@@ -67,16 +67,12 @@ class TestRunSaneAcrossWorkerCounts:
 
 
 class TestEvaluatorBatchAcrossWorkerCounts:
-    @pytest.mark.parametrize("backend", kernels.BACKENDS)
-    def test_random_search_bit_identical(self, tiny_graph, backend):
-        with kernels.use_backend(backend):
-            sequential = random_search(
-                evaluator_for(tiny_graph), 4, seed=1
+    def test_random_search_bit_identical(self, tiny_graph):
+        sequential = random_search(evaluator_for(tiny_graph), 4, seed=1)
+        with WorkerPool(workers=2) as pool:
+            parallel = random_search(
+                evaluator_for(tiny_graph), 4, seed=1, pool=pool
             )
-            with WorkerPool(workers=2) as pool:
-                parallel = random_search(
-                    evaluator_for(tiny_graph), 4, seed=1, pool=pool
-                )
         assert [record_key(r) for r in parallel.records] == [
             record_key(r) for r in sequential.records
         ]
@@ -124,10 +120,13 @@ class TestEvaluatorBatchAcrossWorkerCounts:
 
 
 class TestSweepDigest:
-    @pytest.mark.parametrize("backend", kernels.BACKENDS)
+    @pytest.mark.parametrize("backend", KERNEL_PATHS)
     def test_digest_identical_across_worker_counts(self, backend):
+        # Workers always run the planned kernels; under "naive" the
+        # inline run uses the test oracle, so the digests also cross-check
+        # oracle against planned kernels end to end.
         scale = small_scale(search_seeds=1, repeats=1, nas_candidates=2)
-        with kernels.use_backend(backend):
+        with kernel_path(backend):
             inline = run_sweep(
                 ["cora"], scale, seed=0, methods=("random",), workers=0
             )

@@ -5,7 +5,6 @@ import json
 import numpy as np
 import pytest
 
-from repro.autograd import kernels
 from repro.experiments.config import SCALES
 from repro.serve import (
     ArtifactError,
@@ -15,6 +14,7 @@ from repro.serve import (
     load_artifact,
     save_artifact,
 )
+from tests.naive_kernels import KERNEL_PATHS, kernel_path
 
 
 def _round_trip(artifact, tmp_path):
@@ -44,18 +44,19 @@ class TestRoundTrip:
         loaded = _round_trip(node_artifact, tmp_path)
         assert loaded.architecture() == GENOTYPE
 
-    @pytest.mark.parametrize("backend", ["naive", "fused"])
+    @pytest.mark.parametrize("backend", KERNEL_PATHS)
     def test_loaded_predictions_bit_identical_per_backend(
         self, node_artifact, tmp_path, backend
     ):
         """export -> load -> predict equals serving the original bundle.
 
-        Checked under both kernel backends: the artifact stores raw
-        float64 weights, so whichever backend serves it must produce
-        exactly the numbers the in-memory model produces.
+        Checked on the planned kernels and on the test oracle: the
+        artifact stores raw float64 weights, so whichever scatter path
+        serves it must produce exactly the numbers the in-memory model
+        produces.
         """
         loaded = _round_trip(node_artifact, tmp_path)
-        with kernels.use_backend(backend):
+        with kernel_path(backend):
             direct = InferenceEngine.from_artifact(node_artifact).predict()
             served = InferenceEngine.from_artifact(loaded).predict()
         assert np.array_equal(direct, served)

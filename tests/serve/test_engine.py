@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.autograd import kernels, no_grad
+from repro.autograd import no_grad
 from repro.gnn.common import GraphCache
 from repro.serve import InferenceEngine, PlanCache, Request
 from repro.serve.plans import graph_key
 
+from tests.naive_kernels import KERNEL_PATHS, kernel_path
 from tests.serve.conftest import make_ring_graph
 
 
@@ -57,9 +58,9 @@ class TestBatching:
 class TestMemo:
     """Default-graph answers come from one forward made at construction."""
 
-    @pytest.mark.parametrize("backend", ["naive", "fused"])
+    @pytest.mark.parametrize("backend", KERNEL_PATHS)
     def test_memo_is_bit_identical_to_a_fresh_forward(self, node_artifact, backend):
-        with kernels.use_backend(backend):
+        with kernel_path(backend):
             engine = InferenceEngine.from_artifact(node_artifact)
             model, data = node_artifact.instantiate()
             with no_grad():
@@ -68,11 +69,11 @@ class TestMemo:
             ids = np.array([5, 0, 5, engine.num_targets - 1])
             assert np.array_equal(engine.predict(node_ids=ids), fresh[ids])
 
-    @pytest.mark.parametrize("backend", ["naive", "fused"])
+    @pytest.mark.parametrize("backend", KERNEL_PATHS)
     def test_alignment_memo_is_bit_identical_to_a_fresh_encode(
         self, kg_artifact, backend
     ):
-        with kernels.use_backend(backend):
+        with kernel_path(backend):
             engine = InferenceEngine.from_artifact(kg_artifact)
             model, __ = kg_artifact.instantiate()
             with no_grad():

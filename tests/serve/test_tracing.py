@@ -4,9 +4,9 @@ The load-bearing guarantee: N requests submitted from N threads
 produce N complete, disjoint span trees — correct parent links, exactly
 the stages of the request's path (all six for a queued forward
 request, ``slice``/``resolve`` for one answered from the memo on the
-caller's thread), no orphans — no matter how threads interleave,
-under both kernel backends. Plus the identity guarantee tracing rests
-on: recording a trace changes no prediction bytes.
+caller's thread), no orphans — no matter how threads interleave.
+Plus the identity guarantee tracing rests on: recording a trace
+changes no prediction bytes.
 """
 
 import threading
@@ -14,7 +14,6 @@ import threading
 import numpy as np
 import pytest
 
-from repro.autograd import kernels
 from repro.obs import InMemorySink, get_tracer
 from repro.obs.context import PATH_STAGES, REQUEST_SPAN
 from repro.serve import InferenceEngine, ServeServer
@@ -51,33 +50,29 @@ def collect_trees(spans):
 
 
 class TestConcurrentTraceIntegrity:
-    @pytest.mark.parametrize("backend", ["naive", "fused"])
-    def test_n_threads_produce_n_disjoint_complete_trees(
-        self, engine, foreign, backend
-    ):
+    def test_n_threads_produce_n_disjoint_complete_trees(self, engine, foreign):
         num_threads = 8
         sink = InMemorySink()
         ids = [np.array([index, index + 1]) for index in range(num_threads)]
         # Odd threads send their own graph (queued, forward path); even
         # threads ask the artifact's graph (memo path, inline).
         graphs = [foreign if index % 2 else None for index in range(num_threads)]
-        with kernels.use_backend(backend):
-            with get_tracer().collect(sink):
-                with ServeServer(engine, max_batch=4, workers=2) as server:
-                    barrier = threading.Barrier(num_threads)
+        with get_tracer().collect(sink):
+            with ServeServer(engine, max_batch=4, workers=2) as server:
+                barrier = threading.Barrier(num_threads)
 
-                    def client(index):
-                        barrier.wait()
-                        server.submit(node_ids=ids[index], graph=graphs[index])
+                def client(index):
+                    barrier.wait()
+                    server.submit(node_ids=ids[index], graph=graphs[index])
 
-                    threads = [
-                        threading.Thread(target=client, args=(index,))
-                        for index in range(num_threads)
-                    ]
-                    for thread in threads:
-                        thread.start()
-                    for thread in threads:
-                        thread.join()
+                threads = [
+                    threading.Thread(target=client, args=(index,))
+                    for index in range(num_threads)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join()
 
         trees = collect_trees(sink.spans)
         assert len(trees) == num_threads
@@ -162,23 +157,19 @@ class TestConcurrentTraceIntegrity:
 
 
 class TestTracedUntracedIdentity:
-    @pytest.mark.parametrize("backend", ["naive", "fused"])
-    def test_predictions_bit_identical_with_and_without_sink(
-        self, node_artifact, backend
-    ):
+    def test_predictions_bit_identical_with_and_without_sink(self, node_artifact):
         ids = np.arange(6)
         outputs = []
         for traced in (False, True):
             engine = InferenceEngine.from_artifact(node_artifact)
             sink = InMemorySink()
-            with kernels.use_backend(backend):
-                if traced:
-                    with get_tracer().collect(sink):
-                        with ServeServer(engine, max_batch=8) as server:
-                            outputs.append(server.submit(node_ids=ids))
-                else:
+            if traced:
+                with get_tracer().collect(sink):
                     with ServeServer(engine, max_batch=8) as server:
                         outputs.append(server.submit(node_ids=ids))
+            else:
+                with ServeServer(engine, max_batch=8) as server:
+                    outputs.append(server.submit(node_ids=ids))
         assert np.array_equal(outputs[0], outputs[1])
 
     def test_direct_predict_records_no_request_spans(self, engine, foreign):
