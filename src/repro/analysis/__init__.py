@@ -4,13 +4,8 @@
 analyzer over the source tree. See ``rules.py`` for the core rule set,
 ``genotype.py`` for search-space validation, and the README's
 "Static analysis" section for the user-facing documentation.
-
-``repro check`` runs the interprocedural dataflow analyses over the
-autograd package (:mod:`repro.analysis.dataflow`): VJP completeness,
-closure-capture weight, in-place escape, kernel purity.
 """
 
-from repro.analysis.dataflow.checker import CheckResult, check_paths, load_baseline
 from repro.analysis.engine import (
     AnalysisResult,
     Context,
@@ -26,21 +21,11 @@ from repro.analysis.genotype import (
     consistency_findings,
 )
 from repro.analysis.linter import default_rules, discover_files, lint_paths
-from repro.analysis.reporters import (
-    render_check_json,
-    render_check_text,
-    render_json,
-    render_text,
-)
+from repro.analysis.reporters import render_json, render_text
 from repro.analysis.rules import CORE_RULES
 
 __all__ = [
     "AnalysisResult",
-    "CheckResult",
-    "check_paths",
-    "load_baseline",
-    "render_check_json",
-    "render_check_text",
     "Context",
     "Rule",
     "Finding",

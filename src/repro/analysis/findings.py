@@ -37,11 +37,6 @@ class Finding:
     line: int
     col: int
     message: str
-    # Dotted symbol the finding is about (``module.qualname``), set by
-    # the dataflow checker; the syntactic lint rules leave it None.
-    # Baseline entries match on (rule, path suffix, symbol) so they
-    # survive line-number churn.
-    symbol: str | None = None
 
     @property
     def sort_key(self) -> tuple:
@@ -49,7 +44,7 @@ class Finding:
 
     def to_dict(self) -> dict:
         """JSON-serialisable representation (used by the JSON reporter)."""
-        payload = {
+        return {
             "rule": self.rule_id,
             "severity": self.severity.value,
             "path": self.path,
@@ -57,9 +52,6 @@ class Finding:
             "col": self.col,
             "message": self.message,
         }
-        if self.symbol is not None:
-            payload["symbol"] = self.symbol
-        return payload
 
     def render(self) -> str:
         return (

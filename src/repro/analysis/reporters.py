@@ -3,14 +3,10 @@
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING
 
 from repro.analysis.engine import AnalysisResult
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.analysis.dataflow.checker import CheckResult
-
-__all__ = ["render_text", "render_json", "render_check_text", "render_check_json"]
+__all__ = ["render_text", "render_json"]
 
 
 def render_text(result: AnalysisResult) -> str:
@@ -35,57 +31,3 @@ def render_json(result: AnalysisResult) -> str:
     }
     return json.dumps(payload, indent=2)
 
-
-def render_check_text(check: "CheckResult") -> str:
-    """Human-readable ``repro check`` report.
-
-    Live findings first (the ones that gate CI), then grandfathered
-    baseline matches, then a one-line capture summary per op so the
-    retain-vs-recompute surface is visible without ``--format json``.
-    """
-    lines = [finding.render() for finding in check.result.findings]
-    for finding in check.baselined:
-        lines.append(f"{finding.render()}  [baselined]")
-    for record in check.captures:
-        heavy = [e["name"] for e in record["captures"] if e["kind"] == "derived-array"]
-        declared = [name for name in heavy if _declared(record, name)]
-        summary = f"{len(record['captures'])} capture(s)"
-        if heavy:
-            summary += f", derived: {', '.join(heavy)}"
-            if declared:
-                summary += " (declared)"
-        lines.append(f"capture {record['symbol']}: {summary}")
-    lines.append(
-        f"{check.result.files} file(s): {check.result.error_count} error(s), "
-        f"{check.result.warning_count} warning(s), "
-        f"{len(check.baselined)} baselined, "
-        f"{len(check.result.suppressed)} suppressed"
-    )
-    return "\n".join(lines)
-
-
-def _declared(record: dict, name: str) -> bool:
-    for entry in record["captures"]:
-        if entry["name"] == name:
-            return bool(entry.get("declared"))
-    return False
-
-
-def render_check_json(check: "CheckResult") -> str:
-    """Machine-readable ``repro check`` report.
-
-    Shares the lint JSON shape (files/errors/warnings/findings/
-    suppressed) and adds ``baselined`` plus the per-op ``captures``
-    report consumed alongside ``repro report memory``.
-    """
-    result = check.result
-    payload = {
-        "files": result.files,
-        "errors": result.error_count,
-        "warnings": result.warning_count,
-        "findings": [finding.to_dict() for finding in result.findings],
-        "suppressed": [finding.to_dict() for finding in result.suppressed],
-        "baselined": [finding.to_dict() for finding in check.baselined],
-        "captures": check.captures,
-    }
-    return json.dumps(payload, indent=2)

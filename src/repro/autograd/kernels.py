@@ -42,8 +42,6 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro.autograd.contracts import contract
-
 __all__ = [
     "LruMap",
     "SegmentPlan",
@@ -190,10 +188,6 @@ class LruMap:
 _PLAN_MEMO = LruMap(capacity=128)
 
 
-@contract(
-    globals=("_PLAN_MEMO",),
-    reason="bounded identity-keyed memo; plans are immutable once built",
-)
 def plan_for(segment_ids: np.ndarray, num_segments: int) -> SegmentPlan:
     """Plan for ``(segment_ids, num_segments)``, memoised by array identity.
 
@@ -315,10 +309,6 @@ class KernelCounters:
 _COUNTERS: KernelCounters | None = None
 
 
-@contract(
-    globals=("_COUNTERS",),
-    reason="installing the counter collector is this global's one writer",
-)
 def set_kernel_counters(counters: KernelCounters | None) -> None:
     """Install (or with ``None`` remove) the kernel counter collector."""
     global _COUNTERS
@@ -480,10 +470,6 @@ def _selects_unique_elements(index) -> bool:
     return True
 
 
-@contract(
-    mutates=("out",),
-    reason="the sanctioned in-place accumulation API; callers own out",
-)
 def index_add(out: np.ndarray, index, values) -> None:
     """``out[index] += values`` with repeated-index accumulation, in place.
 

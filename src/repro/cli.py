@@ -9,7 +9,6 @@ Commands
 ``table``            regenerate a paper table (6/7/8/9/10)
 ``figure``           regenerate a paper figure (2/3/4a/4b)
 ``lint``             static analysis of repo invariants (repro.analysis)
-``check``            interprocedural autograd contract analysis (dataflow)
 ``profile``          run search/baseline under the profiler (repro.obs)
 ``report``           render telemetry dashboards and the bench gate
 ``export``           train a model and bundle it as a servable artifact
@@ -37,14 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.analysis import (
-    check_paths,
-    lint_paths,
-    render_check_json,
-    render_check_text,
-    render_json,
-    render_text,
-)
+from repro.analysis import lint_paths, render_json, render_text
 from repro.autograd import kernels
 from repro.obs import ProfileSession, record_events, render_diff, render_run
 from repro.obs.health import MODES, HealthMonitor, NumericsAnomaly
@@ -246,26 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     lint.add_argument("--format", choices=("text", "json"), default="text")
-
-    check = commands.add_parser(
-        "check",
-        help="interprocedural autograd contract analysis (VJP completeness, "
-        "capture weight, in-place escape, kernel purity)",
-    )
-    check.add_argument(
-        "paths",
-        nargs="*",
-        default=None,
-        help="files or directories to check (default: the autograd package)",
-    )
-    check.add_argument("--format", choices=("text", "json"), default="text")
-    check.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="grandfathered-findings file (default: the committed "
-        "src/repro/analysis/check_baseline.json)",
-    )
 
     profile = commands.add_parser(
         "profile",
@@ -586,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     _add_common_options(
-        stats, search, sweep, baseline, table, figure, lint, check, profile,
+        stats, search, sweep, baseline, table, figure, lint, profile,
         report, report_run, report_diff, report_memory, report_serve,
         report_bench,
         export, export_search_p, export_baseline_p, export_kg_p, serve,
@@ -631,7 +603,6 @@ def main(argv: list[str] | None = None) -> int:
 
     scaleless = {
         "lint": _cmd_lint,
-        "check": _cmd_check,
         "report": _cmd_report,
         "runs": _cmd_runs,
     }
@@ -675,33 +646,6 @@ def _cmd_lint(args) -> int:
         },
     )
     return code
-
-
-def _cmd_check(args) -> int:
-    """``repro check``: interprocedural autograd contract analysis."""
-    default_root = os.path.join(
-        os.path.dirname(os.path.abspath(__file__)), "autograd"
-    )
-    paths = args.paths or [default_root]
-    try:
-        check = check_paths(paths, baseline_path=args.baseline)
-    except FileNotFoundError as exc:
-        print(f"repro check: error: {exc}", file=sys.stderr)
-        return 2
-    render = render_check_json if args.format == "json" else render_check_text
-    print(render(check))
-    record_run(
-        "check",
-        {"paths": [str(p) for p in (args.paths or [])], "format": args.format},
-        env=_ledger_env(args),
-        outputs={
-            "exit_code": check.exit_code,
-            "files": check.result.files,
-            "errors": check.result.error_count,
-            "warnings": check.result.warning_count,
-        },
-    )
-    return check.exit_code
 
 
 def _cmd_stats(args, scale) -> int:

@@ -4,9 +4,9 @@ Compares freshly emitted ``BENCH_<name>.json`` summaries (written by
 ``benchmarks/common.py::tracked_run``) against committed baselines and
 flags metrics that degraded beyond a relative tolerance. Direction is
 inferred from the metric name — ``*time*``/``*loss*``/``*latency*``
-tokens are lower-is-better, ``*score*``/``*speedup*``/``*rps*``
-higher-is-better; metrics with no recognised token are reported but
-never gate.
+tokens and failure counts (``*errors*``, ``*deadline_exceeded*``) are
+lower-is-better, ``*score*``/``*speedup*``/``*rps*`` higher-is-better;
+metrics with no recognised token are reported but never gate.
 
 Wall-clock metrics are machine-dependent, so they get their own
 (looser) tolerance — including ``speedup`` ratios, which are
@@ -73,6 +73,11 @@ _HIGHER_BETTER = frozenset(
      # loose time tolerance below.
      "gbps"}
 )
+# Failure counts (serve.errors, serve.deadline_exceeded,
+# parallel.crashes/timeouts): lower is better, and they are counts, not
+# wall-clock measurements, so they take the strict tolerance — any
+# failure against a zero baseline gates.
+_FAILURE_COUNTS = frozenset({"errors", "exceeded", "crashes", "timeouts"})
 # Higher-is-better metrics that are nevertheless ratios of wall-clock
 # measurements, so they inherit wall-clock noise and the looser
 # time tolerance. Requests/s from the serve bench is the same kind of
@@ -84,7 +89,7 @@ _WALL_CLOCK_RATIO = frozenset({"speedup", "rps", "throughput", "gbps"})
 def metric_direction(name: str) -> int:
     """+1 higher-is-better, -1 lower-is-better, 0 unknown (never gates)."""
     tokens = set(_TOKEN_RE.split(name.lower()))
-    if tokens & _LOWER_BETTER:
+    if tokens & (_LOWER_BETTER | _FAILURE_COUNTS):
         return -1
     if tokens & _HIGHER_BETTER:
         return 1

@@ -1,45 +1,71 @@
-"""The autograd tree gates itself: ``repro check`` must stay clean.
+"""The autograd tree gates itself: every executed backward keeps its contract.
 
-Tier-1 counterpart of ``test_self_check.py`` for the dataflow checker:
-every PR that touches ``src/repro/autograd`` re-runs the VJP, capture,
-escape and purity analyses here, so a dropped gradient or an impure
-kernel fails the default pytest suite — not just ``scripts/ci.sh``.
+The gradcheck registry and a real SANE search (3 layers, 2 epochs, the
+full 11-aggregator Eq. 2 mixture plus the alpha step) run under the
+runtime contract probe (``tests/autograd/contract_probe.py``). Any
+backward that returns the wrong number of gradients, drops one a parent
+asked for, or corrupts storage the tape holds fails here; so does a
+float capture the allowlist does not declare, and an allowlist entry no
+op exercises any more.
 """
 
-from pathlib import Path
+from __future__ import annotations
 
 import pytest
 
-import repro
-from repro.analysis import check_paths
-
-AUTOGRAD = Path(repro.__file__).parent / "autograd"
+from repro.core.search import SaneSearcher, SearchConfig
+from repro.core.search_space import SearchSpace
+from tests.autograd.contract_probe import RETAINS, contract_probe
+from tests.autograd.test_gradcheck import backward_once, registry_cases
+from tests.conftest import _make_tiny_graph
 
 
 @pytest.fixture(scope="module")
-def check():
-    return check_paths([AUTOGRAD])
+def probes():
+    """One probe per registry entry, plus one over a whole search."""
+    per_op = {}
+    for name, cases in registry_cases():
+        with contract_probe() as probe:
+            for data, builder in cases:
+                backward_once(data, builder)
+        per_op[name] = probe
+    with contract_probe() as search:
+        SaneSearcher(
+            SearchSpace(num_layers=3), _make_tiny_graph(), SearchConfig(epochs=2),
+            seed=0,
+        ).search()
+    return per_op, search
 
 
 class TestCheckSelf:
-    def test_autograd_tree_has_no_live_findings(self, check):
-        assert check.result.findings == [], "\n" + "\n".join(
-            f.render() for f in check.result.findings
-        )
-        assert check.exit_code == 0
+    def test_autograd_tree_has_no_live_findings(self, probes):
+        per_op, search = probes
+        for probe in [*per_op.values(), search]:
+            assert probe.violations == []
+        # The search backpropagated (and the probe checked) thousands
+        # of nodes, the Eq. 2 mixture among them.
+        assert search.backward_calls >= 1000
+        assert search.ops["ops.weighted_sum"] > 0
 
-    def test_baseline_covers_exactly_the_known_debt(self, check):
-        # The baseline is empty: the last grandfathered finding
-        # (segment_attention_sum retaining the edge-gathered x_src copy)
-        # was paid off by recomputing the gather in the backward. If
-        # this list grows, either declare a contract or consciously
-        # extend the baseline — with a tracking note.
-        assert [(f.rule_id, f.symbol) for f in check.baselined] == []
+    def test_baseline_covers_exactly_the_known_debt(self, probes):
+        # Observed float captures equal the declared allowlist exactly:
+        # a new capture needs a reason in RETAINS, and an entry no op
+        # exercises any more is stale and must go.
+        per_op, search = probes
+        observed: dict[str, set[str]] = {}
+        for probe in [*per_op.values(), search]:
+            for key, names in probe.captures.items():
+                observed.setdefault(key, set()).update(names)
+        assert observed == {key: set(names) for key, names in RETAINS.items()}
 
-    def test_capture_report_covers_the_tape_sites(self, check):
-        symbols = {record["symbol"] for record in check.captures}
-        # Spot-check ops known to retain forward intermediates.
-        for expected in ("ops.matmul", "ops.softplus", "scatter.segment_softmax"):
-            assert expected in symbols
-        for record in check.captures:
-            assert record["path"].endswith(".py")
+    def test_capture_report_covers_the_tape_sites(self, probes):
+        per_op, search = probes
+        # Every registry op reached the tape, and the probe checked the
+        # backward of every node its cases recorded.
+        for name, probe in per_op.items():
+            recorded = sum(probe.ops.values())
+            assert recorded > 0, name
+            assert probe.backward_calls == recorded, name
+        # The search runs no tape op the registry leaves unprobed.
+        registry_ops = set().union(*(probe.ops for probe in per_op.values()))
+        assert set(search.ops) <= registry_ops

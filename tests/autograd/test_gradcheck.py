@@ -1,13 +1,15 @@
 """Registry-driven gradcheck: every registered op, both kernel paths.
 
 ``tests/autograd/test_ops.py`` and friends verify hand-picked gradients;
-this harness closes the coverage gap the static VJP analysis
-(``repro check``) cannot: it *executes* every differentiable op exported
-by ``repro.autograd.{ops,functional,scatter}`` against central
-finite differences, on the planned kernels and on the buffered-scatter
-test oracle (``tests/naive_kernels.py``), and a
-companion test asserts the registry stays exhaustive — adding an op to
-``__all__`` without a gradcheck case fails the suite.
+this harness *executes* every differentiable op exported by
+``repro.autograd.{ops,functional,scatter}`` against central finite
+differences, on the planned kernels and on the buffered-scatter test
+oracle (``tests/naive_kernels.py``), and a companion test asserts the
+registry stays exhaustive — adding an op to ``__all__`` without a
+gradcheck case fails the suite. The registry also drives the runtime
+contract probe (``tests/autograd/contract_probe.py``): run once under
+the probe, the cases must give every parent position of every tape op
+a gradient to check.
 
 Each registry entry is a list of cases; a case perturbs exactly one
 differentiable input (closing over the others) and reduces the op's
@@ -24,6 +26,7 @@ import pytest
 from repro.autograd import Tensor, ops
 from repro.autograd import functional as F
 from repro.autograd import scatter
+from tests.autograd.contract_probe import contract_probe
 from tests.helpers import check_gradient
 from tests.naive_kernels import KERNEL_PATHS, kernel_path
 
@@ -137,6 +140,7 @@ OPS_CASES = {
             VECTOR[:2].copy(),
             lambda t: ops.weighted_sum([Tensor(MATRIX), Tensor(OTHER)], t),
         ),
+        (OTHER, lambda t: ops.weighted_sum([Tensor(MATRIX), t], Tensor(VECTOR[:2]))),
     ],
 }
 
@@ -233,6 +237,20 @@ _ALL_CASES = [
 ]
 
 
+def registry_cases():
+    """``("<module>.<op>", cases)`` for every registry entry."""
+    for module_name, (_, registry) in _REGISTRIES.items():
+        for op_name, cases in registry.items():
+            yield f"{module_name}.{op_name}", cases
+
+
+def backward_once(data, builder) -> None:
+    """One analytic forward+backward of a case, without the finite
+    differences: the cheap pass the contract probe observes."""
+    tensor = Tensor(np.array(data, dtype=np.float64), requires_grad=True)
+    _project(builder(tensor)).backward()
+
+
 @pytest.mark.parametrize("backend", KERNEL_PATHS)
 @pytest.mark.parametrize("module_name, op_name, index", _ALL_CASES)
 def test_gradcheck(backend, module_name, op_name, index):
@@ -255,4 +273,22 @@ def test_registry_covers_every_exported_op(module_name):
     assert not stale, (
         f"gradcheck registry names {sorted(stale)} not exported by "
         f"{module_name}.__all__"
+    )
+
+
+def test_registry_gives_every_parent_position_a_gradient():
+    # A parent position no case perturbs is a VJP branch no gradcheck
+    # ever compares against finite differences.
+    with contract_probe() as probe:
+        for _, cases in registry_cases():
+            for data, builder in cases:
+                backward_once(data, builder)
+    assert probe.positions, "the probe recorded no tape op"
+    uncovered = {}
+    for key, positions in probe.positions.items():
+        missing = set(range(max(probe.arities[key]))) - positions
+        if missing:
+            uncovered[key] = sorted(missing)
+    assert not uncovered, (
+        f"tape ops with parent positions no gradcheck case perturbs: {uncovered}"
     )

@@ -58,6 +58,21 @@ class TestMetricDirection:
 
 
 class TestCompareBench:
+    @pytest.mark.parametrize("name", ["serve.errors", "serve.deadline_exceeded"])
+    def test_failure_count_against_zero_baseline_gates(self, name):
+        # Failure counters are counts, not timings: lower is better on
+        # the strict tolerance, so any failure against 0 gates.
+        assert metric_direction(name) == -1
+        assert not is_wall_clock(name)
+        base, current = _payload({}), _payload({})
+        base["metrics"]["counters"] = {name: {"value": 0.0}}
+        current["metrics"]["counters"] = {name: {"value": 7.0}}
+        [delta] = compare_bench(base, current)
+        assert delta.status == "regression"
+        assert delta.gates
+        [clean] = compare_bench(base, base)
+        assert clean.status == "ok"
+
     def test_within_tolerance_is_ok(self):
         deltas = compare_bench(
             _payload({"final_score.cora": 0.80}),
