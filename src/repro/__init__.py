@@ -21,19 +21,7 @@ Quickstart::
 
 __version__ = "1.0.0"
 
-from repro import (
-    autograd,
-    core,
-    experiments,
-    gnn,
-    graph,
-    graphclf,
-    kg,
-    nas,
-    nn,
-    obs,
-    train,
-)
+import importlib
 
 __all__ = [
     "autograd",
@@ -49,3 +37,20 @@ __all__ = [
     "obs",
     "__version__",
 ]
+
+_SUBPACKAGES = frozenset(__all__) - {"__version__"}
+
+
+def __getattr__(name):
+    """Import subpackages on first access (PEP 562).
+
+    ``import repro.core.search`` then pays only for what the search
+    path uses — not networkx (graph classification) or the KG stack.
+    """
+    if name in _SUBPACKAGES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _SUBPACKAGES)

@@ -65,17 +65,19 @@ def segment_attention_sum(
     ``x`` has one more trailing axis than ``weights`` (``(N, d)`` with
     ``(E,)`` weights, or ``(N, H, d)`` with ``(E, H)``). The composed
     gather → multiply → ``segment_sum`` spelling records three
-    full-edge-size tape nodes; this runs the identical value sequence
-    (take, multiply, bincount — bit-identical forward) while computing
-    the weight gradient as a trailing-axis inner product directly.
-    ``src_plan`` covers the adjoint scatter back to ``x`` rows,
-    ``plan`` the forward reduction.
+    full-edge-size tape nodes and builds an ``(E, F)`` scaled copy;
+    here the forward is one weighted CSR product
+    (:func:`~repro.autograd.kernels.weighted_scatter_sum` over
+    ``plan``, columns ``src_index``) that adds the same products in the
+    same order — bit-identical — and the weight gradient is a
+    trailing-axis inner product computed directly.
 
-    The backward recomputes the edge-gathered source rows (one
-    ``np.take``, ~2% of a forward) and the weight-column view instead
-    of retaining them: the parents' storage is on the tape anyway, so
-    re-deriving both drops the closure's only large capture — the
-    ``(E, F)`` gathered copy — from every attention/GCN tape node.
+    The backward is the same kernel transposed: ``grad_x`` sums
+    ``weights[e] * g[segment_ids[e]]`` into ``src_index`` rows over
+    ``src_plan``, so no scaled-gradient temporary exists either.
+    ``grad_w`` gathers ``g`` and ``x`` rows along the edges; those
+    gathers are recomputed rather than retained, so the closure holds
+    no ``(E, F)`` array.
     """
     x, weights = as_tensor(x), as_tensor(weights)
     src_index = np.asarray(src_index, dtype=np.int64)
@@ -85,25 +87,24 @@ def segment_attention_sum(
             f"x must have one more axis than weights, got {x.shape} "
             f"and {weights.shape}"
         )
-    out = kernels.scatter_sum(
-        np.take(x.data, src_index, axis=0) * weights.data[..., None],
-        segment_ids,
-        num_segments,
-        plan,
+    out = kernels.weighted_scatter_sum(
+        x.data, weights.data, src_index, segment_ids, num_segments, plan
     )
     num_rows = x.data.shape[0]
 
     def backward(g):
-        g_edge = np.take(g, segment_ids, axis=0)
         grad_x = (
-            kernels.scatter_sum(
-                g_edge * weights.data[..., None], src_index, num_rows, src_plan
+            kernels.weighted_scatter_sum(
+                g, weights.data, segment_ids, src_index, num_rows, src_plan
             )
             if x.requires_grad
             else None
         )
         grad_w = (
-            (g_edge * np.take(x.data, src_index, axis=0)).sum(axis=-1)
+            (
+                np.take(g, segment_ids, axis=0)
+                * np.take(x.data, src_index, axis=0)
+            ).sum(axis=-1)
             if weights.requires_grad
             else None
         )

@@ -13,8 +13,9 @@ Robustness contract (exercised by ``tests/parallel/``):
 
 * an unpicklable task raises :class:`JobDispatchError` before
   anything is enqueued;
-* a worker that dies mid-job is detected (liveness poll), its job is
-  retried at most ``max_retries`` times on a replacement worker, then
+* a worker that dies mid-job is detected (end-of-file on its result
+  pipe, read after every message it sent), its job is retried at most
+  ``max_retries`` times on a replacement worker, then
   :class:`WorkerCrashError` surfaces;
 * a job exceeding its timeout gets its worker killed and the same
   bounded retry, then :class:`JobTimeoutError`;
@@ -43,7 +44,7 @@ replayed under ``worker-<i>`` roots via :meth:`Tracer.adopt`.
 from __future__ import annotations
 
 import pickle
-import queue as queue_module
+from multiprocessing import connection
 
 from repro.obs import MetricsRegistry, get_tracer
 from repro.obs import events
@@ -58,10 +59,13 @@ from repro.parallel.jobs import (
 
 __all__ = ["WorkerPool"]
 
-# Idle polls (result queue empty, every worker idle, task queue empty)
-# tolerated before concluding a task was lost to a worker that died
-# between dequeue and its "start" message — a narrow race, but leaving
-# it unhandled would hang the pool forever.
+# Idle polls (no result message, every worker idle, task queue empty)
+# tolerated after a worker died with no in-flight record before
+# concluding it took a task with it — dequeued, but killed before its
+# "start" message. Only such a death can orphan a task, so only such a
+# death arms the sweep: while workers spawn, or while a task sits in
+# the queue's pipe, the same idle picture means nothing is lost. A
+# narrow race, but leaving it unhandled would hang the pool forever.
 _ORPHAN_SWEEP_POLLS = 40
 
 
@@ -83,8 +87,9 @@ class WorkerPool:
         self.poll_s = poll_s
         self._ctx = None
         self._task_queue = None
-        self._result_queue = None
         self._procs: dict[int, object] = {}  # worker_id -> Process
+        # worker_id -> read end of that worker's own result pipe
+        self._results: dict[int, connection.Connection] = {}
         self._next_worker_id = 0
 
     # ------------------------------------------------------------------
@@ -150,6 +155,9 @@ class WorkerPool:
         worker_busy: dict[int, float] = {}
         worker_tasks: dict[int, int] = {}
         idle_polls = 0
+        # Workers that died with no in-flight record: each may have
+        # taken a task with it, which arms the orphan sweep.
+        unaccounted_deaths: set[int] = set()
         t_run = clock()
 
         depth = self.metrics.gauge("parallel.queue_depth")
@@ -162,6 +170,7 @@ class WorkerPool:
             raise error
 
         def retry(job_id: int) -> bool:
+            nonlocal idle_polls
             failures[job_id] += 1
             if failures[job_id] > self.max_retries:
                 return False
@@ -169,15 +178,45 @@ class WorkerPool:
             self._task_queue.put(
                 (job_id, failures[job_id], payloads[job_id])
             )
+            idle_polls = 0
             return True
 
-        while pending:
-            try:
-                message = self._result_queue.get(timeout=self.poll_s)
-            except queue_module.Empty:
-                message = None
+        def crashed(job_id: int, exitcode) -> None:
+            self.metrics.counter("parallel.crashes").inc()
+            if not retry(job_id):
+                fail(WorkerCrashError(job_id, by_id[job_id].tag, exitcode))
 
-            if message is not None:
+        def worker_gone(worker_id: int) -> None:
+            """Handle a worker whose result pipe hit end-of-file.
+
+            Every message it sent has been read by then, so an
+            in-flight record is exact: present, the job crashed with
+            it; absent, the worker died idle or between dequeue and
+            its "start" message, and the orphan sweep is armed.
+            """
+            self._results.pop(worker_id).close()
+            proc = self._procs.pop(worker_id)
+            proc.join(timeout=1.0)  # reap, so exitcode is populated
+            job = inflight.pop(worker_id, None)
+            if job is None:
+                unaccounted_deaths.add(worker_id)
+            elif job[0] in pending:
+                crashed(job[0], proc.exitcode)
+            self._ensure_workers()
+
+        while pending:
+            by_conn = {conn: wid for wid, conn in self._results.items()}
+            ready = connection.wait(list(by_conn), timeout=self.poll_s)
+            if not ready:
+                idle_polls += 1
+            for conn in ready:
+                worker_id = by_conn[conn]
+                try:
+                    message = conn.recv()
+                except (EOFError, OSError):
+                    # The worker holds the only write end: it is gone.
+                    worker_gone(worker_id)
+                    continue
                 idle_polls = 0
                 kind, job_id = message[0], message[1]
                 if kind == "start":
@@ -208,26 +247,6 @@ class WorkerPool:
                     if job_id in pending and not retry(job_id):
                         fail(JobError(job_id, by_id[job_id].tag, etype, msg, tb))
                 depth.set(len(pending) - len(inflight))
-            else:
-                idle_polls += 1
-
-            # Liveness: a dead worker's in-flight job is crashed work.
-            for worker_id, proc in list(self._procs.items()):
-                if proc.is_alive():
-                    continue
-                proc.join(timeout=1.0)  # reap, so exitcode is populated
-                exitcode = proc.exitcode
-                del self._procs[worker_id]
-                job = inflight.pop(worker_id, None)
-                if job is not None:
-                    job_id = job[0]
-                    if job_id in pending:
-                        self.metrics.counter("parallel.crashes").inc()
-                        if not retry(job_id):
-                            fail(WorkerCrashError(
-                                job_id, by_id[job_id].tag, exitcode
-                            ))
-                self._ensure_workers()
 
             # Timeouts: kill the worker, retry the job bounded times.
             now = clock()
@@ -242,20 +261,20 @@ class WorkerPool:
                     fail(JobTimeoutError(job_id, by_id[job_id].tag, limit))
                 self._ensure_workers()
 
-            # Orphan sweep: every worker idle and alive, nothing queued,
-            # yet jobs are pending — their tasks died with a worker
-            # before its "start" message. Re-enqueue, charging a retry.
+            # Orphan sweep: a worker died with no in-flight record and
+            # since then every worker sat idle with nothing queued, yet
+            # jobs are pending — their task died with that worker before
+            # its "start" message. Re-enqueue, charging a retry.
             if (
-                idle_polls >= _ORPHAN_SWEEP_POLLS
+                unaccounted_deaths
+                and idle_polls >= _ORPHAN_SWEEP_POLLS
                 and not inflight
                 and pending
                 and self._task_queue.empty()
             ):
-                idle_polls = 0
+                unaccounted_deaths.clear()
                 for job_id in sorted(pending):
-                    self.metrics.counter("parallel.crashes").inc()
-                    if not retry(job_id):
-                        fail(WorkerCrashError(job_id, by_id[job_id].tag, None))
+                    crashed(job_id, None)
 
         wall = max(clock() - t_run, 1e-9)
         utilization = min(1.0, busy_s / (self.workers * wall))
@@ -328,25 +347,30 @@ class WorkerPool:
         if self._ctx is None:
             self._ctx = multiprocessing.get_context("spawn")
             self._task_queue = self._ctx.Queue()
-            self._result_queue = self._ctx.Queue()
         from repro.parallel.worker import worker_main
 
         while len(self._procs) < self.workers:
             worker_id = self._next_worker_id
             self._next_worker_id += 1
+            reader, writer = self._ctx.Pipe(duplex=False)
             proc = self._ctx.Process(
                 target=worker_main,
-                args=(worker_id, self._task_queue, self._result_queue),
+                args=(worker_id, self._task_queue, writer),
                 daemon=True,
                 name=f"repro-worker-{worker_id}",
             )
             proc.start()
+            # The worker now holds the only write end, so end-of-file
+            # on the read end means the worker is gone.
+            writer.close()
             self._procs[worker_id] = proc
+            self._results[worker_id] = reader
 
     def _kill_worker(self, worker_id: int) -> None:
         proc = self._procs.pop(worker_id, None)
         if proc is None:
             return
+        self._results.pop(worker_id).close()
         proc.terminate()
         proc.join(timeout=5.0)
         if proc.is_alive():
@@ -355,7 +379,7 @@ class WorkerPool:
 
     # ------------------------------------------------------------------
     def shutdown(self) -> None:
-        """Stop workers and drop the queues; the pool stays reusable."""
+        """Stop workers and drop the queue and pipes; the pool stays reusable."""
         if self._ctx is None:
             return
         for __ in self._procs:
@@ -369,13 +393,13 @@ class WorkerPool:
                 proc.terminate()
                 proc.join(timeout=5.0)
         self._procs.clear()
-        for q in (self._task_queue, self._result_queue):
-            if q is not None:
-                q.cancel_join_thread()
-                q.close()
+        for reader in self._results.values():
+            reader.close()
+        self._results.clear()
+        self._task_queue.cancel_join_thread()
+        self._task_queue.close()
         self._ctx = None
         self._task_queue = None
-        self._result_queue = None
 
     def __enter__(self) -> "WorkerPool":
         return self

@@ -1,8 +1,12 @@
 """Worker-process entry point for the :class:`WorkerPool`.
 
 Each worker is a spawn-started process looping over the shared task
-queue. The protocol (DESIGN.md section 12) is three message kinds on
-the result queue:
+queue. Results go back on a pipe of the worker's own, written
+synchronously: a message is fully in the pipe before the next line
+runs, so a job that kills its process cannot take a half-sent or
+still-buffered message with it, and no lock is shared with other
+workers that a death could leave held. The protocol (DESIGN.md
+section 12) is three message kinds:
 
 * ``("start", job_id, attempt, worker_id)`` — sent *before* the job
   body runs, so the parent can attribute an in-flight job to this
@@ -10,7 +14,7 @@ the result queue:
 * ``("ok", job_id, attempt, worker_id, result_bytes, span_records)``
   — the job finished; the result is pre-pickled *in the worker* so an
   unpicklable return value surfaces as a typed error instead of
-  wedging the queue's feeder thread, and the job's spans ride along
+  killing the worker mid-send, and the job's spans ride along
   as plain dicts for :meth:`Tracer.adopt`;
 * ``("error", job_id, attempt, worker_id, error_type, message,
   traceback)`` — the job raised; the formatted traceback travels
@@ -32,15 +36,18 @@ from repro.parallel.jobs import execute_job
 __all__ = ["worker_main"]
 
 
-def worker_main(worker_id: int, task_queue, result_queue) -> None:
-    """Loop: pull a task, run it, ship the result; exit on sentinel."""
+def worker_main(worker_id: int, task_queue, results) -> None:
+    """Loop: pull a task, run it, ship the result; exit on sentinel.
+
+    ``results`` is the write end of this worker's result pipe.
+    """
     tracer = get_tracer()
     while True:
         item = task_queue.get()
         if item is None:
             break
         job_id, attempt, payload = item
-        result_queue.put(("start", job_id, attempt, worker_id))
+        results.send(("start", job_id, attempt, worker_id))
         sink = InMemorySink()
         try:
             job = pickle.loads(payload)
@@ -49,10 +56,10 @@ def worker_main(worker_id: int, task_queue, result_queue) -> None:
                     result = execute_job(job)
             blob = pickle.dumps(result)
         except Exception as exc:
-            result_queue.put((
+            results.send((
                 "error", job_id, attempt, worker_id,
                 type(exc).__name__, str(exc), traceback.format_exc(),
             ))
             continue
         records = [span.to_dict() for span in sink.spans]
-        result_queue.put(("ok", job_id, attempt, worker_id, blob, records))
+        results.send(("ok", job_id, attempt, worker_id, blob, records))

@@ -104,6 +104,7 @@ KERNEL_STATE: dict[str, dict[str, str]] = {
         "once built",
     },
     "scatter_sum": {"_PLAN_MEMO": _PLANNED},
+    "weighted_scatter_sum": {"_PLAN_MEMO": _PLANNED},
     "scatter_max": {"_PLAN_MEMO": _PLANNED},
     "scatter_add_rows": {"_PLAN_MEMO": _PLANNED},
     "set_kernel_counters": {

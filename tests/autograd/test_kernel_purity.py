@@ -35,6 +35,9 @@ KERNEL_CASES = {
     "peek_plan": (lambda: (_ids(), 3), ()),
     "segment_counts": (lambda: (_ids(), 3), ()),
     "scatter_sum": (lambda: (_rows(), _ids(), 3), ()),
+    "weighted_scatter_sum": (
+        lambda: (_rows(), _rows()[:, 0], _ids(), _ids(), 3), ()
+    ),
     "scatter_max": (lambda: (_rows(), _ids(), 3), ()),
     "scatter_add_rows": (lambda: (_rows(), _ids(), 3), ()),
     "index_add": (lambda: (np.zeros((3, 3)), _ids(), _rows()), (0,)),

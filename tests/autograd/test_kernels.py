@@ -4,8 +4,11 @@ The planned CSR kernels must be indistinguishable from the buffered
 ``ufunc.at`` oracle in ``tests/naive_kernels.py``: property tests drive
 both over random segment structures (including empty segments,
 isolated outputs and zero-length inputs) and assert forward agreement
-within 1e-9. Gradchecks run on both paths, and a corrupted-plan test
-proves the oracle really is substituted.
+within 1e-9. The sums — plain and weighted — must be bit-identical to
+it, ``-0.0``, NaN and inf included: that is what guards the assumption
+that the sparse product adds the same products in the same order (no
+fused multiply-add). Gradchecks run on both paths, and a
+corrupted-plan test proves the oracle really is substituted.
 """
 
 import numpy as np
@@ -13,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.sparse import csr_array
 
 from repro.autograd import kernels
 from repro.autograd.kernels import (
@@ -21,6 +25,7 @@ from repro.autograd.kernels import (
     plan_for,
     scatter_max,
     scatter_sum,
+    weighted_scatter_sum,
 )
 from repro.autograd.scatter import (
     gather,
@@ -36,11 +41,29 @@ from tests.naive_kernels import (
     kernel_path,
     naive_scatter_max,
     naive_scatter_sum,
+    naive_weighted_scatter_sum,
     oracle_kernels,
     planned_and_oracle,
 )
 
 finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+special = st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf])
+any_float = st.one_of(finite, special, st.floats(width=64))
+
+
+def assert_bit_identical(actual, expected):
+    """Same shape, NaN in the same slots, identical bits everywhere else.
+
+    NaN payloads are not compared: the sign and payload of a NaN
+    product depend on operand order, which IEEE leaves open.
+    """
+    assert actual.shape == expected.shape
+    assert actual.dtype == expected.dtype == np.float64
+    nan = np.isnan(expected)
+    np.testing.assert_array_equal(np.isnan(actual), nan)
+    np.testing.assert_array_equal(
+        actual[~nan].view(np.int64), expected[~nan].view(np.int64)
+    )
 
 
 @st.composite
@@ -56,6 +79,38 @@ def segmented_values(draw, max_rows=12, max_segments=8, max_cols=4):
     cols = draw(st.integers(1, max_cols))
     values = draw(arrays(np.float64, (num_rows, cols), elements=finite))
     return values, ids, num_segments
+
+
+@st.composite
+def weighted_edges(draw, max_edges=12, max_nodes=6, max_segments=6):
+    """Random (x, weights, columns, segment_ids, num_segments).
+
+    ``x`` is ``(N, d)`` with ``(E,)`` weights or ``(N, H, d)`` with
+    ``(E, H)`` weights, H in {1, 2, 4}; zero edges, empty segments and
+    ``-0.0`` / NaN / inf entries all occur.
+    """
+    num_segments = draw(st.integers(1, max_segments))
+    num_nodes = draw(st.integers(1, max_nodes))
+    num_edges = draw(st.integers(0, max_edges))
+    heads = draw(st.sampled_from([None, 1, 2, 4]))
+    width = draw(st.integers(1, 3))
+    head_shape = () if heads is None else (heads,)
+    x = draw(
+        arrays(np.float64, (num_nodes,) + head_shape + (width,),
+               elements=any_float)
+    )
+    weights = draw(
+        arrays(np.float64, (num_edges,) + head_shape, elements=any_float)
+    )
+    columns = draw(
+        arrays(np.int64, (num_edges,), elements=st.integers(0, num_nodes - 1))
+    )
+    ids = draw(
+        arrays(
+            np.int64, (num_edges,), elements=st.integers(0, num_segments - 1)
+        )
+    )
+    return x, weights, columns, ids, num_segments
 
 
 # ----------------------------------------------------------------------
@@ -101,10 +156,68 @@ def test_scatter_sum_fused_is_bit_identical_to_naive():
     )
 
 
+@given(segmented_values(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_scatter_sum_is_bit_identical_with_special_values(case, data):
+    values, ids, n = case
+    values = data.draw(arrays(np.float64, values.shape, elements=any_float))
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert_bit_identical(
+            scatter_sum(values, ids, n), naive_scatter_sum(values, ids, n)
+        )
+
+
+@given(weighted_edges())
+@settings(max_examples=150, deadline=None)
+def test_weighted_scatter_sum_is_bit_identical_to_oracle(case):
+    x, weights, columns, ids, n = case
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert_bit_identical(
+            weighted_scatter_sum(x, weights, columns, ids, n),
+            naive_weighted_scatter_sum(x, weights, columns, ids, n),
+        )
+
+
+def test_sums_match_the_public_sparse_product():
+    """The kernels call scipy's CSR loop directly; same bits as ``@``."""
+    rng = np.random.default_rng(9)
+    ids = rng.integers(0, 40, size=300)
+    columns = rng.integers(0, 50, size=300)
+    x = rng.normal(size=(50, 6))
+    weights = rng.normal(size=300)
+    values = rng.normal(size=(300, 6))
+    plan = SegmentPlan(ids, 40)
+    weighted = csr_array(
+        (weights[plan.order], columns[plan.order], plan.indptr), shape=(40, 50)
+    )
+    assert_bit_identical(
+        weighted_scatter_sum(x, weights, columns, ids, 40, plan), weighted @ x
+    )
+    assert_bit_identical(scatter_sum(values, ids, 40, plan), plan.csr @ values)
+
+
+def test_weighted_scatter_sum_rejects_bad_columns():
+    x = np.ones((3, 2))
+    weights = np.ones(3)
+    ids = np.array([0, 1, 1])
+    with pytest.raises(IndexError):
+        weighted_scatter_sum(x, weights, np.array([0, 3, 1]), ids, 2)
+    with pytest.raises(ValueError):
+        weighted_scatter_sum(x, weights[:2], np.array([0, 1, 1]), ids, 2)
+    with pytest.raises(ValueError):
+        weighted_scatter_sum(x[:, 0], weights, np.array([0, 1, 1]), ids, 2)
+
+
 def test_scatter_sum_rejects_out_of_range_ids():
     for kernel in (scatter_sum, naive_scatter_sum):
         with pytest.raises(IndexError):
             kernel(np.ones((3, 2)), np.array([0, 1, 5]), 3)
+
+
+def test_scatter_sum_rejects_a_row_count_mismatch():
+    plan = SegmentPlan(np.array([0, 1, 1]), 2)
+    with pytest.raises(ValueError):
+        scatter_sum(np.ones((4, 2)), plan.segment_ids, 2, plan)
 
 
 def test_empty_input_and_empty_segments():
@@ -119,7 +232,25 @@ def test_empty_input_and_empty_segments():
         assert np.isneginf(max_kernel(values, ids, 4)).all()
 
 
-@pytest.mark.parametrize("kernel", [scatter_sum, scatter_max])
+_COLUMNS = np.random.default_rng(7).integers(0, 30, size=30)
+_WEIGHTS = np.random.default_rng(8).normal(size=30)
+
+
+def _weighted(values, ids, num_segments, plan=None):
+    """:func:`weighted_scatter_sum` of ``values`` rows along fixed edges."""
+    return weighted_scatter_sum(
+        values, _WEIGHTS, _COLUMNS, ids, num_segments, plan=plan
+    )
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        scatter_sum,
+        scatter_max,
+        pytest.param(_weighted, id="weighted_scatter_sum"),
+    ],
+)
 def test_oracle_ignores_a_corrupted_plan(kernel):
     """Non-vacuity check for every oracle comparison in the suite.
 
@@ -241,12 +372,25 @@ def test_plan_rejects_bad_ids():
         SegmentPlan(np.zeros((2, 2), dtype=np.int64), 3)
 
 
-def test_flat_index_is_memoised():
+def test_csr_view_is_built_once_per_plan(monkeypatch):
+    built = []
+    real = kernels.csr_array
+
+    def counting_csr_array(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "csr_array", counting_csr_array)
     ids = np.array([1, 0, 1], dtype=np.int64)
     plan = SegmentPlan(ids, 2)
-    first = plan.flat_index(3)
-    np.testing.assert_array_equal(first, [3, 4, 5, 0, 1, 2, 3, 4, 5])
-    assert plan.flat_index(3) is first
+    assert len(built) == 1
+    np.testing.assert_array_equal(plan.csr.toarray(), [[0, 1, 0], [1, 0, 1]])
+    values = np.arange(6, dtype=np.float64).reshape(3, 2)
+    for __ in range(3):
+        np.testing.assert_array_equal(
+            scatter_sum(values, ids, 2, plan), [[2, 3], [4, 6]]
+        )
+    assert len(built) == 1
 
 
 def test_plan_for_memoises_by_identity():

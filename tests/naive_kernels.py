@@ -18,9 +18,10 @@ Three ways to run code against the oracle:
   for the oracle).
 
 All three patch the module-private ``_scatter_sum_impl`` /
-``_scatter_max_impl`` behind the public wrappers, so kernel counters
-and every caller (segment ops, gather adjoints, aggregators) see the
-oracle without knowing it is there.
+``_weighted_scatter_sum_impl`` / ``_scatter_max_impl`` behind the
+public wrappers, so kernel counters and every caller (segment ops,
+gather adjoints, attention sums, aggregators) see the oracle without
+knowing it is there.
 """
 
 from __future__ import annotations
@@ -43,6 +44,17 @@ def naive_scatter_sum(values, segment_ids, num_segments, plan=None):
     return out
 
 
+def naive_weighted_scatter_sum(
+    x, weights, columns, segment_ids, num_segments, plan=None
+):
+    """``out[s] = sum of weights[e] * x[columns[e]] with segment_ids == s``.
+
+    Gather, scale, buffered scatter; ignores ``plan``.
+    """
+    messages = np.take(x, columns, axis=0) * weights[..., None]
+    return naive_scatter_sum(messages, segment_ids, num_segments)
+
+
 def naive_scatter_max(values, segment_ids, num_segments, plan=None):
     """``out[s] = max over values rows with segment_ids == s``; ignores ``plan``."""
     out = np.full((num_segments,) + values.shape[1:], -np.inf, dtype=np.float64)
@@ -50,16 +62,25 @@ def naive_scatter_max(values, segment_ids, num_segments, plan=None):
     return out
 
 
+# The module-private kernel bodies and the oracle that replaces each.
+_ORACLES = {
+    "_scatter_sum_impl": naive_scatter_sum,
+    "_weighted_scatter_sum_impl": naive_weighted_scatter_sum,
+    "_scatter_max_impl": naive_scatter_max,
+}
+
+
 @contextlib.contextmanager
 def oracle_kernels():
     """Route every scatter through the buffered oracle inside the block."""
-    saved = kernels._scatter_sum_impl, kernels._scatter_max_impl
-    kernels._scatter_sum_impl = naive_scatter_sum
-    kernels._scatter_max_impl = naive_scatter_max
+    saved = {name: getattr(kernels, name) for name in _ORACLES}
+    for name, oracle in _ORACLES.items():
+        setattr(kernels, name, oracle)
     try:
         yield
     finally:
-        kernels._scatter_sum_impl, kernels._scatter_max_impl = saved
+        for name, impl in saved.items():
+            setattr(kernels, name, impl)
 
 
 def kernel_path(name: str):

@@ -243,6 +243,22 @@ class TestFaultInjection:
             )
             assert pool.run(jobs) == [10, 20, 30, 40]
 
+    def test_orphan_sweep_waits_for_a_worker_death(self, monkeypatch):
+        # While workers spawn, no message arrives and nothing is in
+        # flight; with the task queue forced to look empty that is the
+        # sweep's whole idle picture, yet no task is lost. A sweep here
+        # would charge a crash and, with no retry budget, fail a healthy
+        # batch. Only a worker death without an in-flight record arms it.
+        monkeypatch.setattr("repro.parallel.pool._ORPHAN_SWEEP_POLLS", 1)
+        metrics = MetricsRegistry()
+        with WorkerPool(
+            workers=2, max_retries=0, poll_s=0.01, metrics=metrics
+        ) as pool:
+            pool._ensure_workers()
+            monkeypatch.setattr(pool._task_queue, "empty", lambda: True)
+            assert pool.run(echo_jobs([1, 2, 3])) == [1, 2, 3]
+        assert "parallel.crashes" not in metrics.snapshot()["counters"]
+
 
 class TestSpanAdoption:
     def test_worker_spans_replay_under_worker_roots(self):
