@@ -1,9 +1,12 @@
 """AST-based static analysis enforcing the repo's invariants.
 
 ``repro lint`` (and the tier-1 self-check test) run a rule-based
-analyzer over the source tree. See ``rules.py`` for the core rule set,
-``genotype.py`` for search-space validation, and the README's
-"Static analysis" section for the user-facing documentation.
+analyzer over :func:`lint_roots`. See ``rules.py`` for the rule set
+and the README's "Static analysis" section for the user-facing
+documentation. The invariants a test can execute (tape integrity,
+parameter registration, gradient-free serving, request-trace
+completeness, mixture provenance, genotype membership) are checked at
+runtime in tier-1, not here.
 """
 
 from repro.analysis.engine import (
@@ -14,13 +17,7 @@ from repro.analysis.engine import (
     collect_suppressions,
 )
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.genotype import (
-    GenotypeRule,
-    OpTables,
-    collect_op_tables,
-    consistency_findings,
-)
-from repro.analysis.linter import default_rules, discover_files, lint_paths
+from repro.analysis.linter import default_rules, discover_files, lint_paths, lint_roots
 from repro.analysis.reporters import render_json, render_text
 from repro.analysis.rules import CORE_RULES
 
@@ -33,13 +30,10 @@ __all__ = [
     "analyze_source",
     "collect_suppressions",
     "CORE_RULES",
-    "GenotypeRule",
-    "OpTables",
-    "collect_op_tables",
-    "consistency_findings",
     "default_rules",
     "discover_files",
     "lint_paths",
+    "lint_roots",
     "render_json",
     "render_text",
 ]

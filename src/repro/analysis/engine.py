@@ -6,8 +6,7 @@ The engine is deliberately small:
   :attr:`Rule.node_types` and yields :class:`Finding` objects from
   :meth:`Rule.check`;
 * :func:`analyze_source` parses a module once, walks the tree once and
-  dispatches each node to the rules registered for its type, keeping a
-  function/class stack so rules know their lexical context;
+  dispatches each node to the rules registered for its type;
 * ``# lint: disable=<rule-id>[,<rule-id>...]`` on the offending line
   suppresses matching findings (``disable=all`` suppresses every rule).
   The conventional format is ``# lint: disable=<id> -- justification``.
@@ -40,22 +39,9 @@ _SUPPRESS_RE = re.compile(r"#\s*lint:\s*disable=([\w\-]+(?:\s*,\s*[\w\-]+)*)")
 
 @dataclasses.dataclass
 class Context:
-    """Lexical context handed to every rule check."""
+    """Context handed to every rule check: the file being linted."""
 
     path: str
-    tree: ast.Module
-    function_stack: list[ast.FunctionDef | ast.AsyncFunctionDef] = dataclasses.field(
-        default_factory=list
-    )
-    class_stack: list[ast.ClassDef] = dataclasses.field(default_factory=list)
-
-    @property
-    def current_function(self) -> ast.FunctionDef | ast.AsyncFunctionDef | None:
-        return self.function_stack[-1] if self.function_stack else None
-
-    @property
-    def current_class(self) -> ast.ClassDef | None:
-        return self.class_stack[-1] if self.class_stack else None
 
 
 class Rule:
@@ -73,16 +59,10 @@ class Rule:
     def check(self, node: ast.AST, ctx: Context) -> Iterator[Finding]:
         raise NotImplementedError
 
-    def finding(
-        self,
-        node: ast.AST,
-        ctx: Context,
-        message: str,
-        severity: Severity | None = None,
-    ) -> Finding:
+    def finding(self, node: ast.AST, ctx: Context, message: str) -> Finding:
         return Finding(
             rule_id=self.rule_id,
-            severity=severity or self.severity,
+            severity=self.severity,
             path=ctx.path,
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0),
@@ -156,19 +136,7 @@ class _Walker(ast.NodeVisitor):
     def visit(self, node: ast.AST) -> None:
         for rule in self._dispatch.get(type(node), ()):
             self.findings.extend(rule.check(node, self.ctx))
-        is_function = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        is_class = isinstance(node, ast.ClassDef)
-        if is_function:
-            self.ctx.function_stack.append(node)
-        if is_class:
-            self.ctx.class_stack.append(node)
-        try:
-            self.generic_visit(node)
-        finally:
-            if is_function:
-                self.ctx.function_stack.pop()
-            if is_class:
-                self.ctx.class_stack.pop()
+        self.generic_visit(node)
 
 
 def analyze_source(
@@ -193,7 +161,7 @@ def analyze_source(
         )
         return result
 
-    walker = _Walker(list(rules), Context(path=path, tree=tree))
+    walker = _Walker(list(rules), Context(path=path))
     walker.visit(tree)
 
     suppressions = collect_suppressions(source)

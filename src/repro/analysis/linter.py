@@ -1,28 +1,35 @@
 """Filesystem driver: discover sources, build rules, lint everything.
 
-:func:`lint_paths` is what ``repro lint`` and the self-check test call:
-it gathers ``.py`` files under the given paths, statically collects the
-op tables once (so :class:`~repro.analysis.genotype.GenotypeRule`
-validates genotype literals against the *declared* search space, not a
-hardcoded copy), runs the full rule set over every file and appends the
-cross-file registry-consistency findings.
+:func:`lint_paths` is what ``repro lint`` and the self-check test call
+(both over :func:`lint_roots` by default): it gathers ``.py`` files
+under the given paths and runs the full rule set over every file.
 """
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.analysis.engine import AnalysisResult, Rule, analyze_source
-from repro.analysis.genotype import (
-    GenotypeRule,
-    OpTables,
-    collect_op_tables,
-    consistency_findings,
-)
 from repro.analysis.rules import CORE_RULES
 
-__all__ = ["discover_files", "default_rules", "lint_paths"]
+__all__ = ["discover_files", "default_rules", "lint_paths", "lint_roots"]
+
+
+def lint_roots() -> list[str]:
+    """The package itself plus the checkout's ``tests/``, ``benchmarks/``,
+    ``examples/`` and ``scripts/`` trees when running from a source
+    checkout (they don't ship in an installed package, so their absence
+    is not an error)."""
+    package_dir = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    repo_root = os.path.dirname(os.path.dirname(package_dir))
+    paths = [package_dir]
+    for name in ("tests", "benchmarks", "examples", "scripts"):
+        candidate = os.path.join(repo_root, name)
+        if os.path.isdir(candidate):
+            paths.append(candidate)
+    return paths
 
 
 def discover_files(paths: Iterable[str | Path]) -> list[Path]:
@@ -39,25 +46,17 @@ def discover_files(paths: Iterable[str | Path]) -> list[Path]:
     return sorted(files)
 
 
-def default_rules(tables: OpTables | None = None) -> list[Rule]:
-    """The full shipped rule set, genotype-aware when tables are given."""
-    rules: list[Rule] = [rule_cls() for rule_cls in CORE_RULES]
-    rules.append(GenotypeRule(tables))
-    return rules
+def default_rules() -> list[Rule]:
+    """The full shipped rule set."""
+    return [rule_cls() for rule_cls in CORE_RULES]
 
 
 def lint_paths(paths: Iterable[str | Path]) -> AnalysisResult:
     """Lint every python file under ``paths`` with the default rules."""
-    files = discover_files(paths)
-    sources: list[tuple[str, str]] = []
-    for path in files:
-        sources.append((str(path), path.read_text(encoding="utf-8")))
-
-    tables = collect_op_tables(sources)
-    rules = default_rules(tables)
+    rules = default_rules()
     result = AnalysisResult()
-    for path, source in sources:
-        result.merge(analyze_source(source, path=path, rules=rules))
-    result.findings.extend(consistency_findings(tables))
+    for path in discover_files(paths):
+        source = path.read_text(encoding="utf-8")
+        result.merge(analyze_source(source, path=str(path), rules=rules))
     result.sort()
     return result

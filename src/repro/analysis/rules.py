@@ -1,9 +1,15 @@
 """The repo-specific rule set (see README "Static analysis" for the table).
 
-Each rule encodes one invariant the reproduction's correctness rests
-on: tape integrity of :mod:`repro.autograd`, parameter registration in
-:mod:`repro.nn.module`, seeded randomness, the numpy-only substitution
-rule, and the dict-registry dispatch idiom used by the op tables.
+Each rule guards one invariant no tier-1 test executes: seeded
+randomness, the numpy-only substitution rule, the dict-registry
+dispatch idiom of the op tables, and the package's layering (timing
+through ``repro.obs``, scatters through the planned kernels, processes
+through ``repro.parallel``, output through the reporters, NaN-prone
+math in the guarded autograd modules, a ledger entry per CLI command).
+Invariants a test can execute — tape integrity, parameter
+registration, gradient-free serving, complete request traces, mixture
+provenance, genotype membership — are checked at runtime in tier-1
+instead (EXPERIMENTS "Lint rule audit").
 """
 
 from __future__ import annotations
@@ -15,8 +21,6 @@ from repro.analysis.engine import Context, Rule
 from repro.analysis.findings import Finding, Severity
 
 __all__ = [
-    "TapeMutationRule",
-    "UnregisteredParameterRule",
     "GlobalRngRule",
     "ForbiddenImportRule",
     "MissingZeroGradRule",
@@ -28,14 +32,10 @@ __all__ = [
     "RawMultiprocessingRule",
     "NakedPrintRule",
     "UncheckedNanSourceRule",
-    "MissingOpScopeRule",
-    "TapeInInferenceRule",
-    "UntracedServePathRule",
     "UnledgeredEntrypointRule",
     "CORE_RULES",
+    "package_path",
 ]
-
-_INIT_METHODS = ("__init__", "reset_parameters")
 
 
 def _dotted_name(node: ast.AST) -> str | None:
@@ -50,6 +50,26 @@ def _dotted_name(node: ast.AST) -> str | None:
     return None
 
 
+# Top-level directories of a source checkout: a ``repro`` component
+# directly above one of them is a checkout named ``repro`` (as ``git
+# clone ... repro`` names it), not the package.
+_CHECKOUT_DIRS = frozenset({"src", "tests", "benchmarks", "examples", "scripts"})
+
+
+def package_path(path: str) -> tuple[str, ...] | None:
+    """``path`` relative to the ``repro`` package, or None outside it.
+
+    ``src/repro/obs/spans.py`` -> ``("obs", "spans.py")``; files under
+    a checkout's ``tests/``, ``benchmarks/``, ``examples/`` and
+    ``scripts/`` are outside the package wherever the checkout lives.
+    """
+    parts = path.replace("\\", "/").split("/")
+    for index in range(len(parts) - 2, -1, -1):
+        if parts[index] == "repro" and parts[index + 1] not in _CHECKOUT_DIRS:
+            return tuple(parts[index + 1:])
+    return None
+
+
 def _call_name(node: ast.Call) -> str | None:
     """Last segment of the called name (``np.random.rand`` -> ``rand``)."""
     func = node.func
@@ -58,117 +78,6 @@ def _call_name(node: ast.Call) -> str | None:
     if isinstance(func, ast.Name):
         return func.id
     return None
-
-
-class TapeMutationRule(Rule):
-    """In-place writes to ``Tensor.data`` bypass the autograd tape.
-
-    The tape records gradients against the array a ``Tensor`` held when
-    the op ran; mutating ``.data`` afterwards silently corrupts every
-    pending backward pass. Writes of the form ``self.<name>.data`` are
-    allowed inside ``__init__``/``reset_parameters`` (no tape exists for
-    a parameter that is still being constructed); everything else —
-    optimiser steps, state restores, virtual DARTS steps — is flagged
-    and must carry an explicit justification comment.
-    """
-
-    rule_id = "tape-mutation"
-    severity = Severity.ERROR
-    description = "in-place write to Tensor.data outside __init__/reset_parameters"
-    node_types = (ast.Assign, ast.AugAssign, ast.AnnAssign)
-
-    def check(self, node: ast.AST, ctx: Context) -> Iterator[Finding]:
-        if isinstance(node, ast.Assign):
-            targets = node.targets
-        else:
-            targets = [node.target] if node.target is not None else []
-        for target in targets:
-            yield from self._check_target(target, node, ctx)
-
-    def _check_target(
-        self, target: ast.AST, node: ast.AST, ctx: Context
-    ) -> Iterator[Finding]:
-        if isinstance(target, (ast.Tuple, ast.List)):
-            for element in target.elts:
-                yield from self._check_target(element, node, ctx)
-            return
-        # Strip subscripts: `p.data[1:] = x` writes through `.data` too.
-        while isinstance(target, ast.Subscript):
-            target = target.value
-        if not (isinstance(target, ast.Attribute) and target.attr == "data"):
-            return
-        base = target.value
-        # `self.data = ...` is a plain attribute named "data" (dataset
-        # holders use it), not a write through a Tensor.
-        if isinstance(base, ast.Name) and base.id == "self":
-            return
-        function = ctx.current_function
-        in_init = function is not None and function.name in _INIT_METHODS
-        direct_self_attr = (
-            isinstance(base, ast.Attribute)
-            and isinstance(base.value, ast.Name)
-            and base.value.id == "self"
-        )
-        if in_init and direct_self_attr:
-            return
-        if isinstance(base, ast.Subscript):
-            owner = (_dotted_name(base.value) or "<expr>") + "[...]"
-        else:
-            owner = _dotted_name(base) or "<expr>"
-        yield self.finding(
-            node,
-            ctx,
-            f"in-place write to {owner}.data mutates tensor storage behind "
-            "the autograd tape; rebuild the tensor or justify with "
-            "# lint: disable=tape-mutation",
-        )
-
-
-class UnregisteredParameterRule(Rule):
-    """``self.x = Tensor(..., requires_grad=True)`` inside a class.
-
-    ``Module.named_parameters`` only discovers :class:`Parameter`
-    instances, so a gradient-requiring plain ``Tensor`` trains never:
-    the optimiser does not see it and ``zero_grad`` skips it.
-    """
-
-    rule_id = "unregistered-parameter"
-    severity = Severity.ERROR
-    description = "requires_grad Tensor assigned to self without Parameter wrapper"
-    node_types = (ast.Assign,)
-
-    def check(self, node: ast.Assign, ctx: Context) -> Iterator[Finding]:
-        if ctx.current_class is None:
-            return
-        value = node.value
-        if not (isinstance(value, ast.Call) and _call_name(value) in ("Tensor", "as_tensor")):
-            return
-        if not self._requires_grad(value):
-            return
-        for target in node.targets:
-            if (
-                isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)
-                and target.value.id == "self"
-            ):
-                yield self.finding(
-                    node,
-                    ctx,
-                    f"self.{target.attr} is a requires_grad Tensor; wrap it in "
-                    "Parameter(...) so Module.parameters() registers it",
-                )
-
-    @staticmethod
-    def _requires_grad(call: ast.Call) -> bool:
-        for keyword in call.keywords:
-            if keyword.arg == "requires_grad":
-                return isinstance(keyword.value, ast.Constant) and bool(
-                    keyword.value.value
-                )
-        if len(call.args) >= 2:
-            second = call.args[1]
-            return isinstance(second, ast.Constant) and second.value is True
-        return False
 
 
 class GlobalRngRule(Rule):
@@ -421,11 +330,8 @@ class AdHocTimingRule(Rule):
     @staticmethod
     def _in_scope(path: str) -> bool:
         """True for files inside the ``repro`` package but not ``obs``."""
-        parts = path.replace("\\", "/").split("/")
-        if "repro" not in parts:
-            return False
-        rest = parts[len(parts) - 1 - parts[::-1].index("repro"):]
-        return "obs" not in rest
+        rest = package_path(path)
+        return rest is not None and rest[0] != "obs"
 
 
 class BufferedScatterRule(Rule):
@@ -473,11 +379,8 @@ class BufferedScatterRule(Rule):
     @staticmethod
     def _in_scope(path: str) -> bool:
         """True inside ``repro`` except ``autograd/kernels.py`` itself."""
-        parts = path.replace("\\", "/").split("/")
-        if "repro" not in parts:
-            return False
-        rest = tuple(parts[len(parts) - parts[::-1].index("repro"):])
-        return rest != ("autograd", "kernels.py")
+        rest = package_path(path)
+        return rest is not None and rest != ("autograd", "kernels.py")
 
 
 class RawMultiprocessingRule(Rule):
@@ -537,11 +440,8 @@ class RawMultiprocessingRule(Rule):
     @staticmethod
     def _in_scope(path: str) -> bool:
         """True inside ``repro`` except the ``parallel`` package."""
-        parts = path.replace("\\", "/").split("/")
-        if "repro" not in parts:
-            return False
-        rest = tuple(parts[len(parts) - parts[::-1].index("repro"):])
-        return not (rest and rest[0] == "parallel")
+        rest = package_path(path)
+        return rest is not None and rest[0] != "parallel"
 
 
 class NakedPrintRule(Rule):
@@ -585,11 +485,8 @@ class NakedPrintRule(Rule):
     @classmethod
     def _in_scope(cls, path: str) -> bool:
         """True inside the ``repro`` package, minus the presentation layer."""
-        parts = path.replace("\\", "/").split("/")
-        if "repro" not in parts:
-            return False
-        rest = tuple(parts[len(parts) - parts[::-1].index("repro"):])
-        return rest not in cls._EXEMPT
+        rest = package_path(path)
+        return rest is not None and rest not in cls._EXEMPT
 
 
 class UncheckedNanSourceRule(Rule):
@@ -676,253 +573,8 @@ class UncheckedNanSourceRule(Rule):
     @classmethod
     def _in_scope(cls, path: str) -> bool:
         """True inside ``repro`` minus the guarded autograd modules."""
-        parts = path.replace("\\", "/").split("/")
-        if "repro" not in parts:
-            return False
-        rest = tuple(parts[len(parts) - parts[::-1].index("repro"):])
-        return rest not in cls._GUARDED
-
-
-class MissingOpScopeRule(Rule):
-    """Mixture tape nodes built outside a ``health.op_scope`` block.
-
-    The tape health monitor (``repro.obs.health``) attributes NaN/Inf
-    anomalies to ``(edge, layer, op)`` via the innermost active
-    :func:`op_scope`. Search forwards annotate every candidate op — but
-    the *mixture itself* (``ops.weighted_sum``, the Eq. 2 combination
-    where epsilon-scaled alphas most often mint the first Inf) is a
-    tape node too. A mixture built outside any scope reports
-    ``op=None`` at exactly the moment provenance matters most. The rule
-    fires only in modules that already use ``op_scope`` (the search
-    forwards); plain training code is out of scope.
-    """
-
-    rule_id = "missing-op-scope"
-    severity = Severity.ERROR
-    description = (
-        "ops.weighted_sum mixture outside health.op_scope in a "
-        "monitor-annotated module"
-    )
-    node_types = (ast.Call,)
-
-    _MIXTURE_CALLS = frozenset({"weighted_sum"})
-
-    def __init__(self) -> None:
-        # Cache for the module currently being walked (files are linted
-        # sequentially): ids of nodes lexically inside an op_scope
-        # with-block, or None when the module never uses op_scope.
-        # Keeping the tree reference (not its id) avoids id recycling.
-        self._cached_tree: ast.Module | None = None
-        self._cached_scoped: set[int] | None = None
-
-    def check(self, node: ast.Call, ctx: Context) -> Iterator[Finding]:
-        if _call_name(node) not in self._MIXTURE_CALLS:
-            return
-        scoped = self._scoped_nodes(ctx.tree)
-        if scoped is None:  # module never uses op_scope: not a forward
-            return
-        if id(node) in scoped:
-            return
-        yield self.finding(
-            node,
-            ctx,
-            "mixture tape node built outside health.op_scope; anomalies "
-            "in the Eq. 2 combination would report op=None — wrap the "
-            "call in `with health.op_scope(edge=..., layer=..., op=...)`",
-        )
-
-    def _scoped_nodes(self, tree: ast.Module) -> set[int] | None:
-        if tree is self._cached_tree:
-            return self._cached_scoped
-        uses_op_scope = False
-        scoped: set[int] = set()
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.With, ast.AsyncWith)):
-                if any(
-                    isinstance(item.context_expr, ast.Call)
-                    and _call_name(item.context_expr) == "op_scope"
-                    for item in node.items
-                ):
-                    uses_op_scope = True
-                    for stmt in node.body:
-                        scoped.update(id(child) for child in ast.walk(stmt))
-        result = scoped if uses_op_scope else None
-        self._cached_tree = tree
-        self._cached_scoped = result
-        return result
-
-
-class TapeInInferenceRule(Rule):
-    """Tape-building ops in ``repro.serve`` hot paths outside ``no_grad``.
-
-    The serving engine's contract is that inference never builds a
-    tape: no backward closures allocated, no intermediates retained,
-    and the batched/single bit-identity argument rests on eval-mode
-    forwards being pure functions of the inputs. A ``model.forward``/
-    ``encode``/``embed`` call in serve code that is not lexically
-    inside a ``with no_grad():`` block silently re-enables tape
-    recording — every request leaks its graph of backward closures
-    until something drops the result. ``.backward()`` has no business
-    in serving at all and is flagged unconditionally. Lexical scoping
-    is deliberate: it forces the serve modules to keep the guard
-    visible at the call site (wrappers that hide it defeat review).
-    Intentional exceptions — e.g. a debug endpoint that inspects
-    gradients — carry a ``# lint: disable=tape-in-inference``
-    justification.
-    """
-
-    rule_id = "tape-in-inference"
-    severity = Severity.ERROR
-    description = (
-        "forward/encode/embed outside no_grad() (or any .backward()) "
-        "in repro.serve"
-    )
-    node_types = (ast.Call,)
-
-    _TAPE_BUILDERS = frozenset({"forward", "encode", "embed"})
-
-    def __init__(self) -> None:
-        # Same per-module cache shape as MissingOpScopeRule: ids of
-        # nodes lexically inside a `with no_grad():` body for the tree
-        # currently being walked.
-        self._cached_tree: ast.Module | None = None
-        self._cached_guarded: set[int] | None = None
-
-    def check(self, node: ast.Call, ctx: Context) -> Iterator[Finding]:
-        if not self._in_scope(ctx.path):
-            return
-        name = _call_name(node)
-        if name == "backward":
-            yield self.finding(
-                node,
-                ctx,
-                ".backward() in serving code builds and consumes a tape; "
-                "inference must stay gradient-free — move training out of "
-                "repro.serve or justify with # lint: disable=tape-in-inference",
-            )
-            return
-        if name not in self._TAPE_BUILDERS:
-            return
-        # `"x".encode("ascii")` is a codec call, not the aligner's
-        # tape-building `model.encode()`: the model API takes no
-        # arguments, codec encodes take the codec name.
-        if name in ("encode", "embed") and (node.args or node.keywords):
-            return
-        if id(node) in self._guarded_nodes(ctx.tree):
-            return
-        yield self.finding(
-            node,
-            ctx,
-            f".{name}() outside a lexical `with no_grad():` block records "
-            "a tape per request and leaks backward closures under load; "
-            "wrap the call site (or justify with "
-            "# lint: disable=tape-in-inference)",
-        )
-
-    def _guarded_nodes(self, tree: ast.Module) -> set[int]:
-        if tree is self._cached_tree:
-            return self._cached_guarded
-        guarded: set[int] = set()
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.With, ast.AsyncWith)):
-                if any(
-                    isinstance(item.context_expr, ast.Call)
-                    and _call_name(item.context_expr) == "no_grad"
-                    for item in node.items
-                ):
-                    for stmt in node.body:
-                        guarded.update(id(child) for child in ast.walk(stmt))
-        self._cached_tree = tree
-        self._cached_guarded = guarded
-        return guarded
-
-    @staticmethod
-    def _in_scope(path: str) -> bool:
-        """True for files inside the ``repro.serve`` package."""
-        parts = path.replace("\\", "/").split("/")
-        if "repro" not in parts:
-            return False
-        rest = parts[len(parts) - 1 - parts[::-1].index("repro"):]
-        return len(rest) >= 2 and rest[1] == "serve"
-
-
-class UntracedServePathRule(Rule):
-    """``PendingRequest`` resolved or failed outside a request span.
-
-    Every request through ``repro.serve`` owns a span tree; the tree
-    is only complete if the terminal transition — ``._resolve()`` or
-    ``._fail()`` — happens inside that request's ``resolve`` stage
-    span. A resolution outside a ``with ...stage(...)`` block produces
-    an orphaned tail: the trace shows the request forever in flight,
-    per-stage percentiles silently drop the resolve cost, and the p99
-    exemplar can point at a tree with no end. Lexical scoping again:
-    the ``with <trace>.stage("resolve"):`` guard must be visible at
-    the call site. Intentional exceptions (e.g. a shutdown path that
-    fails requests without trace machinery) carry a
-    ``# lint: disable=untraced-serve-path`` justification.
-    """
-
-    rule_id = "untraced-serve-path"
-    severity = Severity.ERROR
-    description = (
-        "PendingRequest._resolve/._fail outside a `with ...stage(...)` "
-        "request-span block in repro.serve"
-    )
-    node_types = (ast.Call,)
-
-    _TERMINALS = frozenset({"_resolve", "_fail"})
-
-    def __init__(self) -> None:
-        # Same per-module cache shape as TapeInInferenceRule: ids of
-        # nodes lexically inside a `with <x>.stage(...):` body for the
-        # tree currently being walked.
-        self._cached_tree: ast.Module | None = None
-        self._cached_guarded: set[int] | None = None
-
-    def check(self, node: ast.Call, ctx: Context) -> Iterator[Finding]:
-        if not self._in_scope(ctx.path):
-            return
-        if not isinstance(node.func, ast.Attribute):
-            return
-        name = node.func.attr
-        if name not in self._TERMINALS:
-            return
-        if id(node) in self._guarded_nodes(ctx.tree):
-            return
-        yield self.finding(
-            node,
-            ctx,
-            f".{name}() outside a `with ...stage(...)` block leaves the "
-            "request's span tree without a resolve stage; wrap the call "
-            "site in the request's stage span (or justify with "
-            "# lint: disable=untraced-serve-path)",
-        )
-
-    def _guarded_nodes(self, tree: ast.Module) -> set[int]:
-        if tree is self._cached_tree:
-            return self._cached_guarded
-        guarded: set[int] = set()
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.With, ast.AsyncWith)):
-                if any(
-                    isinstance(item.context_expr, ast.Call)
-                    and _call_name(item.context_expr) == "stage"
-                    for item in node.items
-                ):
-                    for stmt in node.body:
-                        guarded.update(id(child) for child in ast.walk(stmt))
-        self._cached_tree = tree
-        self._cached_guarded = guarded
-        return guarded
-
-    @staticmethod
-    def _in_scope(path: str) -> bool:
-        """True for files inside the ``repro.serve`` package."""
-        parts = path.replace("\\", "/").split("/")
-        if "repro" not in parts:
-            return False
-        rest = parts[len(parts) - 1 - parts[::-1].index("repro"):]
-        return len(rest) >= 2 and rest[1] == "serve"
+        rest = package_path(path)
+        return rest is not None and rest not in cls._GUARDED
 
 
 class UnledgeredEntrypointRule(Rule):
@@ -966,16 +618,10 @@ class UnledgeredEntrypointRule(Rule):
     @staticmethod
     def _in_scope(path: str) -> bool:
         """True only for the package's ``cli.py`` itself."""
-        parts = path.replace("\\", "/").split("/")
-        if "repro" not in parts:
-            return False
-        rest = parts[len(parts) - 1 - parts[::-1].index("repro"):]
-        return rest == ["repro", "cli.py"]
+        return package_path(path) == ("cli.py",)
 
 
 CORE_RULES: tuple[type[Rule], ...] = (
-    TapeMutationRule,
-    UnregisteredParameterRule,
     GlobalRngRule,
     ForbiddenImportRule,
     MissingZeroGradRule,
@@ -987,8 +633,5 @@ CORE_RULES: tuple[type[Rule], ...] = (
     RawMultiprocessingRule,
     NakedPrintRule,
     UncheckedNanSourceRule,
-    MissingOpScopeRule,
-    TapeInInferenceRule,
-    UntracedServePathRule,
     UnledgeredEntrypointRule,
 )

@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.analysis import lint_paths, render_json, render_text
+from repro.analysis import lint_paths, lint_roots, render_json, render_text
 from repro.autograd import kernels
 from repro.obs import ProfileSession, record_events, render_diff, render_run
 from repro.obs.health import MODES, HealthMonitor, NumericsAnomaly
@@ -226,7 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     lint = commands.add_parser(
-        "lint", help="static analysis enforcing autograd/NAS invariants"
+        "lint",
+        help="static analysis of the invariants no test executes (seeded "
+        "RNG, numpy-only imports, package layering)",
     )
     lint.add_argument(
         "paths",
@@ -234,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "files or directories to lint (default: the repro package "
-            "plus the checkout's examples/ and scripts/ trees)"
+            "plus the checkout's tests/, benchmarks/, examples/ and "
+            "scripts/ trees)"
         ),
     )
     lint.add_argument("--format", choices=("text", "json"), default="text")
@@ -567,20 +570,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _default_lint_paths() -> list[str]:
-    """The package itself plus the repo-level examples/ and scripts/
-    trees when running from a source checkout (they don't ship in an
-    installed package, so their absence is not an error)."""
-    package_dir = os.path.dirname(os.path.abspath(__file__))
-    repo_root = os.path.dirname(os.path.dirname(package_dir))
-    paths = [package_dir]
-    for name in ("examples", "scripts"):
-        candidate = os.path.join(repo_root, name)
-        if os.path.isdir(candidate):
-            paths.append(candidate)
-    return paths
-
-
 def _ledger_env(args) -> dict:
     """One env-fingerprint shape for every handler's manifest."""
     return env_fingerprint(
@@ -625,7 +614,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def _cmd_lint(args) -> int:
     """``repro lint``: static analysis of repo invariants."""
-    paths = args.paths or _default_lint_paths()
+    paths = args.paths or lint_roots()
     try:
         result = lint_paths(paths)
     except FileNotFoundError as exc:

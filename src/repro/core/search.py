@@ -318,7 +318,7 @@ class SaneSearcher:
             for w in weights
         ]
         for w, g in zip(weights, train_grads):
-            w.data = w.data - xi * g  # lint: disable=tape-mutation -- Eq. 8 virtual step; the next loss rebuilds the tape
+            w.data = w.data - xi * g
 
         # Validation gradients at w': both d_alpha and d_w'.
         self.supernet.zero_grad()
@@ -338,7 +338,7 @@ class SaneSearcher:
         eps = 0.01 / max(norm, 1e-8)
 
         for w, original, g in zip(weights, saved, dw):
-            w.data = original + eps * g  # lint: disable=tape-mutation -- finite-difference probe; tape rebuilt next loss
+            w.data = original + eps * g
         self.supernet.zero_grad()
         self._loss("train").backward()
         alpha_plus = [
@@ -347,7 +347,7 @@ class SaneSearcher:
         ]
 
         for w, original, g in zip(weights, saved, dw):
-            w.data = original - eps * g  # lint: disable=tape-mutation -- finite-difference probe; tape rebuilt next loss
+            w.data = original - eps * g
         self.supernet.zero_grad()
         self._loss("train").backward()
         alpha_minus = [
@@ -357,7 +357,7 @@ class SaneSearcher:
 
         # Restore w and install the combined gradient on alpha.
         for w, original in zip(weights, saved):
-            w.data = original  # lint: disable=tape-mutation -- restores the saved weights after the probes
+            w.data = original
         self.supernet.zero_grad()
         for alpha, first, plus, minus in zip(alphas, dalpha, alpha_plus, alpha_minus):
             hessian_term = (plus - minus) / (2.0 * eps)

@@ -300,8 +300,8 @@ class GeniePathAggregator(NodeAggregator):
         # output gates sit at sigmoid(0) = 0.5 and the layer attenuates
         # its message by ~4x at init — stacked layers then barely train.
         # Biasing both gates open restores unit-scale signal flow.
-        self.cell.bias.data[:out_dim] = 1.0  # lint: disable=tape-mutation -- bias init before any forward pass records a tape
-        self.cell.bias.data[3 * out_dim :] = 1.0  # lint: disable=tape-mutation -- bias init before any forward pass records a tape
+        self.cell.bias.data[:out_dim] = 1.0
+        self.cell.bias.data[3 * out_dim :] = 1.0
 
     def forward(
         self, x: Tensor, cache: GraphCache, ctx: LayerContext | None = None

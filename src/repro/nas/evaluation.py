@@ -318,7 +318,7 @@ class ArchitectureEvaluator:
         for name, key in self._shared_keys(model, indices):
             stored = self._bank.get(key)
             if stored is not None and stored.shape == params[name].data.shape:
-                params[name].data = stored.copy()  # lint: disable=tape-mutation -- weight-sharing bank restore before the candidate trains
+                params[name].data = stored.copy()
 
     def _store_shared(self, model: Module, indices: tuple[int, ...]) -> None:
         params = dict(model.named_parameters())

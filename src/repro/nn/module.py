@@ -49,8 +49,6 @@ class Module:
 
     def modules(self) -> Iterator["Module"]:
         yield self
-        for value in vars(self).items():
-            pass
         for value in vars(self).values():
             yield from _modules_of(value)
 
@@ -96,7 +94,7 @@ class Module:
                     f"shape mismatch for {name}: "
                     f"{value.shape} vs {param.data.shape}"
                 )
-            param.data = value.copy()  # lint: disable=tape-mutation -- state restore runs between training steps, no live tape
+            param.data = value.copy()  # restores run between steps, under no live tape
 
     # ------------------------------------------------------------------
     # call protocol

@@ -71,7 +71,7 @@ class SGD(Optimizer):
                 velocity = self.momentum * velocity + grad
                 self._velocity[id(param)] = velocity
                 grad = velocity
-            param.data = param.data - self.lr * grad  # lint: disable=tape-mutation -- the optimiser step is definitionally outside the tape
+            param.data = param.data - self.lr * grad
 
 
 class Adam(Optimizer):
@@ -113,7 +113,7 @@ class Adam(Optimizer):
             self._v[key] = v
             m_hat = m / bias1
             v_hat = v / bias2
-            param.data = param.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)  # lint: disable=tape-mutation -- the optimiser step is definitionally outside the tape
+            param.data = param.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 def clip_grad_norm(params: list[Parameter], max_norm: float) -> float:

@@ -23,8 +23,8 @@ so a batch of N requests over one graph pays it once instead of N
 times.
 
 Every forward runs inside ``no_grad()``, so no tape is built — no
-backward closures, no retained intermediates (the ``tape-in-inference``
-lint rule keeps it that way). Predictions are sliced from logits
+backward closures, no retained intermediates (tier-1 serves under a
+tape probe and asserts nothing is recorded). Predictions are sliced from logits
 shared by every request they serve, which makes batched results
 bit-identical to single-request results by construction: both slice
 the same deterministic eval-mode forward. Slices are always fresh

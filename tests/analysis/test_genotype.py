@@ -1,155 +1,126 @@
-"""Genotype validation: op-table collection, Architecture literals and
-the cross-file registry-consistency checks."""
+"""Genotype membership in the Table I space, checked at runtime.
 
-import textwrap
-from pathlib import Path
+``Architecture.__post_init__`` validates every genotype when it is
+built — literal or computed — against the op registries, and
+``core/search_space.py`` asserts at import that every declared op has
+a registry factory. :func:`table_problems` states the remaining
+declaration invariants (the paper's 11/3/2 op counts, no repeated
+names, no op without a factory); the seeded tables below show each
+one is caught.
+"""
 
-import repro
-from repro.analysis import (
-    GenotypeRule,
-    Severity,
-    analyze_source,
-    collect_op_tables,
-    consistency_findings,
+import numpy as np
+import pytest
+
+from repro.core.search_space import (
+    LAYER_OPS,
+    NODE_OPS,
+    SKIP_OPS,
+    Architecture,
+    SearchSpace,
 )
+from repro.gnn.aggregators import NODE_AGGREGATORS
+from repro.gnn.layer_aggregators import LAYER_AGGREGATORS
 
-SPACE_SRC = textwrap.dedent(
+# Paper Table I op counts (the 11^K * 2^(K-1) * 3 space of Section III-C).
+PAPER_SIZES = {"NODE_OPS": 11, "LAYER_OPS": 3, "SKIP_OPS": 2}
+
+
+def table_problems(tables: dict, registries: dict) -> list[str]:
+    """Violations of the op-table invariants.
+
+    ``tables`` maps ``NODE_OPS``/``LAYER_OPS``/``SKIP_OPS`` to op-name
+    tuples; ``registries`` maps a table name to the registry whose
+    factories its names must have.
     """
-    NODE_OPS = ("gcn", "gat")
-    LAYER_OPS = ("concat",)
-    SKIP_OPS = ("identity", "zero")
-    """
-)
-REGISTRY_SRC = textwrap.dedent(
-    """
-    NODE_AGGREGATORS = {"gcn": object, "gat": object}
-    LAYER_AGGREGATORS = {"concat": object}
-    """
-)
+    problems = []
+    for name, ops in tables.items():
+        if len(ops) != PAPER_SIZES[name]:
+            problems.append(f"{name} has {len(ops)} ops; Table I has {PAPER_SIZES[name]}")
+        repeated = sorted({op for op in ops if ops.count(op) > 1})
+        if repeated:
+            problems.append(f"{name} repeats {repeated}")
+        missing = sorted(set(ops) - set(registries.get(name, ops)))
+        if missing:
+            problems.append(f"{name} has no factory for {missing}")
+    return problems
 
 
-def tables():
-    return collect_op_tables(
-        [("space.py", SPACE_SRC), ("registry.py", REGISTRY_SRC)]
-    )
-
-
-def run(source: str):
-    return analyze_source(
-        textwrap.dedent(source), path="snippet.py", rules=[GenotypeRule(tables())]
-    )
+REAL_TABLES = {"NODE_OPS": NODE_OPS, "LAYER_OPS": LAYER_OPS, "SKIP_OPS": SKIP_OPS}
+REAL_REGISTRIES = {"NODE_OPS": NODE_AGGREGATORS, "LAYER_OPS": LAYER_AGGREGATORS}
 
 
 class TestOpTables:
     def test_collects_tuples_and_registry_keys(self):
-        t = tables()
-        assert t.names("NODE_OPS") == ("gcn", "gat")
-        assert t.names("NODE_AGGREGATORS") == ("gcn", "gat")
-        assert t.skip_names == ("identity", "zero")
-        assert t.layer_names == ("concat",)
+        # The search-space tuples name exactly the registries' factories.
+        assert NODE_OPS == tuple(NODE_AGGREGATORS)
+        assert LAYER_OPS == tuple(LAYER_AGGREGATORS)
+        assert SKIP_OPS == ("identity", "zero")
 
-    def test_registry_wins_over_tuple_for_validation(self):
-        t = collect_op_tables(
-            [("a.py", "NODE_OPS = ('gcn',)\nNODE_AGGREGATORS = {'gcn': 1, 'extra': 2}\n")]
-        )
-        assert t.node_names == ("gcn", "extra")
+    def test_registry_wins_over_tuple_for_validation(self, monkeypatch):
+        # Genotypes validate against the registry: an op with a factory
+        # but outside NODE_OPS is a valid (restricted-space) genotype.
+        with pytest.raises(ValueError, match="extra"):
+            Architecture(("extra",), ("identity",), "concat")
+        monkeypatch.setitem(NODE_AGGREGATORS, "extra", NODE_AGGREGATORS["gcn"])
+        assert Architecture(("extra",), ("identity",), "concat").num_layers == 1
 
 
 class TestGenotypeRule:
     def test_unknown_node_op_flagged(self):
-        result = run(
-            """
-            arch = Architecture(("gcn", "bogus"), ("identity", "zero"), "concat")
-            """
-        )
-        assert [f.rule_id for f in result.findings] == ["invalid-genotype"]
-        assert "bogus" in result.findings[0].message
+        with pytest.raises(ValueError, match="bogus"):
+            Architecture(("gcn", "bogus"), ("identity", "zero"), "concat")
 
     def test_arity_mismatch_flagged(self):
-        result = run(
-            """
-            arch = Architecture(("gcn",), ("identity", "zero"), "concat")
-            """
-        )
-        assert [f.rule_id for f in result.findings] == ["invalid-genotype"]
-        assert "skip" in result.findings[0].message
+        with pytest.raises(ValueError, match="skip choice"):
+            Architecture(("gcn",), ("identity", "zero"), "concat")
 
     def test_unknown_skip_and_layer_ops_flagged(self):
-        result = run(
-            """
-            arch = Architecture(
-                node_aggregators=("gcn",),
-                skip_connections=("residual",),
-                layer_aggregator="attention",
-            )
-            """
-        )
-        ids = [f.rule_id for f in result.findings]
-        assert ids == ["invalid-genotype", "invalid-genotype"]
+        with pytest.raises(ValueError, match="residual"):
+            Architecture(("gcn",), ("residual",), "concat")
+        with pytest.raises(ValueError, match="attention"):
+            Architecture(("gcn",), ("identity",), "attention")
 
     def test_valid_literal_is_clean(self):
-        result = run(
-            """
-            arch = Architecture(("gcn", "gat"), ("identity", "zero"), "concat")
-            """
-        )
-        assert result.findings == []
+        arch = Architecture(("gcn", "gat"), ("identity", "zero"), "concat")
+        assert arch.num_layers == 2
 
     def test_dynamic_arguments_are_skipped(self):
-        result = run(
-            """
-            arch = Architecture(tuple(nodes), skips, layer_op)
-            """
-        )
-        assert result.findings == []
+        # Computed genotypes get the same check as literals: every
+        # sample of the full space is valid, a computed bad one is not.
+        space = SearchSpace(num_layers=3)
+        rng = np.random.default_rng(0)
+        for __ in range(20):
+            assert space.contains(space.sample(rng))
+        nodes = [op.upper() for op in NODE_OPS[:2]]
+        with pytest.raises(ValueError, match="node aggregators"):
+            Architecture(tuple(nodes), SKIP_OPS, LAYER_OPS[0])
 
 
 class TestConsistency:
     def test_registry_drift_is_an_error(self):
-        drifted = collect_op_tables(
-            [
-                ("space.py", "NODE_OPS = ('gcn', 'gat')\n"),
-                ("registry.py", "NODE_AGGREGATORS = {'gcn': 1}\n"),
-            ]
+        problems = table_problems(
+            {"NODE_OPS": NODE_OPS}, {"NODE_OPS": {"gcn": object}}
         )
-        findings = consistency_findings(drifted)
-        drift = [f for f in findings if f.rule_id == "registry-drift"]
-        assert len(drift) == 1
-        assert drift[0].severity is Severity.ERROR
-        assert "gat" in drift[0].message
+        assert any("no factory" in p and "gat" in p for p in problems)
 
     def test_duplicate_names_in_tuple_flagged(self):
-        duplicated = collect_op_tables(
-            [("space.py", "SKIP_OPS = ('zero', 'zero')\n")]
-        )
-        findings = consistency_findings(duplicated)
-        assert any(
-            f.rule_id == "registry-drift" and "zero" in f.message for f in findings
-        )
+        problems = table_problems({"SKIP_OPS": ("zero", "zero")}, {})
+        assert problems == ["SKIP_OPS repeats ['zero']"]
 
     def test_paper_size_deviation_is_a_warning(self):
-        findings = consistency_findings(tables())
-        sizes = [f for f in findings if f.rule_id == "paper-space-size"]
-        # NODE_OPS has 2 ops (paper: 11) and LAYER_OPS has 1 (paper: 3).
-        assert len(sizes) == 2
-        assert all(f.severity is Severity.WARNING for f in sizes)
+        problems = table_problems(
+            {"NODE_OPS": ("gcn", "gat"), "LAYER_OPS": ("concat",)}, {}
+        )
+        assert problems == [
+            "NODE_OPS has 2 ops; Table I has 11",
+            "LAYER_OPS has 1 ops; Table I has 3",
+        ]
 
 
 class TestRealSearchSpace:
     """The shipped declarations must validate against themselves."""
 
     def test_repo_tables_are_consistent(self):
-        root = Path(repro.__file__).parent
-        sources = [
-            (str(p), p.read_text(encoding="utf-8"))
-            for p in (
-                root / "core" / "search_space.py",
-                root / "gnn" / "aggregators.py",
-                root / "gnn" / "layer_aggregators.py",
-            )
-        ]
-        t = collect_op_tables(sources)
-        assert t.names("NODE_OPS") is not None
-        assert len(t.names("NODE_OPS")) == 11
-        assert "sage-sum" in t.node_names
-        assert consistency_findings(t) == []
+        assert table_problems(REAL_TABLES, REAL_REGISTRIES) == []
+        assert SearchSpace(num_layers=3).size() == 11**3 * 2**3 * 3

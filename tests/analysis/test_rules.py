@@ -1,8 +1,19 @@
 """Per-rule fixtures: one violating and one clean snippet each, plus
-suppression-comment behavior and the reporters."""
+suppression-comment behavior, package scoping and the reporters.
 
+The tests of the checks that moved out of the analyzer keep their ids
+and plant the same defects in running code: ``TestTapeMutation`` under
+the contract probe, ``TestUnregisteredParameter`` under the
+registration walk, ``TestTapeInInference`` and ``TestUntracedServePath``
+through a real ``ServeServer`` (EXPERIMENTS "Lint rule audit").
+"""
+
+import contextlib
 import json
 import textwrap
+
+import numpy as np
+import pytest
 
 from repro.analysis import (
     Severity,
@@ -11,6 +22,19 @@ from repro.analysis import (
     render_json,
     render_text,
 )
+from repro.analysis.rules import package_path
+from repro.autograd import no_grad, ops
+from repro.autograd.tensor import Tensor
+from repro.gnn.aggregators import GCNAggregator
+from repro.gnn.common import GraphCache
+from repro.nn.layers import MLP, Linear
+from repro.nn.module import Module, Parameter
+from repro.nn.optim import Adam
+from repro.serve import InferenceEngine, ServeServer
+from repro.serve import engine as serve_engine
+from tests.autograd.contract_probe import ContractViolation, contract_probe
+from tests.helpers import unregistered_tensors
+from tests.serve.conftest import foreign_graph, serve_traced, serving_tape
 
 
 def run(source: str):
@@ -23,85 +47,94 @@ def rule_ids(result) -> list[str]:
     return [finding.rule_id for finding in result.findings]
 
 
+def _linear_loss():
+    """A Linear layer and a scalar loss whose tape is still live."""
+    layer = Linear(3, 2, np.random.default_rng(0))
+    return layer, ops.sum(layer(Tensor(np.ones((4, 3)))))
+
+
 class TestTapeMutation:
+    """Runtime replacement: the contract probe. A backward must find the
+    arrays its tape recorded unchanged and still bound, so a
+    ``Tensor.data`` write between a forward and its backward raises; a
+    write before the forward or after the backward does not."""
+
     def test_flags_data_write_outside_init(self):
-        result = run(
-            """
-            def sgd_step(param, lr):
-                param.data = param.data - lr * param.grad
-            """
-        )
-        assert rule_ids(result) == ["tape-mutation"]
-        assert result.findings[0].severity is Severity.ERROR
+        with contract_probe():
+            layer, loss = _linear_loss()
+            layer.weight.data = layer.weight.data - 0.1
+            with pytest.raises(ContractViolation, match="parent 1 data rebound"):
+                loss.backward()
 
     def test_flags_subscript_write(self):
-        result = run(
-            """
-            def clamp(param):
-                param.data[0] = 0.0
-            """
-        )
-        assert rule_ids(result) == ["tape-mutation"]
+        with contract_probe():
+            layer, loss = _linear_loss()
+            layer.weight.data[0] = 0.0
+            with pytest.raises(ContractViolation, match="parent 1 storage changed"):
+                loss.backward()
 
     def test_allows_direct_attr_in_init(self):
-        result = run(
-            """
-            class Layer:
-                def __init__(self):
-                    self.weight = Parameter(zeros(3))
-                    self.weight.data[0] = 1.0
-
-                def reset_parameters(self):
-                    self.weight.data = zeros(3)
-            """
-        )
-        assert rule_ids(result) == []
+        # Initialisation writes (GeniePath opens its LSTM gate biases in
+        # __init__) happen before any tape exists.
+        with contract_probe() as probe:
+            layer = Linear(3, 2, np.random.default_rng(0))
+            layer.bias.data[:] = 1.0
+            ops.sum(layer(Tensor(np.ones((4, 3))))).backward()
+        assert probe.violations == []
+        assert probe.backward_calls > 0
 
     def test_flags_submodule_write_even_in_init(self):
-        result = run(
-            """
-            class Layer:
-                def __init__(self):
-                    self.cell.bias.data[0] = 1.0
-            """
-        )
-        assert rule_ids(result) == ["tape-mutation"]
+        # Re-initialising a submodule while a tape is live is caught,
+        # however deep the parameter sits.
+        model = MLP([3, 4, 2], np.random.default_rng(0))
+        with contract_probe():
+            loss = ops.sum(model(Tensor(np.ones((4, 3)))))
+            model.layers[0].bias.data[:] = 1.0
+            with pytest.raises(ContractViolation, match="storage changed"):
+                loss.backward()
 
     def test_plain_self_data_attribute_is_fine(self):
-        result = run(
-            """
-            class Holder:
-                def bind(self, data):
-                    self.data = data
-            """
-        )
-        assert rule_ids(result) == []
+        # Optimiser steps and state restores rebind `.data` between
+        # tapes: every backward still sees its own arrays.
+        layer = Linear(3, 2, np.random.default_rng(0))
+        optimizer = Adam(layer.parameters(), lr=0.1)
+        state = layer.state_dict()
+        with contract_probe() as probe:
+            for __ in range(2):
+                optimizer.zero_grad()
+                ops.sum(layer(Tensor(np.ones((4, 3))))).backward()
+                optimizer.step()
+            layer.load_state_dict(state)
+            ops.sum(layer(Tensor(np.ones((4, 3))))).backward()
+        assert probe.violations == []
+        assert probe.backward_calls > 0
+
+
+class _ExtraTensorAggregator(GCNAggregator):
+    """The seeded defect: a trainable tensor that is not a Parameter."""
+
+    def __init__(self, in_dim, out_dim, rng):
+        super().__init__(in_dim, out_dim, rng)
+        self.extra = Tensor(np.ones(3), requires_grad=True)
 
 
 class TestUnregisteredParameter:
+    """Runtime replacement: the registration walk over every module
+    (``tests/nn/test_parameter_registration.py``)."""
+
     def test_flags_requires_grad_tensor_on_self(self):
-        result = run(
-            """
-            class Layer:
-                def __init__(self, x):
-                    self.w = Tensor(x, requires_grad=True)
-            """
-        )
-        assert rule_ids(result) == ["unregistered-parameter"]
+        model = _ExtraTensorAggregator(4, 6, np.random.default_rng(0))
+        assert unregistered_tensors(model) == ["_ExtraTensorAggregator.extra"]
 
     def test_clean_parameter_and_module_level_tensor(self):
-        result = run(
-            """
-            CONSTANT = Tensor(x, requires_grad=True)
+        class Layer(Module):
+            def __init__(self):
+                super().__init__()
+                self.w = Parameter(np.ones(3))
+                self.stack = [Parameter(np.ones(2))]
+                self.buffer = Tensor(np.ones(3))  # no grad: state, not weight
 
-            class Layer:
-                def __init__(self, x):
-                    self.w = Parameter(x)
-                    self.buffer = Tensor(x)
-            """
-        )
-        assert rule_ids(result) == []
-
+        assert unregistered_tensors(Layer()) == []
 
 class TestGlobalRng:
     def test_flags_global_calls(self):
@@ -616,163 +649,94 @@ class TestUncheckedNanSource:
 
 
 class TestTapeInInference:
-    SERVE_PATH = "src/repro/serve/engine.py"
+    """Runtime replacement: serving under the contract probe records no
+    tape node (``tests/serve/test_inference_tape.py``). The defect is a
+    serve forward outside ``no_grad``; planting it makes the probe
+    count nodes."""
 
-    def run_at(self, source: str, path: str):
-        return analyze_source(
-            textwrap.dedent(source), path=path, rules=default_rules()
-        )
+    def test_flags_unguarded_forward_in_serve(self, node_artifact, monkeypatch):
+        monkeypatch.setattr(serve_engine, "no_grad", contextlib.nullcontext)
+        probe = serving_tape(node_artifact, foreign_graph(node_artifact))
+        assert sum(probe.ops.values()) > 0
 
-    def test_flags_unguarded_forward_in_serve(self):
-        result = self.run_at(
-            """
-            def hot_path(model, graph, cache):
-                return model.forward(graph.features, cache).numpy()
-            """,
-            self.SERVE_PATH,
-        )
-        assert rule_ids(result) == ["tape-in-inference"]
-        assert result.findings[0].severity is Severity.ERROR
+    def test_flags_unguarded_encode_and_embed(self, kg_artifact, monkeypatch):
+        monkeypatch.setattr(serve_engine, "no_grad", contextlib.nullcontext)
+        probe = serving_tape(kg_artifact)
+        assert sum(probe.ops.values()) > 0
 
-    def test_flags_unguarded_encode_and_embed(self):
-        result = self.run_at(
-            """
-            def align(model):
-                z1, z2 = model.encode()
-                return model.embed()
-            """,
-            self.SERVE_PATH,
-        )
-        assert rule_ids(result) == ["tape-in-inference", "tape-in-inference"]
+    def test_no_grad_block_is_clean(self, node_artifact):
+        model, graph = node_artifact.instantiate()
+        with contract_probe() as probe:
+            with no_grad():
+                model.forward(graph.features, GraphCache(graph))
+        assert sum(probe.ops.values()) == 0
 
-    def test_codec_encode_is_not_the_model_api(self):
-        result = self.run_at(
-            """
-            def key(payload):
-                return payload.encode("utf-8")
-            """,
-            self.SERVE_PATH,
-        )
-        assert rule_ids(result) == []
+    def test_outside_serve_is_out_of_scope(self, node_artifact):
+        # Training records a tape the probe counts, so its zero on the
+        # serve path is not blindness.
+        model, graph = node_artifact.instantiate()
+        with contract_probe() as probe:
+            ops.sum(model.forward(graph.features, GraphCache(graph))).backward()
+        assert sum(probe.ops.values()) > 0
+        assert probe.backward_calls > 0
 
-    def test_backward_is_flagged_even_inside_no_grad(self):
-        result = self.run_at(
-            """
-            def bad(model, loss):
-                with no_grad():
-                    loss.backward()
-            """,
-            self.SERVE_PATH,
-        )
-        assert rule_ids(result) == ["tape-in-inference"]
 
-    def test_no_grad_block_is_clean(self):
-        result = self.run_at(
-            """
-            def hot_path(model, graph, cache):
-                with no_grad():
-                    logits = model.forward(graph.features, cache).numpy()
-                return logits
-            """,
-            self.SERVE_PATH,
-        )
-        assert rule_ids(result) == []
+def _settle_outside_stage(self, batch, results=None, error=None):
+    """The seeded defect: resolve and fail with no ``resolve`` stage."""
+    now = self._clock()
+    for index, pending in enumerate(batch):
+        if error is None:
+            pending._resolve(results[index], now)
+            pending.trace.finish(status="ok")
+        else:
+            pending._fail(error, now)
+            pending.trace.finish(status="error", error=type(error).__name__)
 
-    def test_outside_serve_is_out_of_scope(self):
-        source = """
-            def train_step(model, batch):
-                loss = model.forward(batch).sum()
-                loss.backward()
-            """
-        assert rule_ids(self.run_at(source, "src/repro/train/trainer.py")) == []
-        assert rule_ids(self.run_at(source, "tests/serve/test_engine.py")) == []
 
-    def test_suppressible_inline(self):
-        result = self.run_at(
-            """
-            def debug_endpoint(model, x):
-                return model.forward(x)  # lint: disable=tape-in-inference -- grad probe
-            """,
-            self.SERVE_PATH,
-        )
-        assert result.findings == []
-        assert [f.rule_id for f in result.suppressed] == ["tape-in-inference"]
+def _settle_beside_empty_stage(self, batch, results=None, error=None):
+    """The seeded defect: a ``resolve`` stage opens, but only after the
+    request was resolved or failed outside it."""
+    now = self._clock()
+    for index, pending in enumerate(batch):
+        if error is None:
+            pending._resolve(results[index], now)
+        else:
+            pending._fail(error, now)
+        with pending.trace.stage("resolve"):
+            pass
+        pending.trace.finish(status="ok" if error is None else "error")
+
+
+def _serve_mixed(artifact) -> list[str]:
+    """Tree problems of a memo, a forward and a failing forward request."""
+    foreign = foreign_graph(artifact)
+    requests = [
+        (np.array([0, 1]), None),
+        (np.array([0, 1]), foreign),
+        (np.array([10 ** 9]), foreign),
+    ]
+    return serve_traced(InferenceEngine.from_artifact(artifact), requests)
 
 
 class TestUntracedServePath:
-    SERVE_PATH = "src/repro/serve/server.py"
+    """Runtime replacement: the span-tree checks of
+    ``tests/serve/test_tracing.py``; every request's tree must end in
+    its ``resolve`` stage."""
 
-    def run_at(self, source: str, path: str):
-        return analyze_source(
-            textwrap.dedent(source), path=path, rules=default_rules()
-        )
+    def test_flags_unguarded_resolve_and_fail(self, node_artifact, monkeypatch):
+        monkeypatch.setattr(ServeServer, "_settle", _settle_outside_stage)
+        problems = _serve_mixed(node_artifact)
+        # Each request's tree lacks its resolve stage.
+        assert sum("stages" in p for p in problems) == 3, problems
 
-    def test_flags_unguarded_resolve_and_fail(self):
-        result = self.run_at(
-            """
-            def drain(pending, value, error, now):
-                pending._resolve(value, now)
-                pending._fail(error, now)
-            """,
-            self.SERVE_PATH,
-        )
-        assert rule_ids(result) == [
-            "untraced-serve-path", "untraced-serve-path",
-        ]
-        assert result.findings[0].severity is Severity.ERROR
+    def test_stage_block_is_clean(self, node_artifact):
+        assert _serve_mixed(node_artifact) == []
 
-    def test_stage_block_is_clean(self):
-        result = self.run_at(
-            """
-            def drain(pending, value, now):
-                with pending.trace.stage("resolve"):
-                    pending._resolve(value, now)
-            """,
-            self.SERVE_PATH,
-        )
-        assert rule_ids(result) == []
-
-    def test_guard_must_lexically_contain_the_call(self):
-        result = self.run_at(
-            """
-            def drain(pending, value, now):
-                with pending.trace.stage("resolve"):
-                    pass
-                pending._resolve(value, now)
-            """,
-            self.SERVE_PATH,
-        )
-        assert rule_ids(result) == ["untraced-serve-path"]
-
-    def test_other_private_calls_are_clean(self):
-        result = self.run_at(
-            """
-            def drain(server, pending):
-                server._dispatch(pending)
-                pending._notify()
-            """,
-            self.SERVE_PATH,
-        )
-        assert rule_ids(result) == []
-
-    def test_outside_serve_is_out_of_scope(self):
-        source = """
-            def drain(pending, value, now):
-                pending._resolve(value, now)
-            """
-        assert rule_ids(self.run_at(source, "src/repro/obs/spans.py")) == []
-        assert rule_ids(self.run_at(source, "tests/serve/test_server.py")) == []
-
-    def test_suppressible_inline(self):
-        result = self.run_at(
-            """
-            def shutdown(pending, error, now):
-                pending._fail(error, now)  # lint: disable=untraced-serve-path -- teardown
-            """,
-            self.SERVE_PATH,
-        )
-        assert result.findings == []
-        assert [f.rule_id for f in result.suppressed] == ["untraced-serve-path"]
+    def test_guard_must_lexically_contain_the_call(self, node_artifact, monkeypatch):
+        monkeypatch.setattr(ServeServer, "_settle", _settle_beside_empty_stage)
+        problems = _serve_mixed(node_artifact)
+        assert len(problems) == 3, problems
+        assert all("resolved outside its resolve stage" in p for p in problems)
 
 
 class TestUnledgeredEntrypoint:
@@ -851,21 +815,21 @@ class TestSuppression:
     def test_inline_disable_moves_finding_to_suppressed(self):
         result = run(
             """
-            def sgd_step(param, lr):
-                param.data = param.data - lr  # lint: disable=tape-mutation -- optimiser
+            import numpy as np
+            np.random.seed(0)  # lint: disable=global-rng -- legacy fixture
             """
         )
         assert result.findings == []
-        assert [f.rule_id for f in result.suppressed] == ["tape-mutation"]
+        assert [f.rule_id for f in result.suppressed] == ["global-rng"]
 
     def test_disable_other_rule_does_not_suppress(self):
         result = run(
             """
-            def sgd_step(param, lr):
-                param.data = param.data - lr  # lint: disable=bare-except
+            import numpy as np
+            np.random.seed(0)  # lint: disable=bare-except
             """
         )
-        assert rule_ids(result) == ["tape-mutation"]
+        assert rule_ids(result) == ["global-rng"]
 
     def test_disable_all_and_comma_list(self):
         result = run(
@@ -886,6 +850,35 @@ class TestSuppression:
         )
         assert rule_ids(result) == ["forbidden-import"]
         assert result.findings[0].line == 3
+
+
+class TestPackageScope:
+    """Path-scoped rules see the package wherever the checkout lives,
+    a checkout directory named ``repro`` included."""
+
+    def test_checkout_named_repro_is_not_the_package(self):
+        assert package_path("/x/repro/tests/core/t.py") is None
+        assert package_path("/x/repro/examples/quickstart.py") is None
+
+    def test_package_paths_keep_their_scope(self):
+        assert package_path("/x/repro/src/repro/train/trainer.py") == (
+            "train", "trainer.py",
+        )
+        assert package_path("site-packages/repro/obs/spans.py") == (
+            "obs", "spans.py",
+        )
+
+    def test_scoped_rules_skip_checkout_files(self):
+        source = "import time\nprint(time.perf_counter())\n"
+
+        def ids_at(path):
+            return sorted(rule_ids(analyze_source(source, path, default_rules())))
+
+        assert ids_at("/x/repro/tests/core/t.py") == []
+        assert ids_at("/x/repro/examples/quickstart.py") == []
+        assert ids_at("/x/repro/src/repro/train/trainer.py") == [
+            "adhoc-timing", "naked-print",
+        ]
 
 
 class TestEngineAndReporters:

@@ -12,7 +12,10 @@ contracts by *executing* the ops. It is a tape hook (registered through
 * wraps the backward closure, and after the closure runs asserts
   ``len(grads) == len(parents)``, a non-``None`` gradient for every
   parent with ``requires_grad``, and that every recorded array still
-  equals its copy (``equal_nan``) — a write through any alias shows up;
+  equals its copy (``equal_nan``) — a write through any alias shows up
+  — and that every parent still holds the array it held at record time,
+  so rebinding ``w.data`` between a forward and its backward shows up
+  too;
 * records each float ``ndarray`` the closure captures beyond the output
   and the parents (directly, or inside a tuple/list cell), keyed by the
   op and the free-variable name.
@@ -174,9 +177,9 @@ class ContractProbe:
             i for i, parent in enumerate(parents) if parent.requires_grad
         )
         self._record_captures(key, data, parents, backward_fn)
-        recorded = [("output", data, np.array(data, copy=True))]
+        recorded = [("output", None, data, np.array(data, copy=True))]
         recorded.extend(
-            (f"parent {i}", parent.data, np.array(parent.data, copy=True))
+            (f"parent {i}", parent, parent.data, np.array(parent.data, copy=True))
             for i, parent in enumerate(parents)
         )
 
@@ -211,8 +214,10 @@ class ContractProbe:
         for i, (parent, grad) in enumerate(zip(parents, grads)):
             if grad is None and parent.requires_grad:
                 problems.append(f"dropped the gradient of parent {i}")
-        for label, array, copy in recorded:
-            if not np.array_equal(array, copy, equal_nan=True):
+        for label, owner, array, copy in recorded:
+            if owner is not None and owner.data is not array:
+                problems.append(f"{label} data rebound before the backward")
+            elif not np.array_equal(array, copy, equal_nan=True):
                 problems.append(f"{label} storage changed after the backward")
         if problems:
             message = f"{key}: " + "; ".join(problems)

@@ -7,11 +7,20 @@ import os
 import numpy as np
 import pytest
 
+from repro.core.search_space import Architecture
+from repro.experiments.config import SCALES
 from repro.graph.data import Graph, MultiGraphDataset
 from repro.graph.datasets import transductive_split
 from repro.graph.generators import citation_graph, community_multilabel_graph
 from repro.gnn.common import GraphCache
+from repro.serve import export_alignment, export_architecture
 from tests.naive_kernels import naive_kernels  # noqa: F401  (fixture)
+
+GENOTYPE = Architecture(
+    node_aggregators=("gat", "gcn"),
+    skip_connections=("identity", "identity"),
+    layer_aggregator="concat",
+)
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -28,6 +37,23 @@ def _isolated_run_history(tmp_path_factory):
     history = tmp_path_factory.mktemp("run-history")
     os.environ.setdefault("REPRO_HISTORY_DIR", str(history))
     yield
+
+
+@pytest.fixture(scope="session")
+def node_artifact():
+    """A searched-like 2-layer genotype trained on smoke-scale cora.
+
+    Exporting an artifact trains a model, the expensive part of every
+    serving test; session scope amortises it across the suite. Tests
+    must not mutate the fixture artifacts.
+    """
+    return export_architecture(GENOTYPE, "cora", SCALES["smoke"], seed=0)
+
+
+@pytest.fixture(scope="session")
+def kg_artifact():
+    """A smoke-scale entity-alignment encoder bundle (session-scoped)."""
+    return export_alignment(SCALES["smoke"], seed=0)
 
 
 @pytest.fixture

@@ -27,19 +27,19 @@ class TestArchitecture:
 
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError, match="skip choice"):
-            Architecture(("gcn",), ("identity", "zero"), "max")  # lint: disable=invalid-genotype -- deliberately invalid; asserts the constructor rejects it
+            Architecture(("gcn",), ("identity", "zero"), "max")
 
     def test_unknown_node_op_raises(self):
         with pytest.raises(ValueError, match="node aggregators"):
-            Architecture(("conv",), ("identity",), "max")  # lint: disable=invalid-genotype -- deliberately invalid; asserts the constructor rejects it
+            Architecture(("conv",), ("identity",), "max")
 
     def test_unknown_layer_op_raises(self):
         with pytest.raises(ValueError, match="layer aggregator"):
-            Architecture(("gcn",), ("identity",), "mean")  # lint: disable=invalid-genotype -- deliberately invalid; asserts the constructor rejects it
+            Architecture(("gcn",), ("identity",), "mean")
 
     def test_unknown_skip_raises(self):
         with pytest.raises(ValueError, match="skip ops"):
-            Architecture(("gcn",), ("maybe",), "max")  # lint: disable=invalid-genotype -- deliberately invalid; asserts the constructor rejects it
+            Architecture(("gcn",), ("maybe",), "max")
 
     def test_describe_format(self):
         arch = Architecture(("gcn", "gat"), ("identity", "zero"), "lstm")

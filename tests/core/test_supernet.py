@@ -86,8 +86,8 @@ class TestForward:
         """With one-hot-ish alphas the mixture equals the single op path."""
         net = make_supernet(tiny_graph, dropout=0.0, normalize_ops=False)
         net.eval()
-        net.alpha_node.data[:] = 0.0  # lint: disable=tape-mutation -- test pins alpha logits directly; no backward pending
-        net.alpha_node.data[:, 0] = 60.0  # softmax -> ~1 on 'gcn'  # lint: disable=tape-mutation -- test pins alpha logits directly; no backward pending
+        net.alpha_node.data[:] = 0.0
+        net.alpha_node.data[:, 0] = 60.0  # softmax -> ~1 on 'gcn'
         out_mixture = net(tiny_graph.features, tiny_cache).data
 
         # Manually run the gcn-only path.
@@ -127,13 +127,13 @@ class TestEpsilon:
 class TestDerivation:
     def test_derive_picks_argmax(self, tiny_graph):
         net = make_supernet(tiny_graph)
-        net.alpha_node.data[:] = 0.0  # lint: disable=tape-mutation -- test pins alpha logits directly; no backward pending
-        net.alpha_node.data[0, 1] = 5.0  # gat at layer 0  # lint: disable=tape-mutation -- test pins alpha logits directly; no backward pending
-        net.alpha_node.data[1, 2] = 5.0  # sage-mean at layer 1  # lint: disable=tape-mutation -- test pins alpha logits directly; no backward pending
-        net.alpha_skip.data[:] = 0.0  # lint: disable=tape-mutation -- test pins alpha logits directly; no backward pending
-        net.alpha_skip.data[:, 0] = 5.0  # identity  # lint: disable=tape-mutation -- test pins alpha logits directly; no backward pending
-        net.alpha_layer.data[:] = 0.0  # lint: disable=tape-mutation -- test pins alpha logits directly; no backward pending
-        net.alpha_layer.data[0, 1] = 5.0  # max  # lint: disable=tape-mutation -- test pins alpha logits directly; no backward pending
+        net.alpha_node.data[:] = 0.0
+        net.alpha_node.data[0, 1] = 5.0  # gat at layer 0
+        net.alpha_node.data[1, 2] = 5.0  # sage-mean at layer 1
+        net.alpha_skip.data[:] = 0.0
+        net.alpha_skip.data[:, 0] = 5.0  # identity
+        net.alpha_layer.data[:] = 0.0
+        net.alpha_layer.data[0, 1] = 5.0  # max
         arch = net.derive(np.random.default_rng(0))
         assert arch.node_aggregators == ("gat", "sage-mean")
         assert arch.skip_connections == ("identity", "identity")
@@ -145,9 +145,9 @@ class TestDerivation:
 
     def test_uniform_alpha_ties_break_randomly(self, tiny_graph):
         net = make_supernet(tiny_graph)
-        net.alpha_node.data[:] = 0.0  # lint: disable=tape-mutation -- test pins alpha logits directly; no backward pending
-        net.alpha_skip.data[:] = 0.0  # lint: disable=tape-mutation -- test pins alpha logits directly; no backward pending
-        net.alpha_layer.data[:] = 0.0  # lint: disable=tape-mutation -- test pins alpha logits directly; no backward pending
+        net.alpha_node.data[:] = 0.0
+        net.alpha_skip.data[:] = 0.0
+        net.alpha_layer.data[:] = 0.0
         rng = np.random.default_rng(0)
         derived = {net.derive(rng) for __ in range(30)}
         assert len(derived) > 1  # not stuck on index 0
@@ -160,9 +160,9 @@ class TestDerivation:
 
     def test_derive_topk_first_matches_argmax(self, tiny_graph):
         net = make_supernet(tiny_graph)
-        net.alpha_node.data[:] = np.random.default_rng(2).normal(size=net.alpha_node.shape)  # lint: disable=tape-mutation -- test pins alpha logits directly; no backward pending
-        net.alpha_skip.data[:] = np.random.default_rng(3).normal(size=net.alpha_skip.shape)  # lint: disable=tape-mutation -- test pins alpha logits directly; no backward pending
-        net.alpha_layer.data[:] = np.random.default_rng(4).normal(size=net.alpha_layer.shape)  # lint: disable=tape-mutation -- test pins alpha logits directly; no backward pending
+        net.alpha_node.data[:] = np.random.default_rng(2).normal(size=net.alpha_node.shape)
+        net.alpha_skip.data[:] = np.random.default_rng(3).normal(size=net.alpha_skip.shape)
+        net.alpha_layer.data[:] = np.random.default_rng(4).normal(size=net.alpha_layer.shape)
         top1 = net.derive_topk(1)[0]
         argmax = net.derive(np.random.default_rng(0))
         assert top1 == argmax
@@ -175,9 +175,9 @@ class TestDerivation:
         """The lazy k-best expansion equals exhaustive ranking."""
         net = make_supernet(tiny_graph)
         rng = np.random.default_rng(9)
-        net.alpha_node.data[:] = rng.normal(size=net.alpha_node.shape)  # lint: disable=tape-mutation -- test pins alpha logits directly; no backward pending
-        net.alpha_skip.data[:] = rng.normal(size=net.alpha_skip.shape)  # lint: disable=tape-mutation -- test pins alpha logits directly; no backward pending
-        net.alpha_layer.data[:] = rng.normal(size=net.alpha_layer.shape)  # lint: disable=tape-mutation -- test pins alpha logits directly; no backward pending
+        net.alpha_node.data[:] = rng.normal(size=net.alpha_node.shape)
+        net.alpha_skip.data[:] = rng.normal(size=net.alpha_skip.shape)
+        net.alpha_layer.data[:] = rng.normal(size=net.alpha_layer.shape)
 
         def softmax(alpha):
             exp = np.exp(alpha - alpha.max(axis=-1, keepdims=True))

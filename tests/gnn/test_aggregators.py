@@ -114,7 +114,7 @@ class TestGCN:
 
     def test_linear_in_features(self, rng, path_graph, cache):
         agg = GCNAggregator(2, 3, rng)
-        agg.lin.bias.data[:] = 0.0  # lint: disable=tape-mutation -- fixture zeroes the bias before the forward under test
+        agg.lin.bias.data[:] = 0.0
         x = path_graph.features
         out1 = agg(Tensor(x), cache).data
         out2 = agg(Tensor(2 * x), cache).data
@@ -164,7 +164,7 @@ class TestGIN:
     def test_matches_manual_computation(self, rng):
         g = Graph(edge_index=np.array([[0, 1], [1, 0]]), features=np.eye(2))
         agg = GINAggregator(2, 3, rng)
-        agg.eps.data[:] = 0.25  # lint: disable=tape-mutation -- fixture pins eps before the forward under test
+        agg.eps.data[:] = 0.25
         out = agg(Tensor(g.features), GraphCache(g)).data
         combined = (1.25 * np.eye(2)) + np.eye(2)[::-1]
         expected = agg.mlp(Tensor(combined)).data

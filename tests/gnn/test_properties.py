@@ -60,7 +60,7 @@ def test_gcn_feature_scaling_homogeneity(seed):
     """GCN without bias is 1-homogeneous in its input features."""
     graph = random_graph(10, 20, 3, seed)
     agg = create_node_aggregator("gcn", 3, 4, np.random.default_rng(2))
-    agg.lin.bias.data[:] = 0.0  # lint: disable=tape-mutation -- fixture zeroes the bias before the forward under test
+    agg.lin.bias.data[:] = 0.0
     cache = GraphCache(graph)
     out1 = agg(Tensor(graph.features), cache).data
     out3 = agg(Tensor(3.0 * graph.features), cache).data

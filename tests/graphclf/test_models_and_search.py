@@ -89,10 +89,10 @@ class TestGraphSupernet:
             dataset.num_features, dataset.num_classes, FAST_SEARCH,
             np.random.default_rng(0),
         )
-        net.alpha_node.data[:] = 0.0  # lint: disable=tape-mutation -- test pins alpha logits directly; no backward pending
-        net.alpha_node.data[:, 1] = 2.0  # lint: disable=tape-mutation -- test pins alpha logits directly; no backward pending
-        net.alpha_pool.data[:] = 0.0  # lint: disable=tape-mutation -- test pins alpha logits directly; no backward pending
-        net.alpha_pool.data[0, 0] = 2.0  # lint: disable=tape-mutation -- test pins alpha logits directly; no backward pending
+        net.alpha_node.data[:] = 0.0
+        net.alpha_node.data[:, 1] = 2.0
+        net.alpha_pool.data[:] = 0.0
+        net.alpha_pool.data[0, 0] = 2.0
         nodes, pooling = net.derive()
         assert nodes == ("gin", "gin")
         assert pooling == "mean"

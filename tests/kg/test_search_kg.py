@@ -39,9 +39,9 @@ class TestAlignSupernet:
 
     def test_derive_follows_alpha(self, dataset):
         net = AlignSupernet(dataset, FAST, np.random.default_rng(0))
-        net.alpha_node.data[:] = 0.0  # lint: disable=tape-mutation -- test pins alpha logits directly; no backward pending
-        net.alpha_node.data[0, 1] = 3.0  # lint: disable=tape-mutation -- test pins alpha logits directly; no backward pending
-        net.alpha_node.data[1, 2] = 3.0  # lint: disable=tape-mutation -- test pins alpha logits directly; no backward pending
+        net.alpha_node.data[:] = 0.0
+        net.alpha_node.data[0, 1] = 3.0
+        net.alpha_node.data[1, 2] = 3.0
         assert net.derive() == ("gat", "sage-mean")
 
 

@@ -20,7 +20,7 @@ class TestLinear:
 
     def test_zero_input_gives_bias(self, rng):
         layer = Linear(4, 2, rng)
-        layer.bias.data = np.array([1.0, -1.0])  # lint: disable=tape-mutation -- fixture sets deterministic weights before the forward
+        layer.bias.data = np.array([1.0, -1.0])
         out = layer(Tensor(np.zeros((3, 4))))
         np.testing.assert_allclose(out.data, [[1.0, -1.0]] * 3)
 

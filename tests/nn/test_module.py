@@ -77,14 +77,14 @@ class TestStateDict:
         model = Nested()
         state = model.state_dict()
         for p in model.parameters():
-            p.data = p.data + 5.0  # lint: disable=tape-mutation -- state-dict round-trip writes fresh storage on purpose
+            p.data = p.data + 5.0
         model.load_state_dict(state)
         np.testing.assert_allclose(model.leaf.weight.data, np.ones((2, 2)))
 
     def test_state_dict_is_a_copy(self):
         model = Leaf()
         state = model.state_dict()
-        model.weight.data += 1.0  # lint: disable=tape-mutation -- state-dict round-trip writes fresh storage on purpose
+        model.weight.data += 1.0
         np.testing.assert_allclose(state["weight"], np.ones((2, 2)))
 
     def test_missing_key_raises(self):

@@ -99,6 +99,30 @@ def _poison_backward(candidate, target_epoch):
     candidate.forward = poisoned
 
 
+def _poison_mixture(supernet, target_call, target_epoch):
+    """Feed NaN weights to the ``target_call``-th mixture of every
+    forward at ``target_epoch``. ``embed`` mixes node layers 0..K-1
+    (Eq. 3), then skips 0..K-1 (Eq. 4), then the layer aggregators
+    (Eq. 5), so call ``k < K`` is ``node/k`` and call ``2K`` is
+    ``layer/0``. The NaN is born in the ``weighted_sum`` tape node."""
+    embed, mixture = supernet.embed, supernet._mixture
+    calls = []
+
+    def counted_embed(features, cache):
+        calls.clear()
+        return embed(features, cache)
+
+    def poisoned_mixture(alpha_row, num_ops):
+        weights = mixture(alpha_row, num_ops)
+        calls.append(num_ops)
+        if len(calls) - 1 == target_call and _current_epoch() == target_epoch:
+            return Tensor(np.full(num_ops, np.nan))
+        return weights
+
+    supernet.embed = counted_embed
+    supernet._mixture = poisoned_mixture
+
+
 injection_points = st.tuples(
     st.integers(0, SMALL_SPACE.num_layers - 1),  # layer
     st.integers(0, len(SMALL_SPACE.node_ops) - 1),  # op index
@@ -153,6 +177,33 @@ class TestInjectedNanIsCaught:
         assert anomaly.edge == f"node/{layer}"
         assert anomaly.layer == layer
         assert anomaly.epoch == target_epoch
+
+
+    @pytest.mark.parametrize(
+        "edge, layer, call",
+        [
+            ("node/0", 0, 0),
+            ("node/1", 1, 1),
+            ("layer/0", None, 2 * SMALL_SPACE.num_layers),
+        ],
+    )
+    def test_mixture_nan_names_its_edge(self, edge, layer, call):
+        # The Eq. 3/Eq. 5 mixtures are tape nodes too: each runs inside
+        # its edge's op_scope, so an alpha-minted NaN names the edge.
+        searcher = SaneSearcher(SMALL_SPACE, GRAPH, FAST, seed=3)
+        _poison_mixture(searcher.supernet, call, target_epoch=1)
+        try:
+            with check_numerics(mode="raise"):
+                with pytest.raises(NumericsAnomaly) as excinfo:
+                    searcher.search()
+        finally:
+            _drain_spans()
+        anomaly = excinfo.value
+        assert anomaly.phase == "forward"
+        assert anomaly.op == "weighted_sum"
+        assert anomaly.edge == edge
+        assert anomaly.layer == layer
+        assert anomaly.epoch == 1
 
 
 class TestZeroOverhead:

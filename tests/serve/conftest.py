@@ -1,37 +1,25 @@
-"""Serving fixtures: train once per session, reuse everywhere.
+"""Serving test support: foreign graphs, span-tree and tape checks.
 
-Exporting an artifact trains a model, which is the expensive part of
-every serve test; the session-scoped fixtures amortise it across the
-whole package. Tests must not mutate the fixture artifacts.
+The artifact fixtures (``node_artifact``, ``kg_artifact``) live in
+``tests/conftest.py`` so the lint-rule replacement tests in
+``tests/analysis`` share the same session-scoped exports. The helpers
+here run requests through a real :class:`ServeServer` and report what
+a complete request trace and a gradient-free serve path require.
 """
 
 from __future__ import annotations
 
+import contextlib
+from unittest import mock
+
 import numpy as np
-import pytest
 
-from repro.core.search_space import Architecture
-from repro.experiments.config import SCALES
 from repro.graph.data import Graph
-from repro.serve import export_alignment, export_architecture
-
-GENOTYPE = Architecture(
-    node_aggregators=("gat", "gcn"),
-    skip_connections=("identity", "identity"),
-    layer_aggregator="concat",
-)
-
-
-@pytest.fixture(scope="session")
-def node_artifact():
-    """A searched-like 2-layer genotype trained on smoke-scale cora."""
-    return export_architecture(GENOTYPE, "cora", SCALES["smoke"], seed=0)
-
-
-@pytest.fixture(scope="session")
-def kg_artifact():
-    """A smoke-scale entity-alignment encoder bundle."""
-    return export_alignment(SCALES["smoke"], seed=0)
+from repro.obs import InMemorySink, get_tracer
+from repro.obs.context import PATH_STAGES
+from repro.serve import InferenceEngine, ServeServer
+from repro.serve.server import PendingRequest
+from tests.autograd.contract_probe import contract_probe
 
 
 def make_ring_graph(num_nodes: int, num_features: int, seed: int, name: str) -> Graph:
@@ -45,3 +33,117 @@ def make_ring_graph(num_nodes: int, num_features: int, seed: int, name: str) -> 
     features = rng.normal(size=(num_nodes, num_features))
     labels = np.zeros(num_nodes, dtype=np.int64)
     return Graph(edge_index=edges, features=features, labels=labels, name=name)
+
+
+def foreign_graph(artifact) -> Graph:
+    """A graph of ``artifact``'s feature width that it never saw."""
+    return make_ring_graph(
+        12, artifact.features["num_features"], seed=5, name="ring"
+    )
+
+
+def collect_trees(spans):
+    """Group finished spans into {trace_id: {root, stages}}."""
+    trees = {}
+    for span in spans:
+        trace_id = span.attrs.get("trace")
+        if trace_id is None:
+            continue  # serve.batch / serve.forward stack spans
+        tree = trees.setdefault(trace_id, {"root": None, "stages": []})
+        if span.kind == "request":
+            tree["root"] = span
+        elif span.kind == "stage":
+            tree["stages"].append(span)
+    return trees
+
+
+@contextlib.contextmanager
+def resolution_log():
+    """Record the tracer-clock moment each request is resolved or
+    failed, keyed by trace id: the moment its ``resolve`` stage must
+    contain."""
+    moments = {}
+    clock = get_tracer().clock
+
+    def logged(method):
+        def wrapper(self, *args):
+            moments[self.trace_id] = clock()
+            return method(self, *args)
+
+        return wrapper
+
+    with mock.patch.object(PendingRequest, "_resolve", logged(PendingRequest._resolve)):
+        with mock.patch.object(PendingRequest, "_fail", logged(PendingRequest._fail)):
+            yield moments
+
+
+def tree_problems(spans, moments=None) -> list[str]:
+    """Every way the request trees in ``spans`` fall short of complete.
+
+    A complete tree has a root and exactly its path's stages
+    (``PATH_STAGES``), each finished and parented to the root. A failed
+    request may miss stages that never ran, but never its ``resolve``.
+    With ``moments`` (from :func:`resolution_log`), each request's
+    resolution must also fall inside its ``resolve`` stage.
+    """
+    problems = []
+    for trace_id, tree in collect_trees(spans).items():
+        root = tree["root"]
+        if root is None:
+            problems.append(f"{trace_id}: root span missing")
+            continue
+        names = sorted(span.name for span in tree["stages"])
+        expected = sorted(PATH_STAGES[root.attrs["path"]])
+        if root.attrs.get("status") == "error":
+            complete = "resolve" in names and set(names) <= set(expected)
+        else:
+            complete = names == expected
+        if not complete:
+            problems.append(
+                f"{trace_id}: stages {names} on the {root.attrs['path']} path"
+            )
+        for span in tree["stages"]:
+            if span.parent_id != root.span_id or span.depth != 1:
+                problems.append(f"{trace_id}: {span.name} orphaned")
+            if span.t_end is None:
+                problems.append(f"{trace_id}: {span.name} never finished")
+        if moments is not None:
+            at = moments.get(trace_id)
+            if not any(
+                span.name == "resolve" and at is not None
+                and span.t_start <= at <= span.t_end
+                for span in tree["stages"]
+            ):
+                problems.append(f"{trace_id}: resolved outside its resolve stage")
+    return problems
+
+
+def serve_traced(engine, requests) -> list[str]:
+    """Serve ``(node_ids, graph)`` requests one by one under a sink and
+    a :func:`resolution_log`; return :func:`tree_problems` of the
+    recorded trees. A request that fails is part of the traffic, not
+    an error of the check."""
+    sink = InMemorySink()
+    with resolution_log() as moments, get_tracer().collect(sink):
+        with ServeServer(engine, max_batch=4) as server:
+            for node_ids, graph in requests:
+                pending = server.submit_async(node_ids=node_ids, graph=graph)
+                try:
+                    pending.result(timeout=30)
+                except IndexError:
+                    pass
+    return tree_problems(sink.spans, moments)
+
+
+def serving_tape(artifact, foreign=None):
+    """Load ``artifact`` and answer one memo request (and one request on
+    ``foreign``, when given) through a ServeServer under the contract
+    probe; returns the probe, whose ``ops`` count every tape node any
+    thread recorded."""
+    with contract_probe() as probe:
+        engine = InferenceEngine.from_artifact(artifact)
+        with ServeServer(engine, max_batch=4) as server:
+            server.submit(node_ids=np.array([0, 1]))
+            if foreign is not None:
+                server.submit(node_ids=np.array([0, 1]), graph=foreign)
+    return probe

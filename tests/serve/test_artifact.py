@@ -39,7 +39,7 @@ class TestRoundTrip:
         assert loaded.training == node_artifact.training
 
     def test_genotype_round_trips_as_architecture(self, node_artifact, tmp_path):
-        from tests.serve.conftest import GENOTYPE
+        from tests.conftest import GENOTYPE
 
         loaded = _round_trip(node_artifact, tmp_path)
         assert loaded.architecture() == GENOTYPE

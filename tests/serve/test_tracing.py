@@ -18,7 +18,12 @@ from repro.obs import InMemorySink, get_tracer
 from repro.obs.context import PATH_STAGES, REQUEST_SPAN
 from repro.serve import InferenceEngine, ServeServer
 
-from tests.serve.conftest import make_ring_graph
+from tests.serve.conftest import (
+    collect_trees,
+    foreign_graph,
+    resolution_log,
+    tree_problems,
+)
 
 
 @pytest.fixture()
@@ -28,25 +33,7 @@ def engine(node_artifact):
 
 @pytest.fixture(scope="module")
 def foreign(node_artifact):
-    """A graph of the artifact's feature width that it never saw."""
-    return make_ring_graph(
-        12, node_artifact.features["num_features"], seed=5, name="ring"
-    )
-
-
-def collect_trees(spans):
-    """Group finished spans into {trace_id: {root, stages}}."""
-    trees = {}
-    for span in spans:
-        trace_id = span.attrs.get("trace")
-        if trace_id is None:
-            continue  # serve.batch / serve.forward stack spans
-        tree = trees.setdefault(trace_id, {"root": None, "stages": []})
-        if span.kind == "request":
-            tree["root"] = span
-        elif span.kind == "stage":
-            tree["stages"].append(span)
-    return trees
+    return foreign_graph(node_artifact)
 
 
 class TestConcurrentTraceIntegrity:
@@ -57,7 +44,7 @@ class TestConcurrentTraceIntegrity:
         # Odd threads send their own graph (queued, forward path); even
         # threads ask the artifact's graph (memo path, inline).
         graphs = [foreign if index % 2 else None for index in range(num_threads)]
-        with get_tracer().collect(sink):
+        with resolution_log() as moments, get_tracer().collect(sink):
             with ServeServer(engine, max_batch=4, workers=2) as server:
                 barrier = threading.Barrier(num_threads)
 
@@ -78,27 +65,15 @@ class TestConcurrentTraceIntegrity:
         assert len(trees) == num_threads
         all_ids = [span.span_id for span in sink.spans]
         assert len(all_ids) == len(set(all_ids)), "span ids must be unique"
+        # Every tree is complete, and every request resolved inside it.
+        assert tree_problems(sink.spans, moments) == []
         paths = []
-        for trace_id, tree in trees.items():
+        for tree in trees.values():
             root = tree["root"]
-            assert root is not None, f"{trace_id}: root span missing"
             assert root.name == REQUEST_SPAN
             assert root.parent_id is None and root.depth == 0
             assert root.attrs["status"] == "ok"
-            path = root.attrs["path"]
-            paths.append(path)
-            names = [span.name for span in tree["stages"]]
-            assert sorted(names) == sorted(PATH_STAGES[path]), (
-                f"{trace_id}: stages {names} on the {path} path"
-            )
-            for span in tree["stages"]:
-                assert span.parent_id == root.span_id, (
-                    f"{trace_id}: {span.name} orphaned "
-                    f"(parent {span.parent_id} != root {root.span_id})"
-                )
-                assert span.depth == 1
-                assert span.attrs["trace"] == trace_id
-                assert span.t_end is not None
+            paths.append(root.attrs["path"])
         assert sorted(paths) == ["forward"] * 4 + ["memo"] * 4
 
     def test_stage_windows_sit_inside_the_root(self, engine, foreign):
@@ -119,7 +94,7 @@ class TestConcurrentTraceIntegrity:
 
     def test_error_trees_are_complete_too(self, engine, foreign):
         sink = InMemorySink()
-        with get_tracer().collect(sink):
+        with resolution_log() as moments, get_tracer().collect(sink):
             with ServeServer(engine, max_batch=4) as server:
                 pending = server.submit_async(
                     node_ids=np.array([10 ** 9]),  # out of range -> engine error
@@ -128,6 +103,7 @@ class TestConcurrentTraceIntegrity:
                 with pytest.raises(IndexError):
                     pending.result(timeout=30)
         ((_, tree),) = collect_trees(sink.spans).items()
+        assert tree_problems(sink.spans, moments) == []
         assert tree["root"].attrs["status"] == "error"
         assert tree["root"].attrs["path"] == "forward"
         names = {span.name for span in tree["stages"]}
