@@ -29,7 +29,7 @@ from typing import Iterator
 
 from repro.autograd.kernels import KernelCounters, count_kernels
 from repro.experiments.config import SCALES, Scale
-from repro.obs import InMemorySink, MetricsRegistry, TRACE_VERSION, aggregate_spans, get_tracer
+from repro.obs import InMemorySink, MetricsRegistry, RECORD_VERSION, aggregate_spans, get_tracer
 from repro.obs.runs import env_fingerprint, record_run
 
 __all__ = [
@@ -120,7 +120,7 @@ def emit_metrics(name: str, spans=(), metrics: MetricsRegistry | None = None,
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = {
         "bench": name,
-        "version": TRACE_VERSION,
+        "version": RECORD_VERSION,
         "scale": os.environ.get("REPRO_SCALE", "default"),
         "spans": [
             {

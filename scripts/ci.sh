@@ -176,15 +176,17 @@ if [[ "$LEDGER_NEW" -lt "$LEDGER_MIN" ]]; then
     echo "run ledger gained only $LEDGER_NEW manifest(s); expected >= $LEDGER_MIN" >&2
     exit 1
 fi
-# The new tail must cover the entry points this script exercised.
+# The new tail must cover the entry points this script exercised. Read
+# it through the ledger's own reader, which skips a corrupt line with a
+# warning instead of crashing.
 python - "$LEDGER" "$LEDGER_NEW" <<'PYEOF'
-import json
 import os
 import sys
 
-lines = open(sys.argv[1], encoding="utf-8").read().splitlines()
-tail = lines[-int(sys.argv[2]):]
-commands = {json.loads(line)["command"] for line in tail}
+from repro.obs import RunLedger
+
+tail = RunLedger(sys.argv[1]).read()[-int(sys.argv[2]):]
+commands = {manifest.command for manifest in tail}
 expected = {"lint", "sweep"}
 if os.environ.get("SKIP_BENCH", "0") != "1":
     expected |= {"export", "serve", "bench"}

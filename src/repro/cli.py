@@ -350,18 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
         "current are both below this many milliseconds, the delta never "
         "gates (sub-millisecond tails are timer jitter at smoke scale)",
     )
-    report_bench.add_argument(
-        "--gate-spans",
-        action="store_true",
-        help="also gate per-phase span timings (noisy across machines)",
-    )
-    report_bench.add_argument(
-        "--gate-tails",
-        action="store_true",
-        help="also gate p95/p99 tail percentiles (max-like statistics: a "
-        "single co-tenant scheduler burst moves them several hundred "
-        "percent; without this flag their moves report as 'noisy')",
-    )
 
     export = commands.add_parser(
         "export", help="train a model and bundle it as a servable artifact"
@@ -1004,9 +992,7 @@ def _run_report_bench(args) -> int:
             current,
             tolerance=args.tolerance,
             time_tolerance=args.time_tolerance,
-            gate_spans=args.gate_spans,
             abs_floor_s=args.abs_floor_ms / 1000.0,
-            gate_tails=args.gate_tails,
         )
         print(render_bench_diff(name, deltas, notes=notes))
         print()

@@ -15,56 +15,50 @@ Figure 4    :func:`repro.experiments.figure4.run_figure4a` / ``run_figure4b``
 =========  ==============================================
 """
 
-from repro.experiments.config import SCALES, Scale
-from repro.experiments.persistence import (
-    load_records,
-    load_table,
-    save_record,
-    save_table,
-)
-from repro.experiments.results import ExperimentTable, format_scores, render_table
-from repro.experiments.runners import (
-    NAS_METHODS,
-    run_human_baseline,
-    run_nas_method,
-    run_sane,
-    task_settings,
-)
-from repro.experiments.table4 import run_table4
-from repro.experiments.table6 import HUMAN_BASELINES, run_table6
-from repro.experiments.table7 import run_table7
-from repro.experiments.table8 import run_table8
-from repro.experiments.table9 import run_table9
-from repro.experiments.table10 import run_table10
-from repro.experiments.figure2 import render_architecture, run_figure2
-from repro.experiments.figure3 import run_figure3
-from repro.experiments.figure4 import run_figure4a, run_figure4b
+import importlib
 
-__all__ = [
-    "Scale",
-    "SCALES",
-    "ExperimentTable",
-    "format_scores",
-    "render_table",
-    "save_table",
-    "load_table",
-    "save_record",
-    "load_records",
-    "NAS_METHODS",
-    "HUMAN_BASELINES",
-    "run_human_baseline",
-    "run_nas_method",
-    "run_sane",
-    "task_settings",
-    "run_table4",
-    "run_table6",
-    "run_table7",
-    "run_table8",
-    "run_table9",
-    "run_table10",
-    "render_architecture",
-    "run_figure2",
-    "run_figure3",
-    "run_figure4a",
-    "run_figure4b",
-]
+# Public name -> submodule that defines it. Nothing is imported until
+# a name is first accessed (PEP 562), so ``import
+# repro.experiments.runners`` does not drag in every table runner and
+# the KG stack behind Table VIII.
+_EXPORTS = {
+    "Scale": "config",
+    "SCALES": "config",
+    "ExperimentTable": "results",
+    "format_scores": "results",
+    "render_table": "results",
+    "save_table": "persistence",
+    "load_table": "persistence",
+    "save_record": "persistence",
+    "load_records": "persistence",
+    "NAS_METHODS": "runners",
+    "HUMAN_BASELINES": "table6",
+    "run_human_baseline": "runners",
+    "run_nas_method": "runners",
+    "run_sane": "runners",
+    "task_settings": "runners",
+    "run_table4": "table4",
+    "run_table6": "table6",
+    "run_table7": "table7",
+    "run_table8": "table8",
+    "run_table9": "table9",
+    "run_table10": "table10",
+    "render_architecture": "figure2",
+    "run_figure2": "figure2",
+    "run_figure3": "figure3",
+    "run_figure4a": "figure4",
+    "run_figure4b": "figure4",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -10,10 +10,12 @@ the search-dynamics reports lean on. It has six parts —
 * :mod:`repro.obs.metrics` — counters/gauges/histograms in a
   :class:`MetricsRegistry`;
 * :mod:`repro.obs.sinks` + :mod:`repro.obs.report` — in-memory and
-  JSON-lines trace sinks, and the hotspot report over a finished trace;
+  JSON-lines sinks, the one record format every stream file uses
+  (:func:`read_records` reads them all back), and the hotspot report
+  over a finished trace;
 * :mod:`repro.obs.autograd` — per-op profiling hooked into the
   autograd tape dispatch (zero overhead while disabled);
-* :mod:`repro.obs.events` + :mod:`repro.obs.search_telemetry` — the v1
+* :mod:`repro.obs.events` + :mod:`repro.obs.search_telemetry` — the
   structured event log (alpha snapshots, entropies, genotype flips,
   loss/score curves) the searchers and trainers emit into; a no-op
   unless an :class:`EventRecorder` is installed;
@@ -65,15 +67,12 @@ from repro.obs.context import (
     mirror_span,
 )
 from repro.obs.exporter import (
-    SNAPSHOT_VERSION,
     MetricsExporter,
     MetricsSnapshotter,
     parse_exposition,
-    read_snapshots,
     render_exposition,
 )
 from repro.obs.events import (
-    EVENTS_VERSION,
     EventRecorder,
     record_events,
 )
@@ -93,9 +92,8 @@ from repro.obs.memory import (
 from repro.obs.tape import active_tape_hooks, add_tape_hook, remove_tape_hook
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.report import SpanAggregate, aggregate_spans, format_table, hotspot_report
+from repro.obs.bench_gate import Verdict
 from repro.obs.runs import (
-    MANIFEST_VERSION,
-    LedgerWarning,
     RunLedger,
     RunManifest,
     build_manifest,
@@ -105,7 +103,6 @@ from repro.obs.runs import (
     record_run,
 )
 from repro.obs.runs_report import (
-    TrendVerdict,
     evaluate_trend,
     render_run_show,
     render_runs_diff,
@@ -116,7 +113,13 @@ from repro.obs.search_report import render_diff, render_run
 from repro.obs.serve_report import load_request_trees, render_serve_report
 from repro.obs.search_telemetry import SearchTelemetry
 from repro.obs.session import ProfileSession
-from repro.obs.sinks import TRACE_VERSION, InMemorySink, JsonlSink, read_trace
+from repro.obs.sinks import (
+    RECORD_VERSION,
+    InMemorySink,
+    JsonlSink,
+    RecordWarning,
+    read_records,
+)
 from repro.obs.spans import ReplaySpan, Span, Tracer, get_tracer, span
 
 __all__ = [
@@ -131,8 +134,9 @@ __all__ = [
     "MetricsRegistry",
     "InMemorySink",
     "JsonlSink",
-    "read_trace",
-    "TRACE_VERSION",
+    "RECORD_VERSION",
+    "RecordWarning",
+    "read_records",
     "SpanAggregate",
     "aggregate_spans",
     "format_table",
@@ -141,7 +145,6 @@ __all__ = [
     "OpStats",
     "profile_autograd",
     "ProfileSession",
-    "EVENTS_VERSION",
     "EventRecorder",
     "record_events",
     "SearchTelemetry",
@@ -167,16 +170,12 @@ __all__ = [
     "REQUEST_SPAN",
     "REQUEST_STAGES",
     "PATH_STAGES",
-    "SNAPSHOT_VERSION",
     "MetricsSnapshotter",
-    "read_snapshots",
     "render_exposition",
     "parse_exposition",
     "MetricsExporter",
     "load_request_trees",
     "render_serve_report",
-    "MANIFEST_VERSION",
-    "LedgerWarning",
     "RunLedger",
     "RunManifest",
     "build_manifest",
@@ -184,7 +183,7 @@ __all__ = [
     "derive_run_id",
     "env_fingerprint",
     "record_run",
-    "TrendVerdict",
+    "Verdict",
     "evaluate_trend",
     "render_runs_list",
     "render_run_show",

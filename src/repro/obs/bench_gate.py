@@ -1,4 +1,5 @@
-"""Benchmark regression gate (``repro report bench``).
+"""Benchmark regression gate (``repro report bench``) and the one
+regression classifier behind it and the run-ledger trend gate.
 
 Compares freshly emitted ``BENCH_<name>.json`` summaries (written by
 ``benchmarks/common.py::tracked_run``) against committed baselines and
@@ -10,9 +11,8 @@ metrics with no recognised token are reported but never gate.
 
 Wall-clock metrics are machine-dependent, so they get their own
 (looser) tolerance — including ``speedup`` ratios, which are
-higher-is-better but derived from wall-clock and exactly as noisy —
-and span timings are only gated when explicitly asked for
-(``--gate-spans``).
+higher-is-better but derived from wall-clock and exactly as noisy.
+Span timings are not compared at all.
 
 Relative tolerance alone is not enough for seconds-valued metrics:
 a p99 of 30 µs doubling to 60 µs is +100% yet indistinguishable from
@@ -23,14 +23,18 @@ measurement noise floor, so neither ``regression`` nor ``improved``
 is a defensible verdict there. A metric that climbs from under the
 floor to above it still gates normally.
 
-Tail percentiles (``p95``/``p99`` tokens) get the same treatment as
-spans: reported, but gating only on request (``--gate-tails``). A p99
-over a few hundred samples is a max-like statistic — one scheduler
-burst from a co-tenant process moves it several hundred percent while
-every median and throughput number stays put — so out-of-tolerance
-tail moves are labelled ``noisy`` rather than ``regression`` unless
-tails were explicitly opted into the gate. Medians, throughput, and
-deterministic byte counters carry the hard gate.
+Tail percentiles (``p95``/``p99`` tokens) are reported but never
+gate. A p99 over a few hundred samples is a max-like statistic — one
+scheduler burst from a co-tenant process moves it several hundred
+percent while every median and throughput number stays put — so
+out-of-tolerance tail moves are labelled ``noisy`` rather than
+``regression``. Medians, throughput, and deterministic byte counters
+carry the hard gate.
+
+:func:`classify` is the direction × tolerance × noise-floor rule and
+:class:`Verdict` its result; :func:`compare_bench` applies it to one
+payload pair, :func:`repro.obs.runs_report.evaluate_trend` to each
+trailing window of the ledger history.
 """
 
 from __future__ import annotations
@@ -43,7 +47,8 @@ from pathlib import Path
 from repro.obs.report import format_table
 
 __all__ = [
-    "MetricDelta",
+    "Verdict",
+    "classify",
     "metric_direction",
     "is_wall_clock",
     "is_seconds",
@@ -150,43 +155,54 @@ def scalar_metrics(payload: dict) -> dict[str, float]:
     return out
 
 
-def span_totals(payload: dict) -> dict[str, float]:
-    """Cumulative seconds per span path from a BENCH payload."""
-    return {
-        row["path"]: float(row["total_s"])
-        for row in payload.get("spans") or []
-        if row.get("total_s") is not None
-    }
-
-
 @dataclasses.dataclass
-class MetricDelta:
-    """One metric compared between a baseline and a fresh run."""
+class Verdict:
+    """One metric judged against its baseline.
+
+    The baseline is a committed bench payload's value
+    (:func:`compare_bench`) or the median of the older ledger history
+    (:func:`~repro.obs.runs_report.evaluate_trend`, which also keeps
+    the series in ``values`` and the deciding trailing ``window``).
+    """
 
     name: str
-    baseline: float | None
-    current: float | None
-    direction: int
-    rel_change: float | None
     status: str  # ok | regression | improved | noisy | info | missing | new
+    # (trend only: insufficient | no-data | untracked)
+    direction: int
+    baseline: float | None = None
+    current: float | None = None
+    change: float | None = None  # (current - baseline) / |baseline|
+    values: list[float] = dataclasses.field(default_factory=list)
+    window: int | None = None
+
+    @property
+    def points(self) -> int:
+        return len(self.values)
 
     @property
     def gates(self) -> bool:
-        return self.status in ("regression", "missing")
+        return self.status in ("regression", "missing", "no-data")
 
 
-def _classify(
+def classify(
     name: str,
     baseline: float | None,
     current: float | None,
     direction: int,
     tolerance: float,
     abs_floor: float = 0.0,
-) -> MetricDelta:
+) -> Verdict:
+    """The regression rule: ``current`` against ``baseline``.
+
+    A move in the bad ``direction`` beyond the relative ``tolerance``
+    is a ``regression``, one in the good direction ``improved``;
+    ``info`` when the direction is unknown, and ``ok`` when both
+    sides sit below ``abs_floor`` (timer jitter, not the code).
+    """
     if baseline is None:
-        return MetricDelta(name, None, current, direction, None, "new")
+        return Verdict(name, "new", direction, current=current)
     if current is None:
-        return MetricDelta(name, baseline, None, direction, None, "missing")
+        return Verdict(name, "missing", direction, baseline=baseline)
     if abs(baseline) > 1e-12:
         rel = (current - baseline) / abs(baseline)
     else:
@@ -194,16 +210,14 @@ def _classify(
     if direction == 0:
         status = "info"
     elif max(abs(baseline), abs(current)) < abs_floor:
-        # Both sides sit below the measurement noise floor: the
-        # relative change is dominated by timer jitter, not the code.
         status = "ok"
-    elif rel * direction < 0 and abs(rel) > tolerance:
+    elif rel * direction < -tolerance:
         status = "regression"
-    elif rel * direction > 0 and abs(rel) > tolerance:
+    elif rel * direction > tolerance:
         status = "improved"
     else:
         status = "ok"
-    return MetricDelta(name, baseline, current, direction, rel, status)
+    return Verdict(name, status, direction, baseline, current, rel)
 
 
 def compare_bench(
@@ -211,47 +225,32 @@ def compare_bench(
     current: dict,
     tolerance: float = 0.1,
     time_tolerance: float = 0.5,
-    gate_spans: bool = False,
     abs_floor_s: float = 0.0,
-    gate_tails: bool = False,
-) -> list[MetricDelta]:
-    """Per-metric deltas of one bench against its baseline.
+) -> list[Verdict]:
+    """Per-metric verdicts of one bench against its baseline.
 
     ``abs_floor_s`` applies only to seconds-valued metrics (see
     :func:`is_seconds`): when both sides of such a metric are below
     the floor, the delta is reported ``ok`` regardless of its
-    relative size. Unless ``gate_tails`` is set, out-of-tolerance
-    moves of p95/p99 metrics are labelled ``noisy`` and never gate
-    (a vanished tail metric still reports ``missing`` and gates).
+    relative size. Out-of-tolerance moves of p95/p99 metrics are
+    labelled ``noisy`` and never gate (a vanished tail metric still
+    reports ``missing`` and gates).
     """
     base_metrics = scalar_metrics(baseline)
     cur_metrics = scalar_metrics(current)
-    deltas: list[MetricDelta] = []
+    deltas: list[Verdict] = []
     for name in sorted(set(base_metrics) | set(cur_metrics)):
-        direction = metric_direction(name)
-        tol = time_tolerance if is_wall_clock(name) else tolerance
-        delta = _classify(
+        delta = classify(
             name, base_metrics.get(name), cur_metrics.get(name),
-            direction, tol,
+            metric_direction(name),
+            time_tolerance if is_wall_clock(name) else tolerance,
             abs_floor=abs_floor_s if is_seconds(name) else 0.0,
         )
-        if (
-            not gate_tails
-            and delta.status in ("regression", "improved")
-            and is_tail_percentile(name)
+        if delta.status in ("regression", "improved") and is_tail_percentile(
+            name
         ):
-            delta = dataclasses.replace(delta, status="noisy")
+            delta.status = "noisy"
         deltas.append(delta)
-    if gate_spans:
-        base_spans = span_totals(baseline)
-        cur_spans = span_totals(current)
-        for path in sorted(set(base_spans) & set(cur_spans)):
-            deltas.append(
-                _classify(
-                    f"span:{path}", base_spans[path], cur_spans[path],
-                    -1, time_tolerance, abs_floor=abs_floor_s,
-                )
-            )
     return deltas
 
 
@@ -259,12 +258,12 @@ _ARROW = {1: "↑", -1: "↓", 0: "·"}
 
 
 def render_bench_diff(
-    name: str, deltas: list[MetricDelta], notes: list[str] = ()
+    name: str, deltas: list[Verdict], notes: list[str] = ()
 ) -> str:
     """One bench's comparison table plus its verdict line."""
     rows = []
     for delta in deltas:
-        rel = "-" if delta.rel_change is None else f"{100.0 * delta.rel_change:+.1f}%"
+        rel = "-" if delta.change is None else f"{100.0 * delta.change:+.1f}%"
         rows.append(
             [
                 delta.name,

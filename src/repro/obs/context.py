@@ -106,9 +106,9 @@ def context_span(
     returned (already started) span may be finished on a different
     thread than the one that started it.
     """
-    tracer = tracer if tracer is not None else get_tracer()
-    span = tracer.span(
-        name, kind=kind, trace=ctx.trace_id, request=ctx.request_id, **attrs
+    span = Span(
+        tracer if tracer is not None else get_tracer(), name, kind,
+        {"trace": ctx.trace_id, "request": ctx.request_id, **attrs},
     )
     return span.start_explicit(parent_id=ctx.parent_span_id, depth=1)
 

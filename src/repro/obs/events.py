@@ -1,4 +1,4 @@
-"""Structured event log v1: what the search *did*, not where time went.
+"""Structured event log: what the search *did*, not where time went.
 
 Spans (PR 2) answer "where does time go"; events answer "why did the
 search converge to this architecture". An :class:`EventRecorder`
@@ -12,22 +12,23 @@ Design constraints (mirroring the span layer):
   calls :func:`emit` unconditionally; with no recorder the call returns
   before touching any payload, so a recorded search is bit-identical to
   an unrecorded one (the PR-2 guarantee extends to events);
-* **the sink machinery is shared** — an events file is a v1 JSONL trace
-  (``trace-meta`` header via :class:`~repro.obs.sinks.JsonlSink`) whose
-  lines carry ``"type": "event"`` records; span records may interleave
-  in the same file, so one artifact feeds both the telemetry dashboard
-  and the hotspot report;
+* **the sink machinery is shared** — an events file is a trace
+  (``{"type": "meta", "kind": "trace"}`` header via
+  :class:`~repro.obs.sinks.JsonlSink`) whose lines carry
+  ``"type": "event"`` records; span records may interleave in the same
+  file, so one artifact feeds both the telemetry dashboard and the
+  hotspot report;
 * **clocks are injectable and optional** — with no clock, events carry
   no wall time and two seeded runs produce byte-identical files; pass a
   clock (real or fake) to stamp events with ``t``.
 
-Event schema (one JSON object per line, inside a v1 trace)::
+Event schema (one JSON object per line, inside a trace)::
 
     {"type": "event", "seq": 0, "event": "<name>",
      "epoch": 3?, "t": 1.25?, "data": {...}?}
 
-PR 5 extends the v1 vocabulary (same record shape, new ``event``
-kinds) with the tape-health stream: ``numerics_anomaly`` (a NaN / Inf /
+The vocabulary (same record shape, different ``event`` kinds)
+includes the tape-health stream: ``numerics_anomaly`` (a NaN / Inf /
 overflow with op/edge/layer/span provenance, warn mode only —
 raise mode aborts instead), ``grad_health`` (per-epoch alpha/weight
 grad norms, their ratio, and update/param scales), and ``dead_op``
@@ -49,7 +50,6 @@ from repro.obs.sinks import JsonlSink
 from repro.obs.spans import get_tracer
 
 __all__ = [
-    "EVENTS_VERSION",
     "EventRecorder",
     "install",
     "uninstall",
@@ -59,9 +59,6 @@ __all__ = [
     "record_events",
     "to_jsonable",
 ]
-
-EVENTS_VERSION = 1
-
 
 def to_jsonable(value):
     """Recursively convert numpy containers/scalars to JSON-safe types."""
@@ -79,8 +76,8 @@ def to_jsonable(value):
 class EventRecorder:
     """Captures event records in memory and, optionally, to a JSONL file.
 
-    ``path`` opens an owned :class:`JsonlSink` (``trace-meta`` header
-    with ``events_version``); ``sink`` shares an already-open sink (the
+    ``path`` opens an owned :class:`JsonlSink` (trace header carrying
+    ``label``); ``sink`` shares an already-open sink (the
     way :class:`~repro.obs.session.ProfileSession` interleaves events
     into its trace file). ``clock`` adds a ``t`` wall-time field to
     every record — omit it for byte-identical seeded runs.
@@ -104,7 +101,7 @@ class EventRecorder:
         self._shared = sink
         self._owned: JsonlSink | None = None
         if path is not None:
-            header = {"label": label, "events_version": EVENTS_VERSION}
+            header = {"label": label}
             if meta:
                 header.update(meta)
             self._owned = JsonlSink(path, meta=header)

@@ -6,9 +6,9 @@ finished, so this module adds the two live surfaces:
 
 * :class:`MetricsSnapshotter` — a dependency-free background thread
   that periodically flushes a :class:`~repro.obs.metrics.
-  MetricsRegistry` snapshot as one JSONL record (versioned, same
-  one-object-per-line discipline as the trace schema), giving a soak
-  run a time series of every counter/gauge/histogram without any
+  MetricsRegistry` snapshot as one JSONL record (through a
+  :class:`~repro.obs.sinks.JsonlSink`, like every trace), giving a
+  soak run a time series of every counter/gauge/histogram without any
   external collector;
 * :func:`render_exposition` / :func:`parse_exposition` — a
   Prometheus-style text exposition of one snapshot (names sanitised to
@@ -20,9 +20,10 @@ finished, so this module adds the two live surfaces:
   process-boundary surface of the serving stack (``repro serve
   --export-port``).
 
-Snapshot JSONL schema (one object per line)::
+Snapshot JSONL schema (one object per line, read back with
+:func:`~repro.obs.sinks.read_records` and ``kind="snapshots"``)::
 
-    {"type": "snapshot-meta", "version": 1, ...}       — first line
+    {"type": "meta", "kind": "snapshots", "version": 1, ...}  — first line
     {"type": "metrics-snapshot", "seq": 0, "t": 1.2?,
      "data": {"counters": ..., "gauges": ..., "histograms": ...}}
 
@@ -35,26 +36,21 @@ run (and the traced-vs-untraced bit-identity guarantee extends to
 from __future__ import annotations
 
 import http.server
-import json
 import re
 import threading
 from pathlib import Path
 from typing import Callable
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import get_tracer
+from repro.obs.sinks import JsonlSink
 
 __all__ = [
-    "SNAPSHOT_VERSION",
     "MetricsSnapshotter",
-    "read_snapshots",
     "prom_name",
     "render_exposition",
     "parse_exposition",
     "MetricsExporter",
 ]
-
-SNAPSHOT_VERSION = 1
 
 _NAME_SANITISE = re.compile(r"[^a-zA-Z0-9_:]")
 _NAME_VALID = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -62,7 +58,7 @@ _EXEMPLAR = re.compile(r"\s+#\s+\{[^}]*\}\s+\S+$")
 
 
 class MetricsSnapshotter:
-    """Background thread flushing registry snapshots to versioned JSONL.
+    """Background thread flushing registry snapshots to JSONL.
 
     ``interval_s`` paces the flush loop (a ``threading.Event`` wait, so
     :meth:`stop` returns promptly); ``clock`` stamps each record's
@@ -88,19 +84,11 @@ class MetricsSnapshotter:
         self.interval_s = float(interval_s)
         self.clock = clock
         self.flushes = 0
-        self._lock = threading.Lock()
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
-        self._file = self.path.open("w", encoding="utf-8")
-        header = {"type": "snapshot-meta", "version": SNAPSHOT_VERSION}
-        if meta:
-            header.update(meta)
-        self._write(header)
-
-    def _write(self, record: dict) -> None:
-        with self._lock:
-            self._file.write(json.dumps(record, sort_keys=True) + "\n")
-            self._file.flush()
+        self._sink = JsonlSink(
+            self.path, meta={"kind": "snapshots", **(meta or {})}
+        )
 
     # ------------------------------------------------------------------
     def flush(self) -> dict:
@@ -113,7 +101,8 @@ class MetricsSnapshotter:
         if self.clock is not None:
             record["t"] = float(self.clock())
         self.flushes += 1
-        self._write(record)
+        self._sink.write_record(record)
+        self._sink.flush()
         return record
 
     def _run(self) -> None:
@@ -136,13 +125,12 @@ class MetricsSnapshotter:
             self._stop.set()
             self._thread.join()
             self._thread = None
-        if final_flush and not self._file.closed:
+        if final_flush and not self._sink.closed:
             self.flush()
 
     def close(self) -> None:
         self.stop(final_flush=False)
-        if not self._file.closed:
-            self._file.close()
+        self._sink.close()
 
     def __enter__(self) -> "MetricsSnapshotter":
         return self.start()
@@ -151,27 +139,6 @@ class MetricsSnapshotter:
         self.stop()
         self.close()
         return False
-
-
-def read_snapshots(path: str | Path) -> list[dict]:
-    """Parse a snapshot JSONL file back (validates the header)."""
-    records: list[dict] = []
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise ValueError(
-                    f"{path}:{line_number}: invalid snapshot line: {exc}"
-                ) from exc
-    if not records or records[0].get("type") != "snapshot-meta":
-        raise ValueError(
-            f"{path}: not a metrics snapshot file (missing snapshot-meta header)"
-        )
-    return records
 
 
 # ---------------------------------------------------------------------

@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.obs import tape
 from repro.obs.report import _bytes_human, format_table
-from repro.obs.sinks import read_trace
+from repro.obs.sinks import read_records
 from repro.obs.spans import get_tracer
 
 __all__ = [
@@ -295,7 +295,7 @@ def render_memory_report(stats: dict, top: int = 10) -> str:
 
 def render_memory_report_file(path, top: int = 10) -> str:
     """Render ``repro report memory`` from a recorded trace file."""
-    records = read_trace(path)
+    records = read_records(path, kind="trace")
     stats = None
     for record in records:
         if record.get("type") == "memory_stats":

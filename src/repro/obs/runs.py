@@ -4,7 +4,7 @@
 compares one point against one baseline — the repo had no memory
 *across* runs. The ledger fixes that: every entry point (``search``,
 ``sweep``, ``baseline``, ``table``, ``figure``, ``serve --bench``,
-``export``, ``check``, ``profile``, the benchmarks) appends one
+``export``, ``lint``, ``profile``, the benchmarks) appends one
 versioned :class:`RunManifest` to an append-only JSONL store under
 ``benchmarks/history/`` (override the directory with
 ``REPRO_HISTORY_DIR``; set ``REPRO_RUN_LEDGER=off`` to disable
@@ -22,11 +22,17 @@ Design constraints, mirroring the rest of :mod:`repro.obs`:
   from a clock argument defaulting to :func:`time.time`; tests and the
   committed seed history pass a fake.
 * **append never crashes a run** — a full disk or read-only checkout
-  degrades to a :class:`LedgerWarning`; the command's real work is
-  never sacrificed to bookkeeping.
+  degrades to a :class:`~repro.obs.sinks.RecordWarning`; the command's
+  real work is never sacrificed to bookkeeping.
 * **reads tolerate corruption** — a truncated or garbage line (the
-  ledger is append-only across processes) is skipped with a typed
-  :class:`LedgerWarning`, never an exception.
+  ledger is append-only across processes) is skipped by
+  :func:`~repro.obs.sinks.read_records` with a typed
+  :class:`~repro.obs.sinks.RecordWarning`, never an exception; so is
+  a well-formed line that is not a manifest.
+* **no header** — the store is the one headerless record file:
+  concurrent appenders cannot agree on who writes a header, so each
+  manifest carries ``version`` (:data:`~repro.obs.sinks.RECORD_VERSION`)
+  itself.
 
 Lineage: ``repro export`` embeds ``{"run_id": ...}`` provenance into
 the artifact payload (hash-covered, schema-compatible), and ``repro
@@ -47,13 +53,13 @@ import warnings
 from pathlib import Path
 from typing import Callable
 
+from repro.obs.sinks import RECORD_VERSION, RecordWarning, read_records
+
 __all__ = [
-    "MANIFEST_VERSION",
     "HISTORY_ENV",
     "DEFAULT_HISTORY_DIR",
     "STORE_NAME",
     "SEED_HISTORY_NAME",
-    "LedgerWarning",
     "RunManifest",
     "RunLedger",
     "canonical_json",
@@ -67,15 +73,10 @@ __all__ = [
     "default_history_dir",
 ]
 
-MANIFEST_VERSION = 1
 HISTORY_ENV = "REPRO_HISTORY_DIR"
 DEFAULT_HISTORY_DIR = "benchmarks/history"
 STORE_NAME = "runs.jsonl"
 SEED_HISTORY_NAME = "seed.jsonl"
-
-
-class LedgerWarning(UserWarning):
-    """A ledger problem worth knowing about but never worth crashing for."""
 
 
 def canonical_json(value) -> str:
@@ -179,7 +180,7 @@ class RunManifest:
     children: list = dataclasses.field(default_factory=list)
     t_wall: float | None = None
     duration_s: float | None = None
-    version: int = MANIFEST_VERSION
+    version: int = RECORD_VERSION
 
     def to_record(self) -> dict:
         record = dataclasses.asdict(self)
@@ -192,10 +193,10 @@ class RunManifest:
         if not isinstance(record, dict):
             raise ValueError("manifest record must be a JSON object")
         version = record.get("version")
-        if version != MANIFEST_VERSION:
+        if version != RECORD_VERSION:
             raise ValueError(
                 f"unsupported manifest version {version!r}; this build "
-                f"reads version {MANIFEST_VERSION}"
+                f"reads version {RECORD_VERSION}"
             )
         if not isinstance(record.get("run_id"), str) or not isinstance(
             record.get("command"), str
@@ -308,7 +309,7 @@ class RunLedger:
         except OSError as exc:
             warnings.warn(
                 f"run ledger append to {self.path} failed: {exc}",
-                LedgerWarning,
+                RecordWarning,
                 stacklevel=2,
             )
             return False
@@ -316,30 +317,28 @@ class RunLedger:
 
     def read(self) -> list[RunManifest]:
         """Every valid manifest, in append order; bad lines are skipped
-        with a :class:`LedgerWarning` (corruption must never take the
-        whole history down with it)."""
+        with a :class:`~repro.obs.sinks.RecordWarning` (corruption must
+        never take the whole history down with it)."""
         if not self.path.exists():
             return []
-        manifests: list[RunManifest] = []
         try:
-            lines = self.path.read_text(encoding="utf-8").splitlines()
+            records = read_records(self.path)
         except OSError as exc:
             warnings.warn(
                 f"run ledger read from {self.path} failed: {exc}",
-                LedgerWarning,
+                RecordWarning,
                 stacklevel=2,
             )
             return []
-        for number, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
+        manifests: list[RunManifest] = []
+        for record in records:
             try:
-                manifests.append(RunManifest.from_record(json.loads(line)))
+                manifests.append(RunManifest.from_record(record))
             except (ValueError, TypeError) as exc:
                 warnings.warn(
-                    f"{self.path}:{number}: skipping corrupt manifest "
-                    f"line ({exc})",
-                    LedgerWarning,
+                    f"{self.path}: skipping manifest {record.get('run_id')!r} "
+                    f"({exc})",
+                    RecordWarning,
                     stacklevel=2,
                 )
         return manifests
@@ -385,7 +384,7 @@ class RunLedger:
         except OSError as exc:
             warnings.warn(
                 f"run ledger gc on {self.path} failed: {exc}",
-                LedgerWarning,
+                RecordWarning,
                 stacklevel=2,
             )
             return 0

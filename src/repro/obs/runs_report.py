@@ -6,11 +6,12 @@ complement over *history*: for each watched metric it compares the
 trailing window of runs against the median of the older runs and
 flags drift in the bad direction — a single +50% spike gates through
 the window-of-1 check, a slow +10%-per-run creep gates through the
-wider windows that a point gate never sees. Direction comes from the
-same token heuristics as the bench gate
-(:func:`repro.obs.bench_gate.metric_direction`), so ``*time*``/
-``p99``-style metrics gate on increases and ``*score*``/``*gbps*``
-metrics on decreases; unrecognised names render but never gate.
+wider windows that a point gate never sees. Each window is judged by
+the bench gate's own rule (:func:`repro.obs.bench_gate.classify`,
+with direction from :func:`~repro.obs.bench_gate.metric_direction`),
+so ``*time*``/``p99``-style metrics gate on increases and
+``*score*``/``*gbps*`` metrics on decreases; unrecognised names
+render but never gate.
 
 All functions here return strings — printing stays in the CLI (the
 ``naked-print`` rule's contract).
@@ -18,17 +19,15 @@ All functions here return strings — printing stays in the CLI (the
 
 from __future__ import annotations
 
-import dataclasses
 import statistics
 from datetime import datetime, timezone
 
-from repro.obs.bench_gate import metric_direction
+from repro.obs.bench_gate import Verdict, classify, metric_direction
 from repro.obs.report import _num, format_table
 from repro.obs.runs import RunManifest
 from repro.obs.search_report import _sparkline
 
 __all__ = [
-    "TrendVerdict",
     "metric_series",
     "evaluate_trend",
     "render_trend",
@@ -66,77 +65,46 @@ def metric_series(
     ]
 
 
-@dataclasses.dataclass
-class TrendVerdict:
-    """One metric's drift assessment over the ledger."""
-
-    metric: str
-    status: str  # regression | improved | ok | insufficient | no-data | untracked
-    points: int
-    direction: int
-    values: list[float] = dataclasses.field(default_factory=list)
-    baseline: float | None = None
-    drift: float | None = None
-    window: int | None = None
-
-    @property
-    def gates(self) -> bool:
-        return self.status in ("regression", "no-data")
-
-
 def evaluate_trend(
     values: list[float],
     metric: str,
     tolerance: float = DEFAULT_TOLERANCE,
     window: int = DEFAULT_WINDOW,
-) -> TrendVerdict:
+) -> Verdict:
     """Compare trailing windows against the median of the older runs.
 
     For each window size ``w`` in ``1..window`` the mean of the last
-    ``w`` values is compared against the median of everything before
-    them; the verdict is the worst drift found. ``w=1`` catches a
-    fresh spike, the larger windows catch sustained creep that no
-    single point trips.
+    ``w`` values is classified against the median of everything
+    before them; the verdict is the worst window, or the best when
+    none regressed but one improved. ``w=1`` catches a fresh spike,
+    the larger windows catch sustained creep that no single point
+    trips.
     """
     direction = metric_direction(metric)
-    verdict = TrendVerdict(
-        metric=metric, status="ok", points=len(values),
-        direction=direction, values=list(values),
-    )
-    if not values:
-        verdict.status = "no-data"
-        return verdict
-    if direction == 0:
-        verdict.status = "untracked"
-        return verdict
-    if len(values) < MIN_POINTS:
-        verdict.status = "insufficient"
-        return verdict
-    worst = best = None  # (signed goodness, drift, baseline, w)
-    for w in range(1, min(window, len(values) - 2) + 1):
-        base = values[:-w]
-        baseline = statistics.median(base)
-        if abs(baseline) < 1e-12:
-            continue
-        recent = sum(values[-w:]) / w
-        drift = (recent - baseline) / abs(baseline)
-        goodness = drift * direction
-        entry = (goodness, drift, baseline, w)
-        if worst is None or goodness < worst[0]:
-            worst = entry
-        if best is None or goodness > best[0]:
-            best = entry
-    if worst is None:
-        verdict.status = "insufficient"
-        return verdict
-    if worst[0] < -tolerance:
-        verdict.status = "regression"
-        __, verdict.drift, verdict.baseline, verdict.window = worst
-    elif best[0] > tolerance:
-        verdict.status = "improved"
-        __, verdict.drift, verdict.baseline, verdict.window = best
-    else:
-        __, verdict.drift, verdict.baseline, verdict.window = worst
+    windows: list[Verdict] = []
+    if direction != 0 and len(values) >= MIN_POINTS:
+        for w in range(1, min(window, len(values) - 2) + 1):
+            baseline = statistics.median(values[:-w])
+            if abs(baseline) < 1e-12:
+                continue
+            verdict = classify(
+                metric, baseline, sum(values[-w:]) / w, direction, tolerance
+            )
+            verdict.window = w
+            windows.append(verdict)
+    if not windows:
+        status = (
+            "no-data" if not values
+            else "untracked" if direction == 0
+            else "insufficient"
+        )
+        return Verdict(metric, status, direction, values=list(values))
+    verdict = min(windows, key=lambda v: v.change * direction)
+    if verdict.status != "regression":
+        best = max(windows, key=lambda v: v.change * direction)
+        if best.status == "improved":
+            verdict = best
+    verdict.values = list(values)
     return verdict
 
 
@@ -160,7 +128,7 @@ def render_trend(
         )
         failed = failed or verdict.gates
         drift = (
-            f"{100.0 * verdict.drift:+.1f}%" if verdict.drift is not None
+            f"{100.0 * verdict.change:+.1f}%" if verdict.change is not None
             else "-"
         )
         arrow = {1: "up", -1: "down", 0: "?"}[verdict.direction]

@@ -19,7 +19,7 @@ import dataclasses
 from pathlib import Path
 
 from repro.obs.report import _bytes_human, _num, aggregate_spans, format_table
-from repro.obs.sinks import read_trace
+from repro.obs.sinks import read_records
 
 __all__ = ["SearchRun", "load_run_records", "split_searches", "render_run", "render_diff"]
 
@@ -104,7 +104,7 @@ def _describe(genotype: dict | None) -> str:
 
 def load_run_records(path: str | Path) -> tuple[list[dict], list[dict]]:
     """(event records, all records) of one events/trace JSONL file."""
-    records = read_trace(path)
+    records = read_records(path, kind="trace")
     return [r for r in records if r.get("type") == "event"], records
 
 

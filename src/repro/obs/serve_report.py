@@ -31,7 +31,7 @@ from pathlib import Path
 
 from repro.obs.context import PATH_STAGES, REQUEST_SPAN, REQUEST_STAGES
 from repro.obs.report import format_table
-from repro.obs.sinks import read_trace
+from repro.obs.sinks import read_records
 
 __all__ = ["load_request_trees", "render_serve_report"]
 
@@ -249,7 +249,7 @@ def _render_slo(records: list[dict]) -> list[str]:
 
 def render_serve_report(path: str | Path, top: int = 5) -> str:
     """The full ``repro report serve`` dashboard for one trace file."""
-    records = read_trace(path)
+    records = read_records(path, kind="trace")
     trees = load_request_trees(records)
     if not trees:
         raise ValueError(f"{path}: no serve.request spans in trace")

@@ -71,10 +71,7 @@ class ProfileSession:
     def __enter__(self) -> "ProfileSession":
         self.tracer.add_sink(self.memory)
         if self.trace_path is not None:
-            meta = {"label": self.label}
-            if self._events:
-                meta["events_version"] = events_mod.EVENTS_VERSION
-            self._jsonl = JsonlSink(self.trace_path, meta=meta)
+            self._jsonl = JsonlSink(self.trace_path, meta={"label": self.label})
             self.tracer.add_sink(self._jsonl)
         if self._events:
             self.recorder = events_mod.EventRecorder(

@@ -35,7 +35,7 @@ import numpy as np
 
 from repro import obs
 from repro.graph.data import Graph
-from repro.obs import MetricsRegistry, TRACE_VERSION, aggregate_spans
+from repro.obs import MetricsRegistry, RECORD_VERSION, aggregate_spans
 from repro.obs.report import format_table
 from repro.serve.metrics import nearest_rank_percentile
 from repro.serve.server import ServeServer
@@ -221,7 +221,7 @@ def emit_serve_bench(
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = {
         "bench": name,
-        "version": TRACE_VERSION,
+        "version": RECORD_VERSION,
         "scale": os.environ.get("REPRO_SCALE", "default"),
         "spans": [
             {

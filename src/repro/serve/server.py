@@ -264,10 +264,12 @@ class ServeServer:
 
     def _settle(self, batch, results=None, error=None) -> None:
         """Resolve each request with its result (or fail it with
-        ``error``) inside its ``resolve`` stage, then close its tree."""
-        now = self._clock()
+        ``error``) inside its ``resolve`` stage, then close its tree.
+        Each request is stamped when its own ``resolve`` runs, so its
+        latency includes settling the requests ahead of it."""
         for index, pending in enumerate(batch):
             with pending.trace.stage("resolve") as resolve_span:
+                now = self._clock()
                 if error is None:
                     pending._resolve(results[index], now)
                 else:

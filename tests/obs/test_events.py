@@ -1,13 +1,12 @@
-"""Event log v1: recorder mechanics, no-op guarantee, file format."""
+"""Event log: recorder mechanics, no-op guarantee, file format."""
 
 import json
 
 import numpy as np
 import pytest
 
-from repro.obs import EventRecorder, read_trace, record_events
+from repro.obs import RECORD_VERSION, EventRecorder, read_records, record_events
 from repro.obs.events import (
-    EVENTS_VERSION,
     emit,
     enabled,
     get_recorder,
@@ -107,10 +106,9 @@ class TestEventFiles:
         with record_events(path, label="demo") as recorder:
             recorder.emit("search_start", seed=7)
             recorder.emit("alpha_snapshot", epoch=0, probs=[[0.5, 0.5]])
-        records = read_trace(path)
-        assert records[0]["type"] == "trace-meta"
+        records = read_records(path, kind="trace")
         assert records[0]["label"] == "demo"
-        assert records[0]["events_version"] == EVENTS_VERSION
+        assert records[0]["version"] == RECORD_VERSION
         events = [r for r in records if r["type"] == "event"]
         assert [r["event"] for r in events] == ["search_start", "alpha_snapshot"]
 
@@ -131,8 +129,8 @@ class TestEventFiles:
         with record_events(path, label="mix", spans=True):
             with obs.span("phase"):
                 emit("inside", epoch=0)
-        types = {r["type"] for r in read_trace(path)}
-        assert {"trace-meta", "event", "span"} <= types
+        types = {r["type"] for r in read_records(path, kind="trace")}
+        assert {"meta", "event", "span"} <= types
 
     def test_spans_without_path_rejected(self):
         with pytest.raises(ValueError):

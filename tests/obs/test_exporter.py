@@ -9,9 +9,9 @@ from repro.obs import (
     MetricsExporter,
     MetricsRegistry,
     MetricsSnapshotter,
-    SNAPSHOT_VERSION,
+    RECORD_VERSION,
     parse_exposition,
-    read_snapshots,
+    read_records,
     render_exposition,
 )
 from repro.obs.exporter import prom_name
@@ -36,9 +36,9 @@ class TestSnapshotter:
         snapshotter.flush()
         snapshotter.close()
 
-        records = read_snapshots(path)
+        records = read_records(path, kind="snapshots")
         assert records[0] == {
-            "type": "snapshot-meta", "version": SNAPSHOT_VERSION,
+            "type": "meta", "kind": "snapshots", "version": RECORD_VERSION,
         }
         snaps = [r for r in records if r["type"] == "metrics-snapshot"]
         assert [snap["seq"] for snap in snaps] == [0, 1]
@@ -62,7 +62,8 @@ class TestSnapshotter:
             snapshotter._stop.wait(0.1)
         snapshotter.close()
         snaps = [
-            r for r in read_snapshots(path) if r["type"] == "metrics-snapshot"
+            r for r in read_records(path, kind="snapshots")
+            if r["type"] == "metrics-snapshot"
         ]
         assert snaps  # at least the stop() final flush
         assert snapshotter.flushes == len(snaps)
@@ -74,8 +75,8 @@ class TestSnapshotter:
     def test_read_rejects_headerless_file(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps({"type": "metrics-snapshot"}) + "\n")
-        with pytest.raises(ValueError, match="snapshot-meta"):
-            read_snapshots(path)
+        with pytest.raises(ValueError, match="header"):
+            read_records(path, kind="snapshots")
 
 
 class TestExposition:

@@ -14,7 +14,7 @@ from repro.obs.memory import (
     render_memory_report_file,
     track_memory,
 )
-from repro.obs.sinks import read_trace
+from repro.obs.sinks import read_records
 
 
 def _retaining_op(x: Tensor, extra: np.ndarray) -> Tensor:
@@ -113,7 +113,7 @@ class TestTrackerLifecycle:
         assert session.tracker is not None
         assert session.memory_stats()["peak_live_bytes"] > 0
         assert "== Tape memory:" in session.report()
-        records = read_trace(path)
+        records = read_records(path, kind="trace")
         memory_records = [r for r in records if r["type"] == "memory_stats"]
         assert len(memory_records) == 1
         assert memory_records[0]["data"]["peak_live_bytes"] > 0
@@ -124,7 +124,8 @@ class TestTrackerLifecycle:
             x = Tensor(np.ones(4), requires_grad=True)
             _ = x * x
         assert session.tracker is None
-        assert all(r["type"] != "memory_stats" for r in read_trace(path))
+        records = read_records(path, kind="trace")
+        assert all(r["type"] != "memory_stats" for r in records)
 
 
 class TestRendering:

@@ -5,7 +5,7 @@ import numpy as np
 
 from repro.core.search import SaneSearcher, SearchConfig
 from repro.core.search_space import SearchSpace
-from repro.obs import ProfileSession, read_trace
+from repro.obs import ProfileSession, read_records
 
 SMALL_SPACE = SearchSpace(
     num_layers=2, node_ops=("gcn", "sage-mean"), layer_ops=("concat", "max")
@@ -57,7 +57,7 @@ class TestSessionTrace:
             SaneSearcher(SMALL_SPACE, tiny_graph, FAST, seed=0).search()
             session.metrics.gauge("score").set(1.0)
 
-        records = read_trace(path)
+        records = read_records(path, kind="trace")
         assert records[0]["label"] == "search:test"
         names = {r["name"] for r in records if r["type"] == "span"}
         assert {"search:test", "search", "epoch", "weight_step"} <= names
@@ -81,7 +81,7 @@ class TestSessionTrace:
         with ProfileSession(trace_path=path, autograd=False) as session:
             SaneSearcher(SMALL_SPACE, tiny_graph, FAST, seed=0).search()
         assert session.op_stats() == []
-        records = read_trace(path)
+        records = read_records(path, kind="trace")
         op_stats = [r for r in records if r["type"] == "op_stats"]
         assert op_stats[0]["data"] == []
         assert any(r["type"] == "span" for r in records)

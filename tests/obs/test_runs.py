@@ -6,9 +6,8 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, RecordWarning
 from repro.obs.runs import (
-    LedgerWarning,
     RunLedger,
     RunManifest,
     build_manifest,
@@ -120,7 +119,7 @@ class TestLedgerStore:
         # Simulate a torn append: truncate the last line mid-record.
         raw = path.read_text(encoding="utf-8")
         path.write_text(raw[:-20] + "\n", encoding="utf-8")
-        with pytest.warns(LedgerWarning):
+        with pytest.warns(RecordWarning):
             loaded = ledger.read()
         assert [m.run_id for m in loaded] == [good.run_id]
 
@@ -152,7 +151,7 @@ class TestLedgerStore:
             ledger.append(_manifest(outputs={"n": i}))
         with open(path, "a", encoding="utf-8") as handle:
             handle.write("garbage\n")
-        with pytest.warns(LedgerWarning):
+        with pytest.warns(RecordWarning):
             dropped = ledger.gc(keep=2)
         assert dropped == 4
         kept = ledger.read()
@@ -169,7 +168,7 @@ class TestLedgerStore:
 
     def test_append_failure_warns_instead_of_crashing(self, tmp_path):
         ledger = RunLedger(tmp_path)  # a directory: open() fails
-        with pytest.warns(LedgerWarning):
+        with pytest.warns(RecordWarning):
             assert ledger.append(_manifest()) is False
 
 

@@ -8,7 +8,7 @@ from repro.obs.serve_report import (
     load_request_trees,
     render_serve_report,
 )
-from repro.obs.sinks import read_trace
+from repro.obs.sinks import read_records
 
 
 class FakeClock:
@@ -49,7 +49,7 @@ def write_trace(path, requests=3, with_metrics=False, memo=0):
 class TestLoadRequestTrees:
     def test_trees_reassemble_with_all_stages(self, tmp_path):
         path = write_trace(tmp_path / "trace.jsonl", requests=3)
-        trees = load_request_trees(read_trace(path))
+        trees = load_request_trees(read_records(path, kind="trace"))
         assert len(trees) == 3
         for tree in trees:
             assert {span["name"] for span in tree.stages} == set(REQUEST_STAGES)
@@ -58,7 +58,7 @@ class TestLoadRequestTrees:
 
     def test_trace_ids_in_order(self, tmp_path):
         path = write_trace(tmp_path / "trace.jsonl", requests=2)
-        trees = load_request_trees(read_trace(path))
+        trees = load_request_trees(read_records(path, kind="trace"))
         assert [tree.trace_id for tree in trees] == [
             "t-00000000", "t-00000001",
         ]
@@ -77,7 +77,7 @@ class TestRenderServeReport:
 
     def test_trees_complete_against_their_own_path(self, tmp_path):
         path = write_trace(tmp_path / "trace.jsonl", requests=2, memo=3)
-        trees = load_request_trees(read_trace(path))
+        trees = load_request_trees(read_records(path, kind="trace"))
         assert [tree.path for tree in trees] == ["forward"] * 2 + ["memo"] * 3
         assert all(tree.complete() for tree in trees)
         text = render_serve_report(path)
@@ -92,7 +92,7 @@ class TestRenderServeReport:
             trace.stage("slice").finish()
             trace.finish(status="ok")
             tracer.remove_sink(sink)
-        (tree,) = load_request_trees(read_trace(path))
+        (tree,) = load_request_trees(read_records(path, kind="trace"))
         assert not tree.complete()
         assert "requests: 1 (0 with every stage" in render_serve_report(path)
 
@@ -101,7 +101,7 @@ class TestRenderServeReport:
         # opens first and closes last, so stage coverage is < 100% but
         # every per-trace coverage line parses and is positive.
         path = write_trace(tmp_path / "trace.jsonl")
-        trees = load_request_trees(read_trace(path))
+        trees = load_request_trees(read_records(path, kind="trace"))
         for tree in trees:
             assert 0.0 < tree.stage_sum() <= tree.duration
 

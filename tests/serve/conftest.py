@@ -9,16 +9,12 @@ a complete request trace and a gradient-free serve path require.
 
 from __future__ import annotations
 
-import contextlib
-from unittest import mock
-
 import numpy as np
 
 from repro.graph.data import Graph
 from repro.obs import InMemorySink, get_tracer
 from repro.obs.context import PATH_STAGES
 from repro.serve import InferenceEngine, ServeServer
-from repro.serve.server import PendingRequest
 from tests.autograd.contract_probe import contract_probe
 
 
@@ -57,35 +53,17 @@ def collect_trees(spans):
     return trees
 
 
-@contextlib.contextmanager
-def resolution_log():
-    """Record the tracer-clock moment each request is resolved or
-    failed, keyed by trace id: the moment its ``resolve`` stage must
-    contain."""
-    moments = {}
-    clock = get_tracer().clock
-
-    def logged(method):
-        def wrapper(self, *args):
-            moments[self.trace_id] = clock()
-            return method(self, *args)
-
-        return wrapper
-
-    with mock.patch.object(PendingRequest, "_resolve", logged(PendingRequest._resolve)):
-        with mock.patch.object(PendingRequest, "_fail", logged(PendingRequest._fail)):
-            yield moments
-
-
-def tree_problems(spans, moments=None) -> list[str]:
+def tree_problems(spans, pendings=None) -> list[str]:
     """Every way the request trees in ``spans`` fall short of complete.
 
     A complete tree has a root and exactly its path's stages
     (``PATH_STAGES``), each finished and parented to the root. A failed
     request may miss stages that never ran, but never its ``resolve``.
-    With ``moments`` (from :func:`resolution_log`), each request's
-    resolution must also fall inside its ``resolve`` stage.
+    With ``pendings`` (the served ``PendingRequest`` objects), each
+    request's ``resolved_at`` must also fall inside its ``resolve``
+    stage.
     """
+    resolved = {p.trace_id: p.resolved_at for p in pendings or ()}
     problems = []
     for trace_id, tree in collect_trees(spans).items():
         root = tree["root"]
@@ -107,8 +85,8 @@ def tree_problems(spans, moments=None) -> list[str]:
                 problems.append(f"{trace_id}: {span.name} orphaned")
             if span.t_end is None:
                 problems.append(f"{trace_id}: {span.name} never finished")
-        if moments is not None:
-            at = moments.get(trace_id)
+        if pendings is not None:
+            at = resolved.get(trace_id)
             if not any(
                 span.name == "resolve" and at is not None
                 and span.t_start <= at <= span.t_end
@@ -119,20 +97,22 @@ def tree_problems(spans, moments=None) -> list[str]:
 
 
 def serve_traced(engine, requests) -> list[str]:
-    """Serve ``(node_ids, graph)`` requests one by one under a sink and
-    a :func:`resolution_log`; return :func:`tree_problems` of the
-    recorded trees. A request that fails is part of the traffic, not
-    an error of the check."""
+    """Serve ``(node_ids, graph)`` requests one by one under a sink;
+    return :func:`tree_problems` of the recorded trees and requests.
+    A request that fails is part of the traffic, not an error of the
+    check."""
     sink = InMemorySink()
-    with resolution_log() as moments, get_tracer().collect(sink):
+    pendings = []
+    with get_tracer().collect(sink):
         with ServeServer(engine, max_batch=4) as server:
             for node_ids, graph in requests:
                 pending = server.submit_async(node_ids=node_ids, graph=graph)
+                pendings.append(pending)
                 try:
                     pending.result(timeout=30)
                 except IndexError:
                     pass
-    return tree_problems(sink.spans, moments)
+    return tree_problems(sink.spans, pendings)
 
 
 def serving_tape(artifact, foreign=None):

@@ -21,7 +21,6 @@ from repro.serve import InferenceEngine, ServeServer
 from tests.serve.conftest import (
     collect_trees,
     foreign_graph,
-    resolution_log,
     tree_problems,
 )
 
@@ -44,13 +43,17 @@ class TestConcurrentTraceIntegrity:
         # Odd threads send their own graph (queued, forward path); even
         # threads ask the artifact's graph (memo path, inline).
         graphs = [foreign if index % 2 else None for index in range(num_threads)]
-        with resolution_log() as moments, get_tracer().collect(sink):
+        pendings = [None] * num_threads
+        with get_tracer().collect(sink):
             with ServeServer(engine, max_batch=4, workers=2) as server:
                 barrier = threading.Barrier(num_threads)
 
                 def client(index):
                     barrier.wait()
-                    server.submit(node_ids=ids[index], graph=graphs[index])
+                    pendings[index] = server.submit_async(
+                        node_ids=ids[index], graph=graphs[index]
+                    )
+                    pendings[index].result(timeout=30)
 
                 threads = [
                     threading.Thread(target=client, args=(index,))
@@ -66,7 +69,7 @@ class TestConcurrentTraceIntegrity:
         all_ids = [span.span_id for span in sink.spans]
         assert len(all_ids) == len(set(all_ids)), "span ids must be unique"
         # Every tree is complete, and every request resolved inside it.
-        assert tree_problems(sink.spans, moments) == []
+        assert tree_problems(sink.spans, pendings) == []
         paths = []
         for tree in trees.values():
             root = tree["root"]
@@ -94,7 +97,7 @@ class TestConcurrentTraceIntegrity:
 
     def test_error_trees_are_complete_too(self, engine, foreign):
         sink = InMemorySink()
-        with resolution_log() as moments, get_tracer().collect(sink):
+        with get_tracer().collect(sink):
             with ServeServer(engine, max_batch=4) as server:
                 pending = server.submit_async(
                     node_ids=np.array([10 ** 9]),  # out of range -> engine error
@@ -103,7 +106,7 @@ class TestConcurrentTraceIntegrity:
                 with pytest.raises(IndexError):
                     pending.result(timeout=30)
         ((_, tree),) = collect_trees(sink.spans).items()
-        assert tree_problems(sink.spans, moments) == []
+        assert tree_problems(sink.spans, [pending]) == []
         assert tree["root"].attrs["status"] == "error"
         assert tree["root"].attrs["path"] == "forward"
         names = {span.name for span in tree["stages"]}

@@ -83,7 +83,7 @@ class TestProfileCommand:
         assert args.scale == "smoke"
 
     def test_profile_search_writes_trace_and_report(self, tmp_path, capsys):
-        from repro.obs import read_trace
+        from repro.obs import read_records
 
         trace = tmp_path / "trace.jsonl"
         code = main(
@@ -97,13 +97,13 @@ class TestProfileCommand:
         assert "autograd ops (by self time)" in out
         assert str(trace) in out
 
-        records = read_trace(trace)
-        assert records[0]["type"] == "trace-meta"
+        records = read_records(trace, kind="trace")
+        assert records[0]["type"] == "meta"
         assert any(r["type"] == "span" for r in records)
         assert any(r["type"] == "op_stats" for r in records)
 
     def test_profile_baseline_without_autograd(self, tmp_path, capsys):
-        from repro.obs import read_trace
+        from repro.obs import read_records
 
         trace = tmp_path / "trace.jsonl"
         code = main(
@@ -114,7 +114,7 @@ class TestProfileCommand:
         out = capsys.readouterr().out
         assert "gcn on cora" in out
         assert "== Phase breakdown (spans) ==" in out
-        op_stats = [r for r in read_trace(trace) if r["type"] == "op_stats"]
+        op_stats = [r for r in read_records(trace, kind="trace") if r["type"] == "op_stats"]
         assert op_stats[0]["data"] == []
 
 
@@ -364,10 +364,10 @@ class TestServeObservability:
         assert "trace:" in out
         assert "deadline:" in out  # the misses were reported
 
-        from repro.obs import read_snapshots
+        from repro.obs import read_records
 
-        records = read_snapshots(snapshots)
-        assert records[0]["type"] == "snapshot-meta"
+        records = read_records(snapshots, kind="snapshots")
+        assert records[0]["type"] == "meta"
         final = [r for r in records if r["type"] == "metrics-snapshot"][-1]
         assert final["data"]["counters"]["serve.deadline_exceeded"]["value"] > 0
 
