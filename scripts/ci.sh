@@ -146,8 +146,10 @@ missing = [name for name in required if name not in samples]
 assert not missing, f"scrape missing {missing}; got {sorted(samples)}"
 print(f"exposition ok: {len(samples)} samples")
 PYEOF
+    # Through `head` under pipefail: a reader that closes early must end
+    # the render quietly with exit 0, not fail on a broken pipe.
     echo "==> repro report serve"
-    python -m repro report serve "$SERVE_DIR/serve-trace.jsonl" --top 3
+    python -m repro report serve "$SERVE_DIR/serve-trace.jsonl" --top 3 | head -n 1
     python -m repro report bench --baselines benchmarks/baselines/cli \
         --time-tolerance 1.5 "$SERVE_DIR/BENCH_serve_cli.json"
 

@@ -900,39 +900,27 @@ def _cmd_runs(args) -> int:  # lint: disable=unledgered-entrypoint -- reading th
 
 def _cmd_report(args) -> int:  # lint: disable=unledgered-entrypoint -- read-only dashboards and gate renderers
     """``repro report``: run/diff dashboards and the bench gate."""
-    if args.view == "run":
-        try:
-            print(render_run(args.events))
-        except (OSError, ValueError) as exc:
-            print(f"repro report run: error: {exc}", file=sys.stderr)
-            return 2
-        return 0
-
-    if args.view == "diff":
-        try:
-            print(render_diff(args.a, args.b))
-        except (OSError, ValueError) as exc:
-            print(f"repro report diff: error: {exc}", file=sys.stderr)
-            return 2
-        return 0
-
-    if args.view == "memory":
-        try:
-            print(render_memory_report_file(args.trace, top=args.top))
-        except (OSError, ValueError) as exc:
-            print(f"repro report memory: error: {exc}", file=sys.stderr)
-            return 2
-        return 0
-
-    if args.view == "serve":
-        try:
-            print(render_serve_report(args.trace, top=args.top))
-        except (OSError, ValueError) as exc:
-            print(f"repro report serve: error: {exc}", file=sys.stderr)
-            return 2
-        return 0
-
-    return _run_report_bench(args)
+    renderers = {
+        "run": lambda: render_run(args.events),
+        "diff": lambda: render_diff(args.a, args.b),
+        "memory": lambda: render_memory_report_file(args.trace, top=args.top),
+        "serve": lambda: render_serve_report(args.trace, top=args.top),
+    }
+    if args.view not in renderers:
+        return _run_report_bench(args)
+    try:
+        text = renderers[args.view]()
+    except (OSError, ValueError) as exc:
+        print(f"repro report {args.view}: error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # The reader closed early (``| head``): point stdout at devnull
+        # so the interpreter's exit-time flush cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+    return 0
 
 
 def _run_report_bench(args) -> int:

@@ -20,43 +20,19 @@ import dataclasses
 
 import numpy as np
 
-from repro import obs
 from repro.autograd import functional as F
 from repro.autograd import no_grad
-from repro.obs import events, health
-from repro.obs.search_telemetry import SearchTelemetry, grad_l2_norm
+from repro.core import bilevel
 from repro.core.search_space import Architecture, SearchSpace
-from repro.core.supernet import SaneSupernet
+from repro.core.supernet import SaneSupernet, derive_from_alphas
 from repro.graph.data import Graph, MultiGraphDataset
 from repro.gnn.common import GraphCache
-from repro.nn.optim import Adam, clip_grad_norm
+from repro.nn.optim import Adam
 from repro.nn.schedulers import create_scheduler
+from repro.obs.search_telemetry import SearchTelemetry
 from repro.train.metrics import accuracy, micro_f1
 
 __all__ = ["SearchConfig", "SearchResult", "SaneSearcher", "derive_from_alphas"]
-
-
-def derive_from_alphas(
-    space: SearchSpace,
-    alphas: dict[str, np.ndarray],
-    rng: np.random.Generator | None = None,
-) -> Architecture:
-    """Argmax derivation from raw alpha matrices (ties broken randomly)."""
-    rng = rng or np.random.default_rng(0)
-
-    def pick(row: np.ndarray, names: tuple[str, ...]) -> str:
-        winners = np.flatnonzero(row >= row.max() - 1e-12)
-        return names[int(rng.choice(winners))]
-
-    return Architecture(
-        node_aggregators=tuple(
-            pick(alphas["node"][i], space.node_ops) for i in range(space.num_layers)
-        ),
-        skip_connections=tuple(
-            pick(alphas["skip"][i], space.skip_ops) for i in range(space.num_layers)
-        ),
-        layer_aggregator=pick(alphas["layer"][0], space.layer_ops),
-    )
 
 
 @dataclasses.dataclass
@@ -139,20 +115,16 @@ class SaneSearcher:
 
         if isinstance(data, Graph):
             self._mode = "transductive"
-            in_dim = data.num_features
-            num_classes = data.num_classes
         elif isinstance(data, MultiGraphDataset):
             self._mode = "inductive"
-            in_dim = data.num_features
-            num_classes = data.num_classes
         else:
             raise TypeError(f"cannot search over {type(data).__name__}")
 
         self.supernet = SaneSupernet(
             space=space,
-            in_dim=in_dim,
+            in_dim=data.num_features,
             hidden_dim=self.config.hidden_dim,
-            num_classes=num_classes,
+            num_classes=data.num_classes,
             rng=self._rng,
             dropout=self.config.dropout,
             activation=self.config.activation,
@@ -160,13 +132,15 @@ class SaneSearcher:
             use_layer_aggregator=self.config.use_layer_aggregator,
             normalize_ops=self.config.normalize_ops,
         )
+        self._arch = self.supernet.arch_parameters()
+        self._weights = self.supernet.weight_parameters()
         self._w_optimizer = Adam(
-            self.supernet.weight_parameters(),
+            self._weights,
             lr=self.config.w_lr,
             weight_decay=self.config.w_weight_decay,
         )
         self._alpha_optimizer = Adam(
-            self.supernet.arch_parameters(),
+            self._arch,
             lr=self.config.alpha_lr,
             weight_decay=self.config.alpha_weight_decay,
         )
@@ -181,8 +155,6 @@ class SaneSearcher:
     # ------------------------------------------------------------------
     def search(self) -> SearchResult:
         """Run the search loop and return the derived architecture."""
-        history: list[tuple[float, float]] = []
-        snapshots: list[dict[str, np.ndarray]] = []
         telemetry = SearchTelemetry(self.space)
         telemetry.search_start(
             mode=self._mode,
@@ -194,84 +166,26 @@ class SaneSearcher:
             epsilon=self.config.epsilon,
             xi=self.config.xi,
         )
-        search_span = obs.span(
-            "search", kind="search", algo="sane", mode=self._mode
-        ).start()
-        monitor = health.get_monitor()
-        for epoch in range(self.config.epochs):
-            with obs.span("epoch", index=epoch):
-                # Health-only pre-step copies for the update/param scale
-                # gauges; pure reads, never taken while no monitor is on.
-                arch_before = (
-                    [p.data.copy() for p in self.supernet.arch_parameters()]
-                    if monitor is not None
-                    else None
-                )
-                with obs.span("alpha_step"):
-                    val_loss = self._alpha_step()
-                # Telemetry-only reads of the post-clip gradients: pure
-                # numpy reductions, skipped entirely unless recording,
-                # so the seeded search stream is untouched either way.
-                arch_grad_norm = (
-                    grad_l2_norm(self.supernet.arch_parameters())
-                    if events.enabled() or monitor is not None
-                    else None
-                )
-                weight_before = (
-                    [p.data.copy() for p in self.supernet.weight_parameters()]
-                    if monitor is not None
-                    else None
-                )
-                with obs.span("weight_step"):
-                    train_loss = self._weight_step()
-                weight_grad_norm = (
-                    grad_l2_norm(self.supernet.weight_parameters())
-                    if events.enabled() or monitor is not None
-                    else None
-                )
-                if self._w_scheduler is not None:
-                    self._w_scheduler.step()
-                elapsed = search_span.elapsed()
-                with obs.span("validation"):
-                    score = self.validation_score()
-                history.append((elapsed, score))
-                snapshot = {
-                    "node": self.supernet.alpha_node.data.copy(),
-                    "skip": self.supernet.alpha_skip.data.copy(),
-                    "layer": self.supernet.alpha_layer.data.copy(),
-                }
-                snapshots.append(snapshot)
-                if monitor is not None:
-                    monitor.observe_epoch(
-                        epoch,
-                        arch_params=self.supernet.arch_parameters(),
-                        weight_params=self.supernet.weight_parameters(),
-                        arch_before=arch_before,
-                        weight_before=weight_before,
-                        arch_grad_norm=arch_grad_norm,
-                        weight_grad_norm=weight_grad_norm,
-                        mixtures=snapshot,
-                        op_names={
-                            "node": self.space.node_ops,
-                            "skip": self.space.skip_ops,
-                            "layer": self.space.layer_ops,
-                        },
-                    )
-                telemetry.epoch(
-                    epoch,
-                    snapshot,
-                    val_score=score,
-                    train_loss=train_loss,
-                    val_loss=val_loss,
-                    arch_grad_norm=arch_grad_norm,
-                    weight_grad_norm=weight_grad_norm,
-                )
-        search_span.finish()
+        # The halves are looked up on the instance every epoch, so a
+        # wrapper installed on the class (profilers) sees each call.
+        history, snapshots, search_time = bilevel.run_search(
+            self.config.epochs,
+            arch=self._arch,
+            weights=self._weights,
+            alpha_step=lambda: self._alpha_step(),
+            weight_step=lambda: self._weight_step(),
+            validate=lambda: self.validation_score(),
+            snapshot=self.supernet.alphas,
+            op_names=self.space.ops,
+            scheduler=self._w_scheduler,
+            on_epoch=telemetry.epoch,
+            mode=self._mode,
+        )
         architecture = self.supernet.derive(self._rng)
         telemetry.search_end(epochs=self.config.epochs, architecture=architecture)
         return SearchResult(
             architecture=architecture,
-            search_time=search_span.duration,
+            search_time=search_time,
             history=history,
             supernet=self.supernet,
             alpha_snapshots=snapshots,
@@ -291,74 +205,55 @@ class SaneSearcher:
         mode only) for the epoch-metrics telemetry.
         """
         self.supernet.train()
-        val_loss = None
         if self.config.xi <= 0.0:
-            self.supernet.zero_grad()
-            loss = self._loss("val")
-            loss.backward()
-            val_loss = loss.item()
-        else:
-            self._second_order_alpha_grads()
-        clip_grad_norm(self.supernet.arch_parameters(), self.config.grad_clip)
-        self._alpha_optimizer.step()
-        return val_loss
+            return bilevel.descend(
+                self._arch,
+                self._alpha_optimizer,
+                lambda: self._loss("val"),
+                self.config.grad_clip,
+                hold=self._weights,
+            )
+        self._second_order_alpha_grads()
+        return bilevel.descend(
+            self._arch, self._alpha_optimizer, None, self.config.grad_clip
+        )
 
     def _second_order_alpha_grads(self) -> None:
         """Populate alpha grads with the xi > 0 update of Eq. 8."""
         xi = self.config.xi
-        weights = self.supernet.weight_parameters()
-        alphas = self.supernet.arch_parameters()
+        weights = self._weights
+        alphas = self._arch
         saved = [w.data.copy() for w in weights]
 
         # Virtual step: w' = w - xi * grad_w L_tra(w, alpha).
-        self.supernet.zero_grad()
-        self._loss("train").backward()
-        train_grads = [
-            w.grad.copy() if w.grad is not None else np.zeros_like(w.data)
-            for w in weights
-        ]
+        train_grads = bilevel.gradients(
+            lambda: self._loss("train"), weights, hold=alphas
+        )
         for w, g in zip(weights, train_grads):
             w.data = w.data - xi * g
 
         # Validation gradients at w': both d_alpha and d_w'.
-        self.supernet.zero_grad()
-        self._loss("val").backward()
-        dalpha = [
-            a.grad.copy() if a.grad is not None else np.zeros_like(a.data)
-            for a in alphas
-        ]
-        dw = [
-            w.grad.copy() if w.grad is not None else np.zeros_like(w.data)
-            for w in weights
-        ]
+        val_grads = bilevel.gradients(lambda: self._loss("val"), alphas + weights)
+        dalpha, dw = val_grads[: len(alphas)], val_grads[len(alphas) :]
 
         # Finite-difference Hessian-vector product:
         # (grad_alpha L_tra(w + eps*dw) - grad_alpha L_tra(w - eps*dw)) / 2eps.
         norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in dw)))
         eps = 0.01 / max(norm, 1e-8)
 
-        for w, original, g in zip(weights, saved, dw):
-            w.data = original + eps * g
-        self.supernet.zero_grad()
-        self._loss("train").backward()
-        alpha_plus = [
-            a.grad.copy() if a.grad is not None else np.zeros_like(a.data)
-            for a in alphas
-        ]
+        def train_alpha_grads(shift: float) -> list[np.ndarray]:
+            for w, original, g in zip(weights, saved, dw):
+                w.data = original + shift * g
+            return bilevel.gradients(
+                lambda: self._loss("train"), alphas, hold=weights
+            )
 
-        for w, original, g in zip(weights, saved, dw):
-            w.data = original - eps * g
-        self.supernet.zero_grad()
-        self._loss("train").backward()
-        alpha_minus = [
-            a.grad.copy() if a.grad is not None else np.zeros_like(a.data)
-            for a in alphas
-        ]
+        alpha_plus = train_alpha_grads(eps)
+        alpha_minus = train_alpha_grads(-eps)
 
         # Restore w and install the combined gradient on alpha.
         for w, original in zip(weights, saved):
             w.data = original
-        self.supernet.zero_grad()
         for alpha, first, plus, minus in zip(alphas, dalpha, alpha_plus, alpha_minus):
             hessian_term = (plus - minus) / (2.0 * eps)
             alpha.grad = first - xi * hessian_term
@@ -366,12 +261,13 @@ class SaneSearcher:
     def _weight_step(self) -> float:
         """Update w by descending the training loss (line 5)."""
         self.supernet.train()
-        self.supernet.zero_grad()
-        loss = self._loss("train")
-        loss.backward()
-        clip_grad_norm(self.supernet.weight_parameters(), self.config.grad_clip)
-        self._w_optimizer.step()
-        return loss.item()
+        return bilevel.descend(
+            self._weights,
+            self._w_optimizer,
+            lambda: self._loss("train"),
+            self.config.grad_clip,
+            hold=self._arch,
+        )
 
     def _loss(self, split: str):
         if self._mode == "transductive":

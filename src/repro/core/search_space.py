@@ -110,6 +110,11 @@ class SearchSpace:
         self.layer_ops = tuple(layer_ops)
         self.skip_ops = tuple(skip_ops)
 
+    @property
+    def ops(self) -> dict[str, tuple[str, ...]]:
+        """Candidate op names per edge kind, the keys of the alpha matrices."""
+        return {"node": self.node_ops, "skip": self.skip_ops, "layer": self.layer_ops}
+
     def size(self) -> int:
         """Number of discrete architectures (the paper's 31,944 for K=3)."""
         return (

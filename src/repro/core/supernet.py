@@ -35,7 +35,34 @@ from repro.nn.layers import Dropout, Linear
 from repro.nn.module import Module, Parameter
 from repro.obs import health
 
-__all__ = ["SaneSupernet"]
+__all__ = ["SaneSupernet", "derive_from_alphas"]
+
+
+def derive_from_alphas(
+    space: SearchSpace,
+    alphas: dict[str, np.ndarray],
+    rng: np.random.Generator | None = None,
+) -> Architecture:
+    """Argmax derivation from raw alpha matrices (k = 1 of Algorithm 1, line 7).
+
+    Ties within 1e-12 are broken uniformly at random (relevant for the
+    ``epsilon = 1`` ablation, where alphas never move).
+    """
+    rng = rng or np.random.default_rng(0)
+
+    def pick(row: np.ndarray, names: tuple[str, ...]) -> str:
+        winners = np.flatnonzero(row >= row.max() - 1e-12)
+        return names[int(rng.choice(winners))]
+
+    return Architecture(
+        node_aggregators=tuple(
+            pick(alphas["node"][i], space.node_ops) for i in range(space.num_layers)
+        ),
+        skip_connections=tuple(
+            pick(alphas["skip"][i], space.skip_ops) for i in range(space.num_layers)
+        ),
+        layer_aggregator=pick(alphas["layer"][0], space.layer_ops),
+    )
 
 
 def _row_normalize(x: Tensor) -> Tensor:
@@ -224,29 +251,17 @@ class SaneSupernet(Module):
     # ------------------------------------------------------------------
     # discrete architecture derivation
     # ------------------------------------------------------------------
+    def alphas(self) -> dict[str, np.ndarray]:
+        """Copies of the alpha matrices, keyed by edge kind."""
+        return {
+            "node": self.alpha_node.data.copy(),
+            "skip": self.alpha_skip.data.copy(),
+            "layer": self.alpha_layer.data.copy(),
+        }
+
     def derive(self, rng: np.random.Generator | None = None) -> Architecture:
-        """Argmax derivation (k = 1 of Algorithm 1, line 7).
-
-        Ties within 1e-12 are broken uniformly at random (relevant for
-        the ``epsilon = 1`` ablation, where alphas never move).
-        """
-        rng = rng or self._rng
-
-        def pick(row: np.ndarray, names: tuple[str, ...]) -> str:
-            best = row.max()
-            winners = np.flatnonzero(row >= best - 1e-12)
-            return names[int(rng.choice(winners))]
-
-        node_choices = tuple(
-            pick(self.alpha_node.data[i], self.space.node_ops)
-            for i in range(self.space.num_layers)
-        )
-        skip_choices = tuple(
-            pick(self.alpha_skip.data[i], self.space.skip_ops)
-            for i in range(self.space.num_layers)
-        )
-        layer_choice = pick(self.alpha_layer.data[0], self.space.layer_ops)
-        return Architecture(node_choices, skip_choices, layer_choice)
+        """Argmax derivation of the current alphas (:func:`derive_from_alphas`)."""
+        return derive_from_alphas(self.space, self.alphas(), rng or self._rng)
 
     def derive_topk(self, k: int) -> list[Architecture]:
         """Top-k architectures ranked by the product of mixture weights.
@@ -267,20 +282,13 @@ class SaneSupernet(Module):
         # names in that order, position kind).
         positions: list[tuple[np.ndarray, list[str]]] = []
         kinds: list[tuple[str, int]] = []
-        for layer in range(self.space.num_layers):
-            row = log_weights(self.alpha_node.data[layer])
-            order = np.argsort(-row)
-            positions.append((row[order], [self.space.node_ops[i] for i in order]))
-            kinds.append(("node", layer))
-        for layer in range(self.space.num_layers):
-            row = log_weights(self.alpha_skip.data[layer])
-            order = np.argsort(-row)
-            positions.append((row[order], [self.space.skip_ops[i] for i in order]))
-            kinds.append(("skip", layer))
-        row = log_weights(self.alpha_layer.data[0])
-        order = np.argsort(-row)
-        positions.append((row[order], [self.space.layer_ops[i] for i in order]))
-        kinds.append(("layer", 0))
+        for kind, matrix in self.alphas().items():
+            names = self.space.ops[kind]
+            for index, alpha_row in enumerate(matrix):
+                row = log_weights(alpha_row)
+                order = np.argsort(-row)
+                positions.append((row[order], [names[i] for i in order]))
+                kinds.append((kind, index))
 
         def build(ranks: tuple[int, ...]) -> Architecture:
             nodes = [""] * self.space.num_layers

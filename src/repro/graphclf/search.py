@@ -13,10 +13,10 @@ import dataclasses
 
 import numpy as np
 
-from repro import obs
 from repro.autograd import functional as F
 from repro.autograd import no_grad, ops
 from repro.autograd.tensor import Tensor
+from repro.core import bilevel
 from repro.core.search_space import NODE_OPS
 from repro.gnn.aggregators import create_node_aggregator
 from repro.graphclf.data import GraphClassificationDataset
@@ -24,7 +24,7 @@ from repro.graphclf.models import GraphBatch, GraphClassifier, collate
 from repro.graphclf.pooling import POOLING_OPS, create_pooling_op
 from repro.nn.layers import Dropout, Linear
 from repro.nn.module import Module, Parameter
-from repro.nn.optim import Adam, clip_grad_norm
+from repro.nn.optim import Adam
 from repro.obs import health
 
 __all__ = ["GraphSearchConfig", "GraphSearchResult", "GraphSupernet", "search_graph_classifier"]
@@ -139,72 +139,49 @@ def search_graph_classifier(
     config = config or GraphSearchConfig()
     rng = np.random.default_rng(seed)
     supernet = GraphSupernet(dataset.num_features, dataset.num_classes, config, rng)
-    w_optimizer = Adam(
-        supernet.weight_parameters(), lr=config.w_lr, weight_decay=config.w_weight_decay
-    )
+    arch = supernet.arch_parameters()
+    weights = supernet.weight_parameters()
+    w_optimizer = Adam(weights, lr=config.w_lr, weight_decay=config.w_weight_decay)
     alpha_optimizer = Adam(
-        supernet.arch_parameters(),
-        lr=config.alpha_lr,
-        weight_decay=config.alpha_weight_decay,
+        arch, lr=config.alpha_lr, weight_decay=config.alpha_weight_decay
     )
     train_batch = collate(dataset.train)
     val_batch = collate(dataset.val)
 
-    history: list[tuple[float, float]] = []
-    monitor = health.get_monitor()
-    search_span = obs.span("search", kind="search", algo="sane", task="graphclf").start()
-    for epoch in range(config.epochs):
-        with obs.span("epoch", index=epoch):
-            arch_before = (
-                [p.data.copy() for p in supernet.arch_parameters()]
-                if monitor is not None
-                else None
-            )
-            weight_before = (
-                [p.data.copy() for p in supernet.weight_parameters()]
-                if monitor is not None
-                else None
-            )
-            supernet.train()
-            supernet.zero_grad()
-            with obs.span("alpha_step"):
-                F.cross_entropy(supernet(val_batch), val_batch.labels).backward()
-                clip_grad_norm(supernet.arch_parameters(), config.grad_clip)
-                alpha_optimizer.step()
+    def step(params, optimizer, batch, hold):
+        supernet.train()
+        return bilevel.descend(
+            params,
+            optimizer,
+            lambda: F.cross_entropy(supernet(batch), batch.labels),
+            config.grad_clip,
+            hold,
+        )
 
-            supernet.zero_grad()
-            with obs.span("weight_step"):
-                F.cross_entropy(supernet(train_batch), train_batch.labels).backward()
-                clip_grad_norm(supernet.weight_parameters(), config.grad_clip)
-                w_optimizer.step()
+    def validate() -> float:
+        supernet.eval()
+        with no_grad():
+            logits = supernet(val_batch).numpy()
+        return float((logits.argmax(axis=1) == val_batch.labels).mean())
 
-            supernet.eval()
-            with obs.span("validation"), no_grad():
-                logits = supernet(val_batch).numpy()
-            score = float((logits.argmax(axis=1) == val_batch.labels).mean())
-            history.append((search_span.elapsed(), score))
-            if monitor is not None:
-                monitor.observe_epoch(
-                    epoch,
-                    arch_params=supernet.arch_parameters(),
-                    weight_params=supernet.weight_parameters(),
-                    arch_before=arch_before,
-                    weight_before=weight_before,
-                    mixtures={
-                        "node": supernet.alpha_node.data,
-                        "pool": supernet.alpha_pool.data,
-                    },
-                    op_names={
-                        "node": config.node_ops,
-                        "pool": config.pooling_ops,
-                    },
-                )
-
-    search_span.finish()
+    history, __, search_time = bilevel.run_search(
+        config.epochs,
+        arch=arch,
+        weights=weights,
+        alpha_step=lambda: step(arch, alpha_optimizer, val_batch, weights),
+        weight_step=lambda: step(weights, w_optimizer, train_batch, arch),
+        validate=validate,
+        snapshot=lambda: {
+            "node": supernet.alpha_node.data.copy(),
+            "pool": supernet.alpha_pool.data.copy(),
+        },
+        op_names={"node": config.node_ops, "pool": config.pooling_ops},
+        task="graphclf",
+    )
     node_choices, pooling = supernet.derive()
     return GraphSearchResult(
         node_aggregators=node_choices,
         pooling=pooling,
-        search_time=search_span.duration,
+        search_time=search_time,
         history=history,
     )

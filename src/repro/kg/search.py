@@ -15,10 +15,10 @@ import dataclasses
 
 import numpy as np
 
-from repro import obs
 from repro.autograd import functional as F
 from repro.autograd import no_grad, ops
 from repro.autograd.tensor import Tensor
+from repro.core import bilevel
 from repro.core.search_space import NODE_OPS
 from repro.gnn.aggregators import create_node_aggregator
 from repro.gnn.common import GraphCache
@@ -27,7 +27,7 @@ from repro.kg.data import AlignmentDataset
 from repro.kg.metrics import evaluate_alignment
 from repro.nn import init
 from repro.nn.module import Module, Parameter
-from repro.nn.optim import Adam, clip_grad_norm
+from repro.nn.optim import Adam
 from repro.obs import health
 
 __all__ = ["AlignSearchConfig", "AlignSearchResult", "AlignSupernet", "search_alignment"]
@@ -133,75 +133,43 @@ def search_alignment(
     config = config or AlignSearchConfig()
     rng = np.random.default_rng(seed)
     supernet = AlignSupernet(dataset, config, rng)
-    w_optimizer = Adam(
-        supernet.weight_parameters(), lr=config.w_lr, weight_decay=config.w_weight_decay
-    )
+    arch = supernet.arch_parameters()
+    weights = supernet.weight_parameters()
+    w_optimizer = Adam(weights, lr=config.w_lr, weight_decay=config.w_weight_decay)
     alpha_optimizer = Adam(
-        supernet.arch_parameters(),
-        lr=config.alpha_lr,
-        weight_decay=config.alpha_weight_decay,
+        arch, lr=config.alpha_lr, weight_decay=config.alpha_weight_decay
     )
 
-    history: list[tuple[float, float]] = []
-    monitor = health.get_monitor()
-    search_span = obs.span("search", kind="search", algo="sane", task="kg-align").start()
-    for epoch in range(config.epochs):
-        with obs.span("epoch", index=epoch):
-            arch_before = (
-                [p.data.copy() for p in supernet.arch_parameters()]
-                if monitor is not None
-                else None
+    def step(params, optimizer, links, hold):
+        def loss():
+            z1, z2 = supernet.encode()
+            return margin_ranking_loss(
+                z1, z2, links, rng, config.margin, config.num_negatives
             )
-            weight_before = (
-                [p.data.copy() for p in supernet.weight_parameters()]
-                if monitor is not None
-                else None
-            )
-            # alpha step on validation links.
-            supernet.train()
-            supernet.zero_grad()
-            with obs.span("alpha_step"):
-                z1, z2 = supernet.encode()
-                val_loss = margin_ranking_loss(
-                    z1, z2, dataset.val_links, rng, config.margin, config.num_negatives
-                )
-                val_loss.backward()
-                clip_grad_norm(supernet.arch_parameters(), config.grad_clip)
-                alpha_optimizer.step()
 
-            # w step on training links.
-            supernet.zero_grad()
-            with obs.span("weight_step"):
-                z1, z2 = supernet.encode()
-                train_loss = margin_ranking_loss(
-                    z1, z2, dataset.train_links, rng, config.margin, config.num_negatives
-                )
-                train_loss.backward()
-                clip_grad_norm(supernet.weight_parameters(), config.grad_clip)
-                w_optimizer.step()
+        supernet.train()
+        return bilevel.descend(params, optimizer, loss, config.grad_clip, hold)
 
-            supernet.eval()
-            with obs.span("validation"):
-                with no_grad():
-                    z1_eval, z2_eval = supernet.encode()
-                hits = evaluate_alignment(
-                    z1_eval.numpy(), z2_eval.numpy(), dataset.val_links, ks=(1,)
-                )
-            history.append((search_span.elapsed(), hits["zh->en"][1]))
-            if monitor is not None:
-                monitor.observe_epoch(
-                    epoch,
-                    arch_params=supernet.arch_parameters(),
-                    weight_params=supernet.weight_parameters(),
-                    arch_before=arch_before,
-                    weight_before=weight_before,
-                    mixtures={"node": supernet.alpha_node.data},
-                    op_names={"node": config.node_ops},
-                )
+    def validate() -> float:
+        supernet.eval()
+        with no_grad():
+            z1, z2 = supernet.encode()
+        hits = evaluate_alignment(z1.numpy(), z2.numpy(), dataset.val_links, ks=(1,))
+        return hits["zh->en"][1]
 
-    search_span.finish()
+    history, __, search_time = bilevel.run_search(
+        config.epochs,
+        arch=arch,
+        weights=weights,
+        alpha_step=lambda: step(arch, alpha_optimizer, dataset.val_links, weights),
+        weight_step=lambda: step(weights, w_optimizer, dataset.train_links, arch),
+        validate=validate,
+        snapshot=lambda: {"node": supernet.alpha_node.data.copy()},
+        op_names={"node": config.node_ops},
+        task="kg-align",
+    )
     return AlignSearchResult(
         node_aggregators=supernet.derive(),
-        search_time=search_span.duration,
+        search_time=search_time,
         history=history,
     )

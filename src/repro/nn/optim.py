@@ -3,7 +3,7 @@
 The paper trains model weights with Adam (learning rate 5e-3, L2 norm
 5e-4 for the baselines; searched values in Table XII), and updates the
 architecture parameters ``alpha`` with a separate Adam instance — the
-bi-level loop in :mod:`repro.core.search` therefore holds two
+bi-level step in :mod:`repro.core.bilevel` therefore holds two
 :class:`Optimizer` objects over disjoint parameter sets.
 """
 

@@ -45,6 +45,7 @@ import numpy as np
 
 from repro.obs import events
 from repro.obs import tape
+from repro.obs.search_telemetry import grad_l2_norm
 from repro.obs.spans import get_tracer
 
 __all__ = [
@@ -317,12 +318,12 @@ class HealthMonitor:
         ``.grad`` slots.
         """
         arch_grad = (
-            arch_grad_norm if arch_grad_norm is not None else _grad_norm(arch_params)
+            arch_grad_norm if arch_grad_norm is not None else grad_l2_norm(arch_params)
         )
         weight_grad = (
             weight_grad_norm
             if weight_grad_norm is not None
-            else _grad_norm(weight_params)
+            else grad_l2_norm(weight_params)
         )
         report = {
             "epoch": int(epoch),
@@ -363,14 +364,6 @@ class HealthMonitor:
             "epochs_observed": len(self.epoch_reports),
             "dead_ops": self.dead_ops(),
         }
-
-
-def _grad_norm(params) -> float:
-    total = 0.0
-    for param in params:
-        if param.grad is not None:
-            total += float(np.sum(param.grad * param.grad))
-    return float(np.sqrt(total))
 
 
 def _update_scale(params, before) -> float | None:

@@ -208,6 +208,28 @@ class TestReportCommand:
         assert "== Search telemetry: cli-test ==" in out
         assert "per-edge entropy (nats):" in out
 
+    def test_report_into_closed_pipe_ends_quietly(self, tmp_path):
+        """``repro report run e.jsonl | head`` after ``head`` has exited."""
+        import os
+        import subprocess
+        import sys
+
+        events = tmp_path / "events.jsonl"
+        self._record(events)
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        reader, writer = os.pipe()
+        os.close(reader)  # the reader is gone before the render is written
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", "report", "run", str(events)],
+                stdout=writer, stderr=subprocess.PIPE, text=True, env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(writer)
+        assert (done.returncode, done.stderr) == (0, "")
+
     def test_report_run_missing_file_exits_2(self, tmp_path, capsys):
         code = main(["report", "run", str(tmp_path / "nope.jsonl")])
         assert code == 2
