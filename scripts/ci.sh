@@ -197,6 +197,9 @@ assert not missing, f"ledger tail missing commands {sorted(missing)}; got {sorte
 print(f"ledger commands ok: {sorted(commands)}")
 PYEOF
 python -m repro runs list --last 12
+# Through `head` under pipefail, like `report serve` above: a reader
+# that closes early must end the listing quietly with exit 0.
+python -m repro runs list --last 3 --history benchmarks/history/seed.jsonl | head -n 1
 
 echo "==> run trend gate (committed seed history)"
 python -m repro runs trend \

@@ -6,7 +6,6 @@ from repro.autograd.tensor import (
     get_tape_hook,
     is_grad_enabled,
     no_grad,
-    set_grad_enabled,
     set_tape_hook,
 )
 from repro.autograd import functional, kernels, ops, scatter
@@ -16,7 +15,6 @@ __all__ = [
     "as_tensor",
     "no_grad",
     "is_grad_enabled",
-    "set_grad_enabled",
     "set_tape_hook",
     "get_tape_hook",
     "ops",

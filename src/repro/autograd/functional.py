@@ -25,7 +25,6 @@ __all__ = [
     "nll_loss",
     "cross_entropy",
     "binary_cross_entropy_with_logits",
-    "mse_loss",
     "ACTIVATIONS",
 ]
 
@@ -166,13 +165,6 @@ def binary_cross_entropy_with_logits(logits, targets, reduction: str = "mean") -
     targets = as_tensor(targets)
     loss = ops.softplus(logits) - logits * targets
     return _reduce(loss, reduction)
-
-
-def mse_loss(predictions, targets, reduction: str = "mean") -> Tensor:
-    predictions = as_tensor(predictions)
-    targets = as_tensor(targets)
-    diff = predictions - targets
-    return _reduce(diff * diff, reduction)
 
 
 def _reduce(loss: Tensor, reduction: str) -> Tensor:

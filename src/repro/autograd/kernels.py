@@ -57,7 +57,6 @@ __all__ = [
     "scatter_sum",
     "weighted_scatter_sum",
     "scatter_max",
-    "scatter_add_rows",
     "index_add",
     "is_row_index",
     "KernelCounters",
@@ -603,18 +602,6 @@ def _index_add_impl(out: np.ndarray, index, values) -> None:
         out[index] += values
     else:
         np.add.at(out, index, values)
-
-
-def scatter_add_rows(
-    values: np.ndarray, index: np.ndarray, num_rows: int
-) -> np.ndarray:
-    """Adjoint of row gathering: scatter ``values`` rows back to ``num_rows``.
-
-    Equivalent to ``np.add.at(zeros, index, values)`` — and routed
-    through :func:`scatter_sum`, so the planned kernels accelerate
-    gather backwards exactly like segment sums.
-    """
-    return scatter_sum(values, index, num_rows)
 
 
 def is_row_index(index) -> bool:

@@ -33,7 +33,6 @@ __all__ = [
     "segment_max",
     "segment_softmax",
     "segment_attention_sum",
-    "segment_count",
 ]
 
 
@@ -111,20 +110,6 @@ def segment_attention_sum(
         return grad_x, grad_w
 
     return Tensor._from_op(out, (x, weights), backward)
-
-
-def segment_count(
-    segment_ids: np.ndarray,
-    num_segments: int,
-    plan: SegmentPlan | None = None,
-) -> np.ndarray:
-    """Number of elements per segment as a float array (constant).
-
-    Served from the plan's cached counts when one exists (treat the
-    result as read-only in that case — it is shared). Thin wrapper over
-    :func:`repro.autograd.kernels.segment_counts`.
-    """
-    return kernels.segment_counts(segment_ids, num_segments, plan)
 
 
 def segment_sum(

@@ -31,7 +31,6 @@ __all__ = [
     "as_tensor",
     "no_grad",
     "is_grad_enabled",
-    "set_grad_enabled",
     "set_tape_hook",
     "get_tape_hook",
 ]
@@ -72,11 +71,6 @@ def get_tape_hook():
 def is_grad_enabled() -> bool:
     """Return whether operations on this thread record the autograd tape."""
     return getattr(_GRAD_STATE, "enabled", True)
-
-
-def set_grad_enabled(enabled: bool) -> None:
-    """Enable or disable tape recording on the calling thread."""
-    _GRAD_STATE.enabled = bool(enabled)
 
 
 @contextlib.contextmanager

@@ -835,12 +835,23 @@ def _cmd_figure(args, scale) -> int:
     return 0
 
 
+def _emit(text: str) -> None:
+    """Print a rendered view; a reader that closed early ends it quietly."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # The reader closed early (``| head``): point stdout at devnull
+        # so the interpreter's exit-time flush cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+
+
 def _cmd_runs(args) -> int:  # lint: disable=unledgered-entrypoint -- reading the ledger must never write it
     """``repro runs``: history, lineage, and the trend gate."""
     ledger = RunLedger(args.history)
     if args.view == "gc":
         dropped = ledger.gc(args.keep)
-        print(
+        _emit(
             f"run ledger gc: kept newest {args.keep}, dropped {dropped} "
             f"entr{'y' if dropped == 1 else 'ies'} ({ledger.path})"
         )
@@ -848,7 +859,7 @@ def _cmd_runs(args) -> int:  # lint: disable=unledgered-entrypoint -- reading th
     manifests = ledger.read()
 
     if args.view == "list":
-        print(
+        _emit(
             render_runs_list(
                 manifests, last=args.last, command=args.filter_command
             )
@@ -870,7 +881,7 @@ def _cmd_runs(args) -> int:  # lint: disable=unledgered-entrypoint -- reading th
         if producer_id:
             parent = ledger.resolve(str(producer_id), manifests)
             producer = parent[0] if parent is not None else None
-        print(render_run_show(manifest, seq=seq, producer=producer))
+        _emit(render_run_show(manifest, seq=seq, producer=producer))
         return 0
 
     if args.view == "diff":
@@ -883,7 +894,7 @@ def _cmd_runs(args) -> int:  # lint: disable=unledgered-entrypoint -- reading th
                 file=sys.stderr,
             )
             return 2
-        print(render_runs_diff(hits[0][0], hits[1][0]))
+        _emit(render_runs_diff(hits[0][0], hits[1][0]))
         return 0
 
     text, failed = render_trend(
@@ -894,7 +905,7 @@ def _cmd_runs(args) -> int:  # lint: disable=unledgered-entrypoint -- reading th
         last=args.last,
         command=args.filter_command,
     )
-    print(text)
+    _emit(text)
     return 1 if (failed and args.gate) else 0
 
 
@@ -913,13 +924,7 @@ def _cmd_report(args) -> int:  # lint: disable=unledgered-entrypoint -- read-onl
     except (OSError, ValueError) as exc:
         print(f"repro report {args.view}: error: {exc}", file=sys.stderr)
         return 2
-    try:
-        print(text, flush=True)
-    except BrokenPipeError:
-        # The reader closed early (``| head``): point stdout at devnull
-        # so the interpreter's exit-time flush cannot fail again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+    _emit(text)
     return 0
 
 

@@ -20,11 +20,7 @@ from repro.core.search_space import (
 )
 from repro.core.supernet import SaneSupernet
 from repro.core.search import SaneSearcher, SearchConfig, SearchResult
-from repro.core.derive import (
-    architecture_to_model,
-    evaluate_architecture,
-    retrain,
-)
+from repro.core.derive import architecture_to_model, retrain
 
 __all__ = [
     "NODE_OPS",
@@ -37,6 +33,5 @@ __all__ = [
     "SearchConfig",
     "SearchResult",
     "architecture_to_model",
-    "evaluate_architecture",
     "retrain",
 ]

@@ -3,8 +3,7 @@
 After Algorithm 1 derives a discrete :class:`Architecture`, the paper
 retrains it from scratch and fine-tunes hyper-parameters on the
 validation set (Section III-C: SANE "decouples the architecture search
-and hyper-parameters tuning"). These helpers implement that stage and
-the multi-seed evaluation protocol of Section IV-A3.
+and hyper-parameters tuning"). These helpers build and retrain it.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from repro.gnn.models import GNNModel
 from repro.graph.data import Graph, MultiGraphDataset
 from repro.train.trainer import TrainConfig, TrainResult, fit
 
-__all__ = ["architecture_to_model", "retrain", "evaluate_architecture"]
+__all__ = ["architecture_to_model", "retrain"]
 
 
 def architecture_to_model(
@@ -68,23 +67,3 @@ def retrain(
     )
     return fit(model, data, train_config)
 
-
-def evaluate_architecture(
-    arch: Architecture,
-    data: Graph | MultiGraphDataset,
-    seeds: list[int] | None = None,
-    **retrain_kwargs,
-) -> tuple[list[float], list[float]]:
-    """Retrain over several seeds; returns (val scores, test scores).
-
-    This is the paper's final protocol: "we repeat 5 times the process
-    in re-training the best one … and report the test performance".
-    """
-    seeds = seeds if seeds is not None else [0, 1, 2, 3, 4]
-    val_scores = []
-    test_scores = []
-    for seed in seeds:
-        result = retrain(arch, data, seed=seed, **retrain_kwargs)
-        val_scores.append(result.val_score)
-        test_scores.append(result.test_score)
-    return val_scores, test_scores

@@ -91,11 +91,6 @@ class SearchResult:
         default_factory=list
     )
 
-    def derive_at(self, epoch: int, rng: np.random.Generator | None = None) -> Architecture:
-        """Architecture the search would have produced after ``epoch``."""
-        snapshot = self.alpha_snapshots[epoch]
-        return derive_from_alphas(self.supernet.space, snapshot, rng)
-
 
 class SaneSearcher:
     """Runs Algorithm 1 over a dataset and derives the top architecture."""

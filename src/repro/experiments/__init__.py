@@ -27,10 +27,6 @@ _EXPORTS = {
     "ExperimentTable": "results",
     "format_scores": "results",
     "render_table": "results",
-    "save_table": "persistence",
-    "load_table": "persistence",
-    "save_record": "persistence",
-    "load_records": "persistence",
     "NAS_METHODS": "runners",
     "HUMAN_BASELINES": "table6",
     "run_human_baseline": "runners",

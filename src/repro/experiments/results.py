@@ -48,9 +48,6 @@ class ExperimentTable:
     # row label -> column label -> list of raw scores
     cells: dict[str, dict[str, list[float]]]
 
-    def row_labels(self) -> list[str]:
-        return list(self.cells)
-
     def scores(self, row: str, column: str) -> list[float]:
         return self.cells[row][column]
 

@@ -82,11 +82,6 @@ class GraphCache:
         self._padded: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._head_layouts: dict[int, tuple[np.ndarray, SegmentPlan]] = {}
 
-    def in_degrees(self, self_loops: bool = True) -> np.ndarray:
-        """Cached in-degree per node as float64 (read-only array)."""
-        plan = self.dst_plan if self_loops else self.nbr_dst_plan
-        return plan.counts_float
-
     def head_layout(self, heads: int) -> tuple[np.ndarray, SegmentPlan]:
         """Flattened per-(destination, head) segment layout for attention.
 

@@ -10,8 +10,6 @@ search fails to reach SANE-level accuracy.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from repro.autograd.scatter import gather, segment_sum
@@ -22,7 +20,7 @@ from repro.gnn.common import GraphCache, LayerContext
 from repro.nn.layers import MLP, Dropout, Linear
 from repro.nn.module import Module
 
-__all__ = ["MLPAggregator", "MLPGNNModel", "MLP_WIDTHS", "MLP_DEPTHS", "mlp_space"]
+__all__ = ["MLPAggregator", "MLPGNNModel", "MLP_WIDTHS", "MLP_DEPTHS"]
 
 MLP_WIDTHS = (8, 16, 32, 64)
 MLP_DEPTHS = (1, 2, 3)
@@ -54,12 +52,6 @@ class MLPAggregator(NodeAggregator):
         messages = self._source_features(x, cache, ctx, self_loops=True)
         summed = segment_sum(messages, cache.dst, cache.num_nodes, cache.dst_plan)
         return self.mlp(summed)
-
-
-def mlp_space(num_layers: int) -> list[tuple[tuple[int, int], ...]]:
-    """Enumerate per-layer (width, depth) assignments of the MLP space."""
-    per_layer = list(itertools.product(MLP_WIDTHS, MLP_DEPTHS))
-    return list(itertools.product(per_layer, repeat=num_layers))
 
 
 class MLPGNNModel(Module):

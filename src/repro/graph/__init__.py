@@ -1,9 +1,8 @@
 """Graph substrate: containers, preprocessing, synthetic benchmarks."""
 
 from repro.graph.data import Graph, MultiGraphDataset
-from repro.graph import utils, generators, datasets, io
+from repro.graph import utils, generators, datasets
 from repro.graph.datasets import load_dataset, dataset_statistics
-from repro.graph.io import load_graph, load_multigraph, save_graph, save_multigraph
 
 __all__ = [
     "Graph",
@@ -11,11 +10,6 @@ __all__ = [
     "utils",
     "generators",
     "datasets",
-    "io",
     "load_dataset",
     "dataset_statistics",
-    "save_graph",
-    "load_graph",
-    "save_multigraph",
-    "load_multigraph",
 ]

@@ -86,10 +86,6 @@ class AlignmentDataset:
                 raise ValueError(f"{attr} must be (n, 2)")
             setattr(self, attr, value)
 
-    @property
-    def num_links(self) -> int:
-        return len(self.train_links) + len(self.val_links) + len(self.test_links)
-
     def statistics(self) -> dict:
         """Table V analogue rows."""
         return {

@@ -10,8 +10,6 @@ from repro.nas.evaluation import ArchitectureEvaluator, EvaluationRecord
 from repro.nas.random_search import SearchOutcome, random_search
 from repro.nas.tpe import TPESampler, tpe_search
 from repro.nas.graphnas import Controller, graphnas_search
-from repro.nas.evolution import evolutionary_search, mutate
-from repro.nas.tuner import TuneResult, hyperparameter_space, tune, tune_architecture
 
 __all__ = [
     "Decision",
@@ -26,10 +24,4 @@ __all__ = [
     "tpe_search",
     "Controller",
     "graphnas_search",
-    "evolutionary_search",
-    "mutate",
-    "TuneResult",
-    "hyperparameter_space",
-    "tune",
-    "tune_architecture",
 ]

@@ -11,9 +11,6 @@ scratch:
    (good) and ``g(x)`` (bad);
 3. draw candidates from ``l`` and keep the one maximising the
    expected-improvement proxy ``l(x) / g(x)``.
-
-The same engine powers the hyper-parameter fine-tuner
-(:mod:`repro.nas.tuner`), matching the paper's double use of hyperopt.
 """
 
 from __future__ import annotations

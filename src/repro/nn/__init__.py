@@ -1,9 +1,9 @@
 """Neural-network module system built on the autograd substrate."""
 
 from repro.nn.module import Module, Parameter
-from repro.nn.layers import Linear, MLP, Dropout, Embedding, Sequential
+from repro.nn.layers import Linear, MLP, Dropout
 from repro.nn.lstm import LSTMCell, BiLSTMAttention
-from repro.nn.optim import SGD, Adam, Optimizer, clip_grad_norm
+from repro.nn.optim import Adam, Optimizer, clip_grad_norm
 from repro.nn.schedulers import CosineAnnealingLR, LRScheduler, StepLR, create_scheduler
 from repro.nn import init
 
@@ -13,11 +13,8 @@ __all__ = [
     "Linear",
     "MLP",
     "Dropout",
-    "Embedding",
-    "Sequential",
     "LSTMCell",
     "BiLSTMAttention",
-    "SGD",
     "Adam",
     "Optimizer",
     "clip_grad_norm",

@@ -1,4 +1,4 @@
-"""Basic neural-network layers: Linear, MLP, Dropout, Embedding.
+"""Basic neural-network layers: Linear, MLP, Dropout.
 
 These are the building blocks shared by every node aggregator in the
 search space (Table XI of the paper): each aggregator owns a ``W^l``
@@ -16,7 +16,7 @@ from repro.autograd.tensor import Tensor, as_tensor
 from repro.nn import init
 from repro.nn.module import Module, Parameter
 
-__all__ = ["Linear", "MLP", "Dropout", "Embedding", "Sequential"]
+__all__ = ["Linear", "MLP", "Dropout"]
 
 
 class Linear(Module):
@@ -80,26 +80,3 @@ class Dropout(Module):
     def forward(self, x) -> Tensor:
         return F.dropout(x, self.p, self.training, self._rng)
 
-
-class Embedding(Module):
-    """Trainable lookup table; used for KG entity embeddings."""
-
-    def __init__(self, num_embeddings: int, dim: int, rng: np.random.Generator):
-        super().__init__()
-        self.weight = Parameter(init.xavier_uniform((num_embeddings, dim), rng))
-
-    def forward(self, indices: np.ndarray) -> Tensor:
-        return ops.getitem(self.weight, np.asarray(indices, dtype=np.int64))
-
-
-class Sequential(Module):
-    """Apply modules in order (single-argument forward only)."""
-
-    def __init__(self, *modules: Module):
-        super().__init__()
-        self.items = list(modules)
-
-    def forward(self, x):
-        for module in self.items:
-            x = module(x)
-        return x

@@ -1,4 +1,4 @@
-"""Gradient-descent optimisers: SGD (momentum) and Adam.
+"""Gradient-descent optimiser: Adam.
 
 The paper trains model weights with Adam (learning rate 5e-3, L2 norm
 5e-4 for the baselines; searched values in Table XII), and updates the
@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.nn.module import Parameter
 
-__all__ = ["Optimizer", "SGD", "Adam", "clip_grad_norm"]
+__all__ = ["Optimizer", "Adam", "clip_grad_norm"]
 
 
 class Optimizer:
@@ -43,35 +43,6 @@ class Optimizer:
         if self.weight_decay:
             grad = grad + self.weight_decay * param.data
         return grad
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with classical momentum."""
-
-    def __init__(
-        self,
-        params: list[Parameter],
-        lr: float,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ):
-        super().__init__(params, lr, weight_decay)
-        self.momentum = momentum
-        self._velocity: dict[int, np.ndarray] = {}
-
-    def step(self) -> None:
-        for param in self.params:
-            grad = self._grad_of(param)
-            if grad is None:
-                continue
-            if self.momentum:
-                velocity = self._velocity.get(id(param))
-                if velocity is None:
-                    velocity = np.zeros_like(param.data)
-                velocity = self.momentum * velocity + grad
-                self._velocity[id(param)] = velocity
-                grad = velocity
-            param.data = param.data - self.lr * grad
 
 
 class Adam(Optimizer):

@@ -87,9 +87,8 @@ from repro.obs.memory import (
     MemoryTracker,
     render_memory_report,
     render_memory_report_file,
-    track_memory,
 )
-from repro.obs.tape import active_tape_hooks, add_tape_hook, remove_tape_hook
+from repro.obs.tape import add_tape_hook, remove_tape_hook
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.report import SpanAggregate, aggregate_spans, format_table, hotspot_report
 from repro.obs.bench_gate import Verdict
@@ -156,12 +155,10 @@ __all__ = [
     "get_monitor",
     "op_scope",
     "MemoryTracker",
-    "track_memory",
     "render_memory_report",
     "render_memory_report_file",
     "add_tape_hook",
     "remove_tape_hook",
-    "active_tape_hooks",
     "TraceContext",
     "RequestTrace",
     "RequestTracer",

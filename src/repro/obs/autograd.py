@@ -48,7 +48,6 @@ _FUNCTIONAL_NAMES = (
     "nll_loss",
     "cross_entropy",
     "binary_cross_entropy_with_logits",
-    "mse_loss",
 )
 
 

@@ -53,7 +53,6 @@ __all__ = [
     "EventRecorder",
     "install",
     "uninstall",
-    "get_recorder",
     "enabled",
     "emit",
     "record_events",
@@ -164,11 +163,6 @@ def uninstall(recorder: EventRecorder | None = None) -> None:
     global _RECORDER
     if recorder is None or _RECORDER is recorder:
         _RECORDER = None
-
-
-def get_recorder() -> EventRecorder | None:
-    """The installed recorder, if any."""
-    return _RECORDER
 
 
 def enabled() -> bool:

@@ -305,13 +305,6 @@ class MetricsExporter:
         self._scrape_lock = threading.Lock()
         self.scrapes = 0
 
-    @classmethod
-    def for_registry(
-        cls, registry: MetricsRegistry, host: str = "127.0.0.1", port: int = 0
-    ) -> "MetricsExporter":
-        """Exporter over a bare registry (no exemplars)."""
-        return cls(lambda: (registry.snapshot(), None), host=host, port=port)
-
     # ------------------------------------------------------------------
     def exposition(self) -> str:
         snapshot, exemplars = self.provider()

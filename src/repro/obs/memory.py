@@ -40,7 +40,6 @@ from repro.obs.spans import get_tracer
 
 __all__ = [
     "MemoryTracker",
-    "track_memory",
     "render_memory_report",
     "render_memory_report_file",
 ]
@@ -208,11 +207,6 @@ class MemoryTracker:
                 for (path, op), stats in self.per_site.items()
             ],
         }
-
-
-def track_memory() -> MemoryTracker:
-    """Fresh tracker as a context manager: ``with track_memory() as mem:``."""
-    return MemoryTracker()
 
 
 # ---------------------------------------------------------------------

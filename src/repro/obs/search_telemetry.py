@@ -33,7 +33,6 @@ __all__ = [
     "argmax_genotype",
     "genotype_flips",
     "grad_l2_norm",
-    "describe_genotype",
     "SearchTelemetry",
 ]
 
@@ -94,13 +93,6 @@ def grad_l2_norm(params) -> float:
         if param.grad is not None:
             total += float(np.sum(param.grad * param.grad))
     return float(np.sqrt(total))
-
-
-def describe_genotype(genotype: dict) -> str:
-    """Figure-2-style one-liner for a telemetry genotype dict."""
-    aggs = " -> ".join(genotype["node"])
-    skips = "".join("I" if s == "identity" else "Z" for s in genotype["skip"])
-    return f"{aggs} | skips={skips} | jk={genotype['layer']}"
 
 
 class SearchTelemetry:

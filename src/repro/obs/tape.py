@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from repro.autograd import tensor
 
-__all__ = ["add_tape_hook", "remove_tape_hook", "active_tape_hooks", "op_name"]
+__all__ = ["add_tape_hook", "remove_tape_hook", "op_name"]
 
 _HOOKS: list = []
 
@@ -55,11 +55,6 @@ def remove_tape_hook(hook) -> None:
         _HOOKS.remove(hook)
         if not _HOOKS and tensor.get_tape_hook() is _dispatch:
             tensor.set_tape_hook(None)
-
-
-def active_tape_hooks() -> tuple:
-    """The registered hooks, in dispatch order (a snapshot)."""
-    return tuple(_HOOKS)
 
 
 def op_name(backward_fn) -> str:

@@ -19,7 +19,6 @@ from repro.parallel.jobs import (
     ParallelError,
     SearchJob,
     WorkerCrashError,
-    derive_rng,
     derive_seed,
     execute_job,
     resolve_job_fn,
@@ -30,7 +29,6 @@ __all__ = [
     "SearchJob",
     "WorkerPool",
     "derive_seed",
-    "derive_rng",
     "execute_job",
     "resolve_job_fn",
     "ParallelError",

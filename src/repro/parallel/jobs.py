@@ -27,7 +27,6 @@ import numpy as np
 __all__ = [
     "SearchJob",
     "derive_seed",
-    "derive_rng",
     "execute_job",
     "resolve_job_fn",
     "ParallelError",
@@ -48,11 +47,6 @@ def derive_seed(base_seed: int, job_id: int) -> int:
     """
     sequence = np.random.SeedSequence([int(base_seed), int(job_id)])
     return int(sequence.generate_state(1)[0])
-
-
-def derive_rng(base_seed: int, job_id: int) -> np.random.Generator:
-    """A generator seeded with :func:`derive_seed`."""
-    return np.random.default_rng(derive_seed(base_seed, job_id))
 
 
 class ParallelError(RuntimeError):

@@ -109,7 +109,6 @@ KERNEL_STATE: dict[str, dict[str, str]] = {
     "scatter_sum": {"_PLAN_MEMO": _PLANNED},
     "weighted_scatter_sum": {"_PLAN_MEMO": _PLANNED},
     "scatter_max": {"_PLAN_MEMO": _PLANNED},
-    "scatter_add_rows": {"_PLAN_MEMO": _PLANNED},
     "set_kernel_counters": {
         "_COUNTERS": "installing the counter collector is this global's "
         "one writer",

@@ -175,11 +175,3 @@ class TestLosses:
             lambda t: F.binary_cross_entropy_with_logits(t, targets),
             RNG.normal(size=(3, 4)),
         )
-
-    def test_mse(self):
-        loss = F.mse_loss(Tensor([1.0, 2.0]), Tensor([1.0, 4.0])).item()
-        assert abs(loss - 2.0) < 1e-12
-
-    def test_mse_gradient(self):
-        target = Tensor(RNG.normal(size=(3, 3)))
-        check_gradient(lambda t: F.mse_loss(t, target), RNG.normal(size=(3, 3)))

@@ -173,10 +173,6 @@ FUNCTIONAL_CASES = {
     "binary_cross_entropy_with_logits": [
         (MATRIX, lambda t: F.binary_cross_entropy_with_logits(t, Tensor(_BINARY))),
     ],
-    "mse_loss": [
-        (MATRIX, lambda t: F.mse_loss(t, Tensor(OTHER))),
-        (OTHER, lambda t: F.mse_loss(Tensor(MATRIX), t)),
-    ],
 }
 
 
@@ -220,7 +216,6 @@ SCATTER_CASES = {
 # Exported names that are legitimately absent from the sweep.
 _NON_OPS = {
     "functional": {"ACTIVATIONS"},  # a name->op table, not an op
-    "scatter": {"segment_count"},  # returns a constant float ndarray
 }
 
 _REGISTRIES = {

@@ -39,7 +39,6 @@ KERNEL_CASES = {
         lambda: (_rows(), _rows()[:, 0], _ids(), _ids(), 3), ()
     ),
     "scatter_max": (lambda: (_rows(), _ids(), 3), ()),
-    "scatter_add_rows": (lambda: (_rows(), _ids(), 3), ()),
     "index_add": (lambda: (np.zeros((3, 3)), _ids(), _rows()), (0,)),
     "is_row_index": (lambda: (_ids(),), ()),
     "KernelCounters": (lambda: (), ()),

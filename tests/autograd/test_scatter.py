@@ -7,7 +7,6 @@ from repro.autograd import Tensor, ops
 from repro.autograd.scatter import (
     segment_attention_sum,
     gather,
-    segment_count,
     segment_max,
     segment_mean,
     segment_softmax,
@@ -36,11 +35,6 @@ class TestGather:
     def test_gradcheck(self):
         idx = np.array([0, 3, 3, 5])
         check_gradient(lambda t: ops.sum(gather(t, idx) ** 2.0), DATA)
-
-
-class TestSegmentCount:
-    def test_counts(self):
-        np.testing.assert_allclose(segment_count(SEG, 4), [2, 1, 3, 0])
 
 
 class TestSegmentSum:

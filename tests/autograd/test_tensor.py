@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, as_tensor, is_grad_enabled, no_grad, set_grad_enabled
+from repro.autograd import Tensor, as_tensor, is_grad_enabled, no_grad
 from repro.autograd import ops
 
 
@@ -115,14 +115,6 @@ class TestGradMode:
             with no_grad():
                 raise RuntimeError("boom")
         assert is_grad_enabled()
-
-    def test_set_grad_enabled(self):
-        set_grad_enabled(False)
-        try:
-            x = Tensor([1.0], requires_grad=True)
-            assert not (x * 2.0).requires_grad
-        finally:
-            set_grad_enabled(True)
 
     def test_grad_mode_is_per_thread(self):
         # A worker thread's no_grad block must not disable recording on

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.core.derive import architecture_to_model, evaluate_architecture, retrain
+from repro.core.derive import architecture_to_model, retrain
 from repro.core.search_space import Architecture
 from repro.train.trainer import TrainConfig
 
@@ -44,13 +44,3 @@ class TestRetrain:
         result = retrain(ARCH, tiny_ppi, seed=0, hidden_dim=8, train_config=config)
         assert 0.0 <= result.test_score <= 1.0
 
-
-class TestEvaluateArchitecture:
-    def test_returns_score_per_seed(self, tiny_graph):
-        config = TrainConfig(epochs=10, patience=10)
-        vals, tests = evaluate_architecture(
-            ARCH, tiny_graph, seeds=[0, 1, 2], hidden_dim=8, train_config=config
-        )
-        assert len(vals) == 3
-        assert len(tests) == 3
-        assert all(0.0 <= v <= 1.0 for v in vals + tests)

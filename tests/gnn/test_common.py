@@ -41,12 +41,12 @@ class TestGraphCachePlans:
             assert ids.flags.c_contiguous
 
     def test_in_degrees_cached(self, cache):
-        degrees = cache.in_degrees(self_loops=True)
+        degrees = cache.dst_plan.counts_float
         np.testing.assert_array_equal(
             degrees, np.bincount(cache.dst, minlength=cache.num_nodes)
         )
-        assert cache.in_degrees(self_loops=True) is degrees
-        without = cache.in_degrees(self_loops=False)
+        assert cache.dst_plan.counts_float is degrees
+        without = cache.nbr_dst_plan.counts_float
         np.testing.assert_array_equal(
             without, np.bincount(cache.nbr_dst, minlength=cache.num_nodes)
         )

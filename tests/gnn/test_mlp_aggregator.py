@@ -10,7 +10,6 @@ from repro.gnn.mlp_aggregator import (
     MLP_WIDTHS,
     MLPAggregator,
     MLPGNNModel,
-    mlp_space,
 )
 
 
@@ -41,8 +40,6 @@ class TestMLPSpace:
     def test_sizes(self):
         assert len(MLP_WIDTHS) == 4
         assert len(MLP_DEPTHS) == 3
-        assert len(mlp_space(1)) == 12
-        assert len(mlp_space(3)) == 12**3
 
 
 class TestMLPGNNModel:

@@ -92,7 +92,7 @@ class TestTable8:
 class TestTable9:
     def test_rows_present(self):
         result = run_table9(SMOKE, datasets=("cora",))
-        labels = result.table.row_labels()
+        labels = list(result.table.cells)
         assert "graphnas" in labels
         assert "graphnas (sane space)" in labels
         assert len(labels) == 4
@@ -101,7 +101,7 @@ class TestTable9:
 class TestTable10:
     def test_rows_present(self):
         result = run_table10(SMOKE, datasets=("cora",))
-        labels = result.table.row_labels()
+        labels = list(result.table.cells)
         assert set(labels) == {"random (mlp)", "bayesian (mlp)", "sane"}
 
 

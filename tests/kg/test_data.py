@@ -41,7 +41,7 @@ class TestGenerator:
 
     def test_split_fractions(self):
         ds = small_dataset()
-        total = ds.num_links
+        total = len(ds.train_links) + len(ds.val_links) + len(ds.test_links)
         assert total == 80
         assert abs(len(ds.train_links) / total - 0.3) < 0.05
         assert abs(len(ds.val_links) / total - 0.1) < 0.05

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.core.search_space import Architecture, SearchSpace
 from repro.nas.encoding import sane_decision_space
-from repro.nas.evolution import mutate
 from repro.nas.tpe import TPESampler
 
 
@@ -39,18 +38,6 @@ def test_encode_decode_roundtrip(space, seed):
 @settings(max_examples=30, deadline=None)
 def test_decision_space_size_matches_search_space(space):
     assert sane_decision_space(space).size() == space.size()
-
-
-@given(spaces(), st.integers(0, 50))
-@settings(max_examples=30, deadline=None)
-def test_mutation_stays_in_space(space, seed):
-    dspace = sane_decision_space(space)
-    rng = np.random.default_rng(seed)
-    indices = dspace.sample_indices(rng)
-    for __ in range(5):
-        indices = mutate(indices, dspace, rng)
-        arch = dspace.decode(indices)
-        assert space.contains(arch)
 
 
 @given(spaces(), st.integers(0, 20), st.integers(1, 8))

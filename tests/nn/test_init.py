@@ -19,12 +19,6 @@ class TestXavier:
         bound = np.sqrt(6.0 / 400)
         assert np.abs(w).max() > 0.9 * bound
 
-    def test_normal_std(self):
-        rng = np.random.default_rng(0)
-        w = init.xavier_normal((400, 400), rng)
-        expected = np.sqrt(2.0 / 800)
-        assert abs(w.std() - expected) / expected < 0.05
-
     def test_gain_scales(self):
         rng1 = np.random.default_rng(5)
         rng2 = np.random.default_rng(5)
@@ -39,11 +33,6 @@ class TestXavier:
 
 
 class TestOthers:
-    def test_kaiming_bound(self):
-        rng = np.random.default_rng(0)
-        w = init.kaiming_uniform((100, 10), rng)
-        assert np.abs(w).max() <= np.sqrt(3.0 / 100)
-
     def test_zeros(self):
         np.testing.assert_allclose(init.zeros((3, 3)), 0.0)
 

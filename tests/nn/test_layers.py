@@ -1,10 +1,10 @@
-"""Linear / MLP / Dropout / Embedding / Sequential layers."""
+"""Linear / MLP / Dropout layers."""
 
 import numpy as np
 import pytest
 
 from repro.autograd import Tensor
-from repro.nn.layers import MLP, Dropout, Embedding, Linear, Sequential
+from repro.nn.layers import MLP, Dropout, Linear
 
 
 class TestLinear:
@@ -70,26 +70,3 @@ class TestDropout:
         assert (out == 0).any()
         assert (out != 0).any()
 
-
-class TestEmbedding:
-    def test_lookup(self, rng):
-        emb = Embedding(10, 4, rng)
-        out = emb(np.array([1, 1, 3]))
-        assert out.shape == (3, 4)
-        np.testing.assert_allclose(out.data[0], out.data[1])
-
-    def test_gradient_accumulates_on_repeats(self, rng):
-        emb = Embedding(5, 2, rng)
-        emb(np.array([2, 2])).sum().backward()
-        np.testing.assert_allclose(emb.weight.grad[2], [2.0, 2.0])
-        np.testing.assert_allclose(emb.weight.grad[0], [0.0, 0.0])
-
-
-class TestSequential:
-    def test_applies_in_order(self, rng):
-        model = Sequential(Linear(3, 4, rng), Linear(4, 2, rng))
-        assert model(Tensor(np.ones((5, 3)))).shape == (5, 2)
-
-    def test_collects_parameters(self, rng):
-        model = Sequential(Linear(3, 4, rng), Linear(4, 2, rng))
-        assert len(model.parameters()) == 4

@@ -5,7 +5,7 @@ import pytest
 
 from repro.autograd import ops
 from repro.nn.module import Parameter
-from repro.nn.optim import SGD, Adam, clip_grad_norm
+from repro.nn.optim import Adam, clip_grad_norm
 
 
 def quadratic_loss(param: Parameter):
@@ -21,24 +21,16 @@ def minimise(optimizer, param, steps=200):
     return quadratic_loss(param).item()
 
 
-class TestSGD:
+class TestAdam:
     def test_converges_on_quadratic(self):
         param = Parameter(np.zeros(3))
-        final = minimise(SGD([param], lr=0.1), param)
-        assert final < 1e-8
-        np.testing.assert_allclose(param.data, 3.0, atol=1e-4)
-
-    def test_momentum_accelerates(self):
-        plain = Parameter(np.zeros(3))
-        momentum = Parameter(np.zeros(3))
-        plain_loss = minimise(SGD([plain], lr=0.01), plain, steps=50)
-        momentum_loss = minimise(SGD([momentum], lr=0.01, momentum=0.9), momentum, steps=50)
-        assert momentum_loss < plain_loss
+        final = minimise(Adam([param], lr=0.1), param, steps=300)
+        assert final < 1e-6
 
     def test_skips_params_without_grad(self):
         a = Parameter(np.zeros(2))
         b = Parameter(np.ones(2))
-        optimizer = SGD([a, b], lr=0.1)
+        optimizer = Adam([a, b], lr=0.1)
         loss = ops.sum(a * a)
         loss.backward()
         optimizer.step()
@@ -46,18 +38,11 @@ class TestSGD:
 
     def test_weight_decay_shrinks(self):
         param = Parameter(np.ones(2))
-        optimizer = SGD([param], lr=0.1, weight_decay=1.0)
+        optimizer = Adam([param], lr=0.1, weight_decay=1.0)
         optimizer.zero_grad()
         ops.sum(param * 0.0).backward()
         optimizer.step()
         assert (param.data < 1.0).all()
-
-
-class TestAdam:
-    def test_converges_on_quadratic(self):
-        param = Parameter(np.zeros(3))
-        final = minimise(Adam([param], lr=0.1), param, steps=300)
-        assert final < 1e-6
 
     def test_bias_correction_first_step_magnitude(self):
         # With bias correction, the very first Adam step is ~lr.
@@ -86,7 +71,7 @@ class TestOptimizerValidation:
 
     def test_nonpositive_lr_raises(self):
         with pytest.raises(ValueError, match="learning rate"):
-            SGD([Parameter(np.zeros(1))], lr=0.0)
+            Adam([Parameter(np.zeros(1))], lr=0.0)
 
 
 class TestClipGradNorm:

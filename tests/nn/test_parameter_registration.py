@@ -51,7 +51,7 @@ from repro.kg.data import generate_alignment_dataset
 from repro.kg.search import AlignSearchConfig, AlignSupernet
 from repro.nas.encoding import sane_decision_space
 from repro.nas.graphnas import Controller
-from repro.nn.layers import MLP, Dropout, Embedding, Linear, Sequential
+from repro.nn.layers import MLP, Dropout, Linear
 from repro.nn.lstm import BiLSTMAttention, LSTMCell
 from repro.nn.module import Module
 from tests.helpers import unregistered_tensors
@@ -72,8 +72,6 @@ CASES = {
     Linear: lambda: Linear(4, 3, rng()),
     MLP: lambda: MLP([4, 8, 3], rng()),
     Dropout: lambda: Dropout(0.5, rng()),
-    Embedding: lambda: Embedding(5, 4, rng()),
-    Sequential: lambda: Sequential(Linear(4, 4, rng()), Linear(4, 2, rng())),
     LSTMCell: lambda: LSTMCell(4, 6, rng()),
     BiLSTMAttention: lambda: BiLSTMAttention(4, 6, rng()),
     SageAggregator: lambda: SageAggregator(4, 6, rng(), reduce="max"),

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from repro.nn.module import Parameter
-from repro.nn.optim import SGD
+from repro.nn.optim import Adam
 from repro.nn.schedulers import CosineAnnealingLR, StepLR, create_scheduler
 
 
 def make_optimizer(lr=0.1):
-    return SGD([Parameter(np.zeros(1))], lr=lr)
+    return Adam([Parameter(np.zeros(1))], lr=lr)
 
 
 class TestStepLR:

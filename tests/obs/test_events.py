@@ -9,7 +9,6 @@ from repro.obs import RECORD_VERSION, EventRecorder, read_records, record_events
 from repro.obs.events import (
     emit,
     enabled,
-    get_recorder,
     install,
     to_jsonable,
     uninstall,
@@ -77,7 +76,6 @@ class TestEventRecorder:
         recorder = EventRecorder()
         with recorder:
             assert enabled()
-            assert get_recorder() is recorder
             emit("real", value=2)
         assert not enabled()
         assert [r["event"] for r in recorder.records] == ["real"]
@@ -95,9 +93,10 @@ class TestEventRecorder:
         first, second = EventRecorder(), EventRecorder()
         install(first)
         uninstall(second)
-        assert get_recorder() is first
+        emit("kept")
         uninstall(first)
-        assert get_recorder() is None
+        assert not enabled()
+        assert [r["event"] for r in first.records] == ["kept"]
 
 
 class TestEventFiles:

@@ -26,6 +26,11 @@ def make_registry() -> MetricsRegistry:
     return registry
 
 
+def registry_exporter(registry: MetricsRegistry) -> MetricsExporter:
+    """Exporter over a bare registry (no exemplars) on an ephemeral port."""
+    return MetricsExporter(lambda: (registry.snapshot(), None), port=0)
+
+
 class TestSnapshotter:
     def test_flush_writes_versioned_jsonl(self, tmp_path):
         registry = make_registry()
@@ -128,7 +133,7 @@ class TestExposition:
 class TestExporterEndpoint:
     def test_scrape_serves_live_exposition(self):
         registry = make_registry()
-        with MetricsExporter.for_registry(registry, port=0) as exporter:
+        with registry_exporter(registry) as exporter:
             body = urllib.request.urlopen(exporter.url, timeout=5).read()
             samples = parse_exposition(body.decode("utf-8"))
             assert samples["serve_requests"] == 7.0
@@ -139,7 +144,7 @@ class TestExporterEndpoint:
             assert exporter.scrapes == 2
 
     def test_healthz_and_404(self):
-        with MetricsExporter.for_registry(make_registry(), port=0) as exporter:
+        with registry_exporter(make_registry()) as exporter:
             base = f"http://{exporter.host}:{exporter.port}"
             assert urllib.request.urlopen(
                 f"{base}/healthz", timeout=5
@@ -158,7 +163,7 @@ class TestExporterEndpoint:
             assert b'trace_id="t-00000001"' in text
 
     def test_wait_for_scrape(self):
-        with MetricsExporter.for_registry(make_registry(), port=0) as exporter:
+        with registry_exporter(make_registry()) as exporter:
             assert not exporter.wait_for_scrape(timeout_s=0.05, poll_s=0.01)
             urllib.request.urlopen(exporter.url, timeout=5).read()
             assert exporter.wait_for_scrape(timeout_s=1.0, poll_s=0.01)

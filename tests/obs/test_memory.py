@@ -12,7 +12,6 @@ from repro.obs.memory import (
     MemoryTracker,
     render_memory_report,
     render_memory_report_file,
-    track_memory,
 )
 from repro.obs.sinks import read_records
 
@@ -28,7 +27,7 @@ def _retaining_op(x: Tensor, extra: np.ndarray) -> Tensor:
 
 class TestLiveAccounting:
     def test_live_bytes_rise_and_release(self):
-        with track_memory() as mem:
+        with MemoryTracker() as mem:
             x = Tensor(np.ones((8, 8)), requires_grad=True)
             y = x * x
             z = ops.sum(y)
@@ -45,7 +44,7 @@ class TestLiveAccounting:
     def test_no_grad_entries_are_transient(self):
         from repro.autograd.tensor import no_grad
 
-        with track_memory() as mem:
+        with MemoryTracker() as mem:
             x = Tensor(np.ones((16, 16)), requires_grad=True)
             with no_grad():
                 _ = x * x
@@ -56,7 +55,7 @@ class TestLiveAccounting:
             assert mem.peak_live > 0
 
     def test_output_and_input_bytes_attributed_per_op(self):
-        with track_memory() as mem:
+        with MemoryTracker() as mem:
             x = Tensor(np.ones((4, 4)), requires_grad=True)  # 128 bytes
             y = x * x
         stats = mem.per_op["mul"]
@@ -66,7 +65,7 @@ class TestLiveAccounting:
 
     def test_retained_closure_buffers_counted(self):
         extra = np.ones((32, 32))  # 8192 bytes, captured by the VJP only
-        with track_memory() as mem:
+        with MemoryTracker() as mem:
             x = Tensor(np.ones((2, 2)), requires_grad=True)
             y = _retaining_op(x, extra)
         stats = mem.per_op["_retaining_op"]
@@ -77,7 +76,7 @@ class TestLiveAccounting:
     def test_epoch_peaks_follow_span_stack(self):
         from repro import obs
 
-        with track_memory() as mem:
+        with MemoryTracker() as mem:
             for epoch in range(2):
                 with obs.span("epoch", index=epoch):
                     x = Tensor(np.ones((8, 8)), requires_grad=True)
@@ -89,7 +88,7 @@ class TestLiveAccounting:
     def test_site_table_keys_on_path_and_op(self):
         from repro import obs
 
-        with track_memory() as mem:
+        with MemoryTracker() as mem:
             with obs.span("forward"):
                 x = Tensor(np.ones(4), requires_grad=True)
                 _ = x * x

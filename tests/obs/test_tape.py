@@ -5,7 +5,7 @@ import pytest
 
 from repro.autograd import Tensor
 from repro.autograd.tensor import get_tape_hook, set_tape_hook
-from repro.obs.tape import active_tape_hooks, add_tape_hook, remove_tape_hook
+from repro.obs.tape import add_tape_hook, remove_tape_hook
 
 
 def _recording_hook(log, name):
@@ -26,14 +26,14 @@ class TestChainLifecycle:
         try:
             assert get_tape_hook() is not None
             add_tape_hook(second)
-            assert active_tape_hooks() == (first, second)
+            _ = Tensor(np.ones(1), requires_grad=True) * 2.0
+            assert log == ["a", "b"]
             remove_tape_hook(first)
             assert get_tape_hook() is not None  # one observer still active
         finally:
             remove_tape_hook(second)
             remove_tape_hook(first)  # no-op: already removed
         assert get_tape_hook() is None
-        assert active_tape_hooks() == ()
 
     def test_double_registration_raises(self):
         hook = _recording_hook([], "a")
@@ -49,13 +49,17 @@ class TestChainLifecycle:
         def foreign(data, parents, backward_fn):
             return backward_fn
 
+        hook = _recording_hook([], "a")
         set_tape_hook(foreign)
         try:
             with pytest.raises(RuntimeError):
-                add_tape_hook(_recording_hook([], "a"))
+                add_tape_hook(hook)
         finally:
             set_tape_hook(None)
-        assert active_tape_hooks() == ()
+        # The refused hook was not left in the chain: it registers anew.
+        add_tape_hook(hook)
+        remove_tape_hook(hook)
+        assert get_tape_hook() is None
 
     def test_removal_leaves_foreign_hook_alone(self):
         hook = _recording_hook([], "a")

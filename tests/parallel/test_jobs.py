@@ -2,7 +2,6 @@
 
 import dataclasses
 
-import numpy as np
 import pytest
 
 from repro.parallel import (
@@ -12,7 +11,6 @@ from repro.parallel import (
     ParallelError,
     SearchJob,
     WorkerCrashError,
-    derive_rng,
     derive_seed,
     execute_job,
     resolve_job_fn,
@@ -38,11 +36,6 @@ class TestDeriveSeed:
     def test_fits_in_uint32(self):
         for job_id in range(20):
             assert 0 <= derive_seed(123, job_id) < 2**32
-
-    def test_derive_rng_reproducible(self):
-        a = derive_rng(5, 2).integers(1 << 30, size=4)
-        b = derive_rng(5, 2).integers(1 << 30, size=4)
-        assert np.array_equal(a, b)
 
 
 class TestResolveJobFn:

@@ -209,26 +209,32 @@ class TestReportCommand:
         assert "per-edge entropy (nats):" in out
 
     def test_report_into_closed_pipe_ends_quietly(self, tmp_path):
-        """``repro report run e.jsonl | head`` after ``head`` has exited."""
+        """``repro report run e.jsonl | head`` and ``repro runs list | head``
+        after ``head`` has exited."""
         import os
         import subprocess
         import sys
 
         events = tmp_path / "events.jsonl"
         self._record(events)
-        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-        env = dict(os.environ, PYTHONPATH=src)
-        reader, writer = os.pipe()
-        os.close(reader)  # the reader is gone before the render is written
-        try:
-            done = subprocess.run(
-                [sys.executable, "-m", "repro", "report", "run", str(events)],
-                stdout=writer, stderr=subprocess.PIPE, text=True, env=env,
-                timeout=120,
-            )
-        finally:
-            os.close(writer)
-        assert (done.returncode, done.stderr) == (0, "")
+        root = os.path.dirname(os.path.dirname(__file__))
+        ledger = os.path.join(root, "benchmarks", "history", "seed.jsonl")
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        for argv in (
+            ["report", "run", str(events)],
+            ["runs", "list", "--history", ledger],
+        ):
+            reader, writer = os.pipe()
+            os.close(reader)  # the reader is gone before the render is written
+            try:
+                done = subprocess.run(
+                    [sys.executable, "-m", "repro", *argv],
+                    stdout=writer, stderr=subprocess.PIPE, text=True, env=env,
+                    timeout=120,
+                )
+            finally:
+                os.close(writer)
+            assert (argv, done.returncode, done.stderr) == (argv, 0, "")
 
     def test_report_run_missing_file_exits_2(self, tmp_path, capsys):
         code = main(["report", "run", str(tmp_path / "nope.jsonl")])

@@ -1,4 +1,4 @@
-"""The top-level and experiments packages import lazily.
+"""Package-wide checks: lazy imports, and no library code that nothing runs.
 
 ``import repro.core.search`` must not drag in what the search path
 never uses: networkx (graph classification's data loaders), the graph
@@ -9,8 +9,10 @@ Checked in a fresh interpreter, since the test process has long since
 imported them.
 """
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -76,3 +78,69 @@ def test_subpackages_resolve_as_attributes():
     assert set(repro.__all__) - {"__version__"} <= set(dir(repro))
     with pytest.raises(AttributeError):
         repro.not_a_subpackage  # noqa: B018
+
+
+ROOT = Path(__file__).resolve().parent.parent
+# Code outside tests/ that may run a library definition.
+USERS = ("benchmarks", "perfbench", "examples", "scripts")
+# Pool tests name these jobs only by "module:function" strings, and the
+# spawned workers must import them from the installed package, so they
+# live in src/ although only tests/ runs them.
+EXEMPT = {"repro/parallel/testing.py"}
+JOB_STRING = re.compile(r"^[A-Za-z_][\w.]*:([A-Za-z_]\w*)$")
+
+
+def _names_used(node) -> set[str]:
+    """Names, attributes and ``"module:function"`` targets under ``node``.
+
+    Other strings do not count, so ``__all__`` lists and the lazy export
+    tables of ``__init__`` modules keep nothing alive.
+    """
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            job = JOB_STRING.match(sub.value)
+            if job:
+                names.add(job.group(1))
+    return names
+
+
+def test_every_library_definition_runs_outside_tests():
+    """Each top-level def and class in ``src/repro`` is reachable from
+    module-level code, ``benchmarks/``, ``perfbench/``, ``examples/``,
+    ``scripts/`` or the Python in ``scripts/ci.sh`` through other
+    reachable definitions. Re-exports are imports, so they reach
+    nothing; names are matched, not resolved.
+    """
+    package = ROOT / "src" / "repro"
+    definitions = []  # (file, name, names its body uses)
+    live = set()
+    for path in sorted(package.rglob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                file = path.relative_to(package.parent).as_posix()
+                definitions.append((file, stmt.name, _names_used(stmt)))
+            else:
+                live |= _names_used(stmt)
+    for user in USERS:
+        for path in sorted((ROOT / user).rglob("*.py")):
+            live |= _names_used(ast.parse(path.read_text(encoding="utf-8")))
+    ci = (ROOT / "scripts" / "ci.sh").read_text(encoding="utf-8")
+    for block in re.findall(r"<<'PYEOF'\n(.*?)\nPYEOF", ci, re.S):
+        live |= _names_used(ast.parse(block))
+
+    # Python itself calls module-level ``__getattr__``/``__dir__``.
+    pending = [d for d in definitions if not d[1].startswith("__")]
+    grew = True
+    while grew:
+        reached = [d for d in pending if d[1] in live]
+        pending = [d for d in pending if d[1] not in live]
+        for __, __, used in reached:
+            live |= used
+        grew = bool(reached)
+    dead = [f"{file}:{name}" for file, name, __ in pending if file not in EXEMPT]
+    assert dead == [], f"{len(dead)} definitions nothing outside tests/ runs: {dead}"
