@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.autograd import ops
-from repro.autograd.tensor import Tensor, as_tensor, is_grad_enabled
+from repro.autograd.tensor import Tensor, as_tensor
 
 __all__ = [
     "relu",

@@ -10,8 +10,6 @@ product). All ops are covered by finite-difference tests in
 
 from __future__ import annotations
 
-import builtins
-
 import numpy as np
 
 from repro.autograd import kernels

@@ -31,7 +31,6 @@ from repro.core.derive import retrain
 from repro.core.search import SaneSearcher, SearchConfig, SearchResult
 from repro.core.search_space import Architecture, SearchSpace
 from repro.experiments.config import Scale
-from repro.gnn.common import GraphCache
 from repro.gnn.lgcn import LGCNModel
 from repro.gnn.models import build_baseline
 from repro.graph.data import Graph, MultiGraphDataset

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.autograd.scatter import gather, segment_sum
+from repro.autograd.scatter import segment_sum
 from repro.autograd.tensor import Tensor, as_tensor
 from repro.autograd import functional as F
 from repro.gnn.aggregators import NodeAggregator

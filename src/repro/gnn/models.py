@@ -95,16 +95,35 @@ class GNNModel(Module):
             self.layer_aggregator = None
             head_dim = hidden_dims[-1]
         self.classifier = Linear(head_dim, num_classes, rng)
+        # Layers after the last IDENTITY skip feed the layer aggregator
+        # nothing but zeros and no later layer, so only this prefix runs.
+        if layer_aggregator is None:
+            self.num_live_layers = num_layers
+        else:
+            self.num_live_layers = max(
+                (i + 1 for i, keep in enumerate(self.skip_connections) if keep),
+                default=0,
+            )
 
     @property
     def num_layers(self) -> int:
         return len(self.layers)
 
     def embed(self, features, cache: GraphCache) -> Tensor:
-        """Final node representation ``z_v`` before the classifier."""
+        """Final node representation ``z_v`` before the classifier.
+
+        Layers past :attr:`num_live_layers` are not evaluated. Each one
+        hands the layer aggregator zeros, still draws its dropout mask
+        (the generator's stream is unchanged) and gives its parameters
+        an exactly-zero gradient, so training matches evaluating it and
+        multiplying by zero bit for bit.
+        """
         h = self.dropout(as_tensor(features))
+        num_nodes = h.shape[0]
         layer_outputs: list[Tensor] = []
-        for layer, activation in zip(self.layers, self.activations):
+        for layer, activation in zip(
+            self.layers[: self.num_live_layers], self.activations
+        ):
             h = activation(layer(h, cache))
             h = self.dropout(h)
             layer_outputs.append(h)
@@ -114,6 +133,10 @@ class GNNModel(Module):
             out if keep else out * 0.0
             for out, keep in zip(layer_outputs, self.skip_connections)
         ]
+        inputs.extend(
+            self.dropout(_dead_output(layer, num_nodes))
+            for layer in self.layers[self.num_live_layers :]
+        )
         return self.layer_aggregator(inputs)
 
     def forward(self, features, cache: GraphCache) -> Tensor:
@@ -124,6 +147,17 @@ class GNNModel(Module):
         jk = self.layer_aggregator_name or "none"
         aggs = ", ".join(self.node_aggregator_names)
         return f"[{aggs}] skips={skips} jk={jk}"
+
+
+def _dead_output(layer: Module, num_nodes: int) -> Tensor:
+    """Zeros in place of ``layer``'s output, with a zero-VJP tape node
+    over its parameters so each still receives an exactly-zero gradient."""
+    params = layer.parameters()
+    return Tensor._from_op(
+        np.zeros((num_nodes, layer.out_dim)),
+        params,
+        lambda grad: [np.zeros_like(param.data) for param in params],
+    )
 
 
 def _per_layer(value, num_layers: int, name: str) -> list:

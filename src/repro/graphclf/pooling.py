@@ -12,11 +12,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.autograd import ops
-from repro.autograd.scatter import gather, segment_max, segment_mean, segment_softmax, segment_sum
+from repro.autograd.scatter import segment_max, segment_mean, segment_softmax, segment_sum
 from repro.autograd.tensor import Tensor
-from repro.nn import init
 from repro.nn.layers import Linear
-from repro.nn.module import Module, Parameter
+from repro.nn.module import Module
 
 __all__ = ["PoolingOp", "POOLING_OPS", "create_pooling_op"]
 

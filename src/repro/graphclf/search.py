@@ -17,10 +17,9 @@ from repro.autograd import functional as F
 from repro.autograd import no_grad, ops
 from repro.autograd.tensor import Tensor
 from repro.core import bilevel
-from repro.core.search_space import NODE_OPS
 from repro.gnn.aggregators import create_node_aggregator
 from repro.graphclf.data import GraphClassificationDataset
-from repro.graphclf.models import GraphBatch, GraphClassifier, collate
+from repro.graphclf.models import GraphBatch, collate
 from repro.graphclf.pooling import POOLING_OPS, create_pooling_op
 from repro.nn.layers import Dropout, Linear
 from repro.nn.module import Module, Parameter

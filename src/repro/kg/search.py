@@ -22,7 +22,7 @@ from repro.core import bilevel
 from repro.core.search_space import NODE_OPS
 from repro.gnn.aggregators import create_node_aggregator
 from repro.gnn.common import GraphCache
-from repro.kg.align import AlignConfig, l2_normalize, margin_ranking_loss
+from repro.kg.align import l2_normalize, margin_ranking_loss
 from repro.kg.data import AlignmentDataset
 from repro.kg.metrics import evaluate_alignment
 from repro.nn import init

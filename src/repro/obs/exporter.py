@@ -264,8 +264,10 @@ class _ScrapeHandler(http.server.BaseHTTPRequestHandler):
             self.send_header("Content-Type", "text/plain; version=0.0.4")
             self.send_header("Content-Length", str(len(body)))
             self.end_headers()
-            self.wfile.write(body)
+            # Counted before the body goes out: a scraper that has read
+            # the whole response must find itself counted.
             exporter._count_scrape()
+            self.wfile.write(body)
         elif self.path == "/healthz":
             body = b"ok\n"
             self.send_response(200)

@@ -1,6 +1,7 @@
 """Metrics snapshotter, text exposition, and the HTTP scrape endpoint."""
 
 import json
+import types
 import urllib.request
 
 import pytest
@@ -14,7 +15,7 @@ from repro.obs import (
     read_records,
     render_exposition,
 )
-from repro.obs.exporter import prom_name
+from repro.obs.exporter import _ScrapeHandler, prom_name
 
 
 def make_registry() -> MetricsRegistry:
@@ -142,6 +143,25 @@ class TestExporterEndpoint:
             body = urllib.request.urlopen(exporter.url, timeout=5).read()
             assert parse_exposition(body.decode())["serve_requests"] == 10.0
             assert exporter.scrapes == 2
+
+    def test_scrape_is_counted_before_the_body_is_written(self):
+        # A client may read the whole body and check ``scrapes`` before
+        # the server thread runs another line, so the count must already
+        # include this scrape when the body goes out.
+        exporter = registry_exporter(make_registry())
+        writes = []
+        handler = _ScrapeHandler.__new__(_ScrapeHandler)
+        handler.server = types.SimpleNamespace(exporter=exporter)
+        handler.path = "/metrics"
+        handler.command = "GET"
+        handler.request_version = "HTTP/1.1"
+        handler.requestline = "GET /metrics HTTP/1.1"
+        handler.wfile = types.SimpleNamespace(
+            write=lambda data: writes.append((bytes(data), exporter.scrapes))
+        )
+        handler.do_GET()
+        body = exporter.exposition().encode("utf-8")
+        assert writes[-1] == (body, 1)
 
     def test_healthz_and_404(self):
         with registry_exporter(make_registry()) as exporter:

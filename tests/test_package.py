@@ -1,4 +1,5 @@
-"""Package-wide checks: lazy imports, and no library code that nothing runs.
+"""Package-wide checks: lazy imports, no library code that nothing runs,
+and no imported name a library module never uses.
 
 ``import repro.core.search`` must not drag in what the search path
 never uses: networkx (graph classification's data loaders), the graph
@@ -144,3 +145,41 @@ def test_every_library_definition_runs_outside_tests():
         grew = bool(reached)
     dead = [f"{file}:{name}" for file, name, __ in pending if file not in EXEMPT]
     assert dead == [], f"{len(dead)} definitions nothing outside tests/ runs: {dead}"
+
+
+def _unused_imports(tree) -> list[str]:
+    """Names a module imports but never reads, except ``__all__`` names."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in stmt.targets
+        ):
+            exported |= set(ast.literal_eval(stmt.value))
+    return [
+        f"{name} (line {line})"
+        for name, line in imported.items()
+        if name not in read and name not in exported
+    ]
+
+
+def test_library_modules_use_every_name_they_import():
+    """``__init__`` modules are exempt: their imports are re-exports."""
+    package = ROOT / "src" / "repro"
+    unused = []
+    for path in sorted(package.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        file = path.relative_to(package.parent).as_posix()
+        unused += [f"{file}: {name}" for name in _unused_imports(tree)]
+    assert unused == [], f"{len(unused)} unused imports: {unused}"
