@@ -51,8 +51,11 @@ def test_table7_search_time(benchmark):
 
     # Largest-dataset ordering (default and up): on ppi every
     # trial-and-error candidate pays a full training run, so SANE's
-    # constant supernet cost amortises even at the 6-candidate budget
-    # (measured margin >= 1.9x; asserted with slack).
+    # constant supernet cost amortises even at the 6-candidate budget.
+    # Measured margin before dead layers were skipped: 1.39-1.80x in
+    # SANE's favour. With them skipped random search can finish ppi
+    # first and this assertion fails at `default`; whether `default`
+    # can make the claim at all is open (ROADMAP.md item 8).
     sane_ppi = result.times["sane"]["ppi"]
     for method in ("random", "bayesian", "graphnas"):
         assert result.times[method]["ppi"] > sane_ppi, (

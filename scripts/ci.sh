@@ -45,6 +45,19 @@ DIGEST_PAR="$(grep '^digest:' <<<"$SWEEP_PAR")"
     echo "sweep digest mismatch: sequential=$DIGEST_SEQ workers-2=$DIGEST_PAR" >&2
     exit 1
 }
+# A batched GraphNAS round holds 3 candidates for 2 workers, so the
+# evaluator hands the pool its jobs longest-first; the digest must not
+# notice.
+echo "==> parallel sweep smoke (graphnas --rollout-batch 3 --workers 2)"
+SWEEP_SEQ="$(REPRO_SCALE=smoke python -m repro sweep cora --methods graphnas --rollout-batch 3 --workers 0)"
+SWEEP_PAR="$(REPRO_SCALE=smoke python -m repro sweep cora --methods graphnas --rollout-batch 3 --workers 2)"
+echo "$SWEEP_PAR"
+DIGEST_SEQ="$(grep '^digest:' <<<"$SWEEP_SEQ")"
+DIGEST_PAR="$(grep '^digest:' <<<"$SWEEP_PAR")"
+[[ "$DIGEST_SEQ" == "$DIGEST_PAR" ]] || {
+    echo "graphnas sweep digest mismatch: sequential=$DIGEST_SEQ workers-2=$DIGEST_PAR" >&2
+    exit 1
+}
 
 # The repo benchmark (perfbench/, declared by BENCHMARK.json) hooks
 # library internals in its traced runs; run its self-tests and one
@@ -170,7 +183,7 @@ LEDGER_AFTER=0
 [[ -f "$LEDGER" ]] && LEDGER_AFTER="$(wc -l < "$LEDGER")"
 LEDGER_NEW=$((LEDGER_AFTER - LEDGER_BEFORE))
 echo "ledger: $LEDGER_NEW new manifest(s) in $LEDGER"
-# lint + two sweeps under SKIP_BENCH=1; the bench/export/serve stages
+# lint + four sweeps under SKIP_BENCH=1; the bench/export/serve stages
 # push the full pipeline well past five.
 LEDGER_MIN=5
 [[ "${SKIP_BENCH:-0}" == "1" ]] && LEDGER_MIN=3

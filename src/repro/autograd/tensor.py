@@ -239,6 +239,10 @@ class Tensor:
                 continue
             node._accumulate_into(grads, node_grad)
 
+    def tape_size(self) -> int:
+        """Tape nodes a :meth:`backward` from this tensor would visit."""
+        return len(_topological_order(self))
+
     def _accumulate_into(
         self, grads: dict[int, np.ndarray], node_grad: np.ndarray
     ) -> None:

@@ -15,7 +15,7 @@ table/figure modules stay declarative:
 probes, retraining repeats — as :class:`repro.parallel.SearchJob`
 waves executed by a :class:`repro.parallel.WorkerPool`. There is no
 separate sequential loop: ``workers <= 1`` runs the very same job
-bodies in-process in job-id order, and because every job derives its
+bodies in-process in submission (job-id) order, and because every job derives its
 seed from its identity (``seed + search_seed`` etc., exactly the
 pre-existing assignments), the output is bit-identical at any worker
 count.

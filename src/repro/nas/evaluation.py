@@ -18,6 +18,17 @@ scores independent of execution order and therefore bit-identical
 between the sequential and parallel paths. Weight sharing
 (GraphNAS-WS) mutates a candidate-order-dependent bank, so the WS
 variant always evaluates sequentially.
+
+Dispatch order: when a batch holds more candidates than the pool has
+workers, :meth:`ArchitectureEvaluator.evaluate_batch` hands the pool
+its jobs longest-first, so the slowest candidate does not start last
+and leave the other workers idle. The rank is a deterministic probe
+run in the parent (:func:`candidate_tape_size`): the candidate built
+from its own build seed, one training-mode forward on a few-node ring
+cut from the data (:func:`probe_cache`), and the number of tape nodes
+a backward from its output would visit. Records still
+append in batch order and every score is unchanged; only which worker
+trains which candidate, and when, changes.
 """
 
 from __future__ import annotations
@@ -29,6 +40,7 @@ import numpy as np
 from repro import obs
 from repro.core.derive import architecture_to_model
 from repro.core.search_space import Architecture
+from repro.gnn.common import GraphCache
 from repro.gnn.models import GNNModel
 from repro.graph.data import Graph, MultiGraphDataset
 from repro.nas.encoding import DecisionSpace
@@ -40,6 +52,8 @@ __all__ = [
     "EvaluationRecord",
     "ArchitectureEvaluator",
     "build_spec_model",
+    "candidate_tape_size",
+    "probe_cache",
     "train_candidate",
 ]
 
@@ -134,6 +148,49 @@ def train_candidate(
     return float(result.val_score), float(result.test_score)
 
 
+def probe_cache(data: Graph | MultiGraphDataset) -> GraphCache:
+    """The graph :func:`candidate_tape_size` runs its forward on.
+
+    A ring over the first 8 nodes of ``data`` (of its first
+    training graph for a :class:`MultiGraphDataset`), with their
+    features. A forward records one tape node per op whatever the
+    graph's size, so the ring gives the full graph's count at a
+    fraction of its time and memory.
+    """
+    graph = data if isinstance(data, Graph) else data.train_graphs[0]
+    nodes = np.arange(min(8, graph.num_nodes))
+    after = np.roll(nodes, -1)
+    return GraphCache(Graph(
+        edge_index=np.stack([np.r_[nodes, after], np.r_[after, nodes]]),
+        features=graph.features[nodes],
+    ))
+
+
+def candidate_tape_size(
+    space: DecisionSpace,
+    data: Graph | MultiGraphDataset,
+    indices: tuple[int, ...],
+    build_seed: int,
+    cache: GraphCache,
+    hidden_dim: int = 32,
+    dropout: float = 0.5,
+) -> int:
+    """Tape nodes a backward would visit after one training-mode forward.
+
+    The candidate is built from its own build seed and run on
+    ``cache`` (:func:`probe_cache`). The count ranks candidates by
+    training cost: it tracks training time far better than the
+    parameter count does, and unlike a timed forward it does not
+    depend on what else the machine is doing.
+    """
+    model = _build_model(
+        space.decode(tuple(indices)), data,
+        np.random.default_rng(build_seed), hidden_dim, dropout,
+    )
+    model.train()
+    return model(cache.graph.features, cache).tape_size()
+
+
 @dataclasses.dataclass
 class EvaluationRecord:
     """One candidate evaluation."""
@@ -219,7 +276,8 @@ class ArchitectureEvaluator:
         trial index, so the scores — and every downstream decision
         made from them — match the sequential path exactly. Weight
         sharing degrades to sequential evaluation (the shared bank is
-        candidate-order-dependent state).
+        candidate-order-dependent state). A batch larger than the pool
+        is dispatched longest-first (see the module docstring).
         """
         batch = [tuple(indices) for indices in batch]
         if not batch:
@@ -245,9 +303,12 @@ class ArchitectureEvaluator:
             )
             for position in range(len(batch))
         ]
-        scores = pool.run(jobs)
+        if len(jobs) > pool.workers:
+            jobs = self._longest_first(jobs)
+        scores = dict(zip((job.job_id for job in jobs), pool.run(jobs)))
         records = []
-        for indices, (val_score, test_score) in zip(batch, scores):
+        for position, indices in enumerate(batch):
+            val_score, test_score = scores[position]
             record = EvaluationRecord(
                 indices=indices,
                 val_score=val_score,
@@ -257,6 +318,19 @@ class ArchitectureEvaluator:
             self.records.append(record)
             records.append(record)
         return records
+
+    def _longest_first(self, jobs: list[SearchJob]) -> list[SearchJob]:
+        """``jobs`` by descending tape size; ties keep batch order."""
+        cache = probe_cache(self.data)
+        sizes = {
+            job.job_id: candidate_tape_size(
+                self.space, self.data, job.kwargs["indices"],
+                job.kwargs["build_seed"], cache, self.hidden_dim,
+                self.dropout,
+            )
+            for job in jobs
+        }
+        return sorted(jobs, key=lambda job: -sizes[job.job_id])
 
     def _evaluate_shared(
         self, indices: tuple[int, ...], build_seed: int

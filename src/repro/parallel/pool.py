@@ -1,13 +1,22 @@
 """Seeded multi-process worker pool with deterministic merge.
 
 :class:`WorkerPool` executes :class:`SearchJob` batches. At
-``workers <= 1`` it runs jobs in-process, in job-id order, through
+``workers <= 1`` it runs jobs in-process, in the order given, through
 the same :func:`execute_job` path the workers use — no separate
 sequential loop exists anywhere. At ``workers >= 2`` it spawn-starts
 persistent worker processes sharing one task queue and one result
 queue, and merges results **by job id**, so the returned list is
 bit-identical to the in-process run regardless of worker count or
 completion order.
+
+Dispatch order is the caller's: jobs enter the task queue in the
+order :meth:`WorkerPool.run` receives them, so a caller that knows
+which jobs run longest can hand those out first and shorten the idle
+tail of a batch (:meth:`ArchitectureEvaluator.evaluate_batch` does).
+Entering the pool as a context manager at ``workers >= 2`` starts the
+workers at once, so their start-up overlaps whatever the caller does
+before its first :meth:`WorkerPool.run`; a pool used without ``with``
+spawns them lazily on that first run.
 
 Robustness contract (exercised by ``tests/parallel/``):
 
@@ -112,14 +121,13 @@ class WorkerPool:
 
     # ------------------------------------------------------------------
     def _run_inline(self, jobs: list[SearchJob]) -> list:
-        """In-process fallback: same job bodies, job-id order."""
+        """In-process fallback: same job bodies, in the order given."""
         depth = self.metrics.gauge("parallel.queue_depth")
         done = self.metrics.counter("parallel.jobs")
-        results = {}
-        ordered = sorted(jobs, key=lambda job: job.job_id)
-        for position, job in enumerate(ordered):
-            depth.set(len(ordered) - position)
-            results[job.job_id] = execute_job(job)
+        results = []
+        for position, job in enumerate(jobs):
+            depth.set(len(jobs) - position)
+            results.append(execute_job(job))
             done.inc()
         depth.set(0)
         self.metrics.gauge("parallel.utilization").set(1.0)
@@ -127,9 +135,9 @@ class WorkerPool:
         # Pseudo-worker 0: the in-process path is one always-busy lane,
         # so the per-worker view stays uniform across worker counts.
         self._publish_worker_stats(
-            {0: 1.0}, {0: len(ordered)}, utilization=1.0
+            {0: 1.0}, {0: len(jobs)}, utilization=1.0
         )
-        return [results[job.job_id] for job in jobs]
+        return results
 
     # ------------------------------------------------------------------
     def _run_parallel(self, jobs: list[SearchJob]) -> list:
@@ -161,8 +169,8 @@ class WorkerPool:
         t_run = clock()
 
         depth = self.metrics.gauge("parallel.queue_depth")
-        for job_id in sorted(pending):
-            self._task_queue.put((job_id, 0, payloads[job_id]))
+        for job in jobs:
+            self._task_queue.put((job.job_id, 0, payloads[job.job_id]))
         depth.set(len(pending))
 
         def fail(error):
@@ -273,8 +281,9 @@ class WorkerPool:
                 and self._task_queue.empty()
             ):
                 unaccounted_deaths.clear()
-                for job_id in sorted(pending):
-                    crashed(job_id, None)
+                for job in jobs:
+                    if job.job_id in pending:
+                        crashed(job.job_id, None)
 
         wall = max(clock() - t_run, 1e-9)
         utilization = min(1.0, busy_s / (self.workers * wall))
@@ -341,7 +350,7 @@ class WorkerPool:
 
     # ------------------------------------------------------------------
     def _ensure_workers(self) -> None:
-        """Spawn workers lazily up to the configured count."""
+        """Spawn workers up to the configured count (replacing dead ones)."""
         import multiprocessing
 
         if self._ctx is None:
@@ -402,6 +411,8 @@ class WorkerPool:
         self._task_queue = None
 
     def __enter__(self) -> "WorkerPool":
+        if self.workers >= 2:
+            self._ensure_workers()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:

@@ -1,9 +1,10 @@
 """Job bodies for exercising the pool's failure modes.
 
 Fault-injection tests need job functions that crash the worker
-process, sleep past a timeout, or fail exactly once — and spawn
-workers can only run module-level importable functions, so they live
-here rather than inline in the tests.
+process, sleep past a timeout, or fail exactly once, and ordering
+tests need jobs that log when they start — and spawn workers can only
+run module-level importable functions, so they live here rather than
+inline in the tests.
 
 The ``flaky_*`` variants coordinate across worker processes through a
 marker file (each attempt may land on a different process, so no
@@ -25,6 +26,8 @@ __all__ = [
     "flaky_raise_job",
     "sleep_job",
     "spanned_job",
+    "rendezvous_job",
+    "record_start_job",
 ]
 
 
@@ -72,4 +75,33 @@ def spanned_job(value):
     with obs.span("outer", kind="test"):
         with obs.span("inner", kind="test"):
             pass
+    return value
+
+
+def rendezvous_job(directory: str, parties: int):
+    """Block until ``parties`` jobs have arrived; return this process id.
+
+    Each job holds its worker until all have arrived, so a batch of
+    ``parties`` of them returns only once that many workers are up
+    and serving the queue. Gives up after 60 s.
+    """
+    os.makedirs(directory, exist_ok=True)
+    open(os.path.join(directory, str(os.getpid())), "w").close()
+    for __ in range(6000):
+        if len(os.listdir(directory)) >= parties:
+            return os.getpid()
+        time.sleep(0.01)
+    raise TimeoutError(f"fewer than {parties} jobs arrived in 60 s")
+
+
+def record_start_job(log_path: str, value, delay_s: float = 0.0, hold_s: float = 0.0):
+    """Sleep ``delay_s``, append ``value`` to ``log_path``, hold ``hold_s``.
+
+    The log lists the jobs in the order they started; the two sleeps
+    space the entries out so concurrent workers cannot swap them.
+    """
+    time.sleep(delay_s)
+    with open(log_path, "a", encoding="utf-8") as fh:
+        fh.write(f"{value}\n")
+    time.sleep(hold_s)
     return value

@@ -9,7 +9,13 @@ from repro.nas.encoding import (
     mlp_decision_space,
     sane_decision_space,
 )
-from repro.nas.evaluation import ArchitectureEvaluator, build_spec_model
+from repro.gnn.common import GraphCache
+from repro.nas.evaluation import (
+    ArchitectureEvaluator,
+    build_spec_model,
+    candidate_tape_size,
+    probe_cache,
+)
 from repro.train.trainer import TrainConfig
 
 SPACE = sane_decision_space(
@@ -79,6 +85,27 @@ class TestEvaluate:
         )
         record = evaluator.evaluate(space.sample_indices(np.random.default_rng(0)))
         assert 0.0 <= record.val_score <= 1.0
+
+
+class TestTapeSizeProbe:
+    @pytest.mark.parametrize("space", [
+        sane_decision_space(SearchSpace(num_layers=3)),
+        graphnas_decision_space(2),
+        mlp_decision_space(2),
+    ], ids=["sane", "graphnas", "mlp"])
+    def test_ring_probe_counts_the_full_graph_tape(self, tiny_graph, tiny_ppi, space):
+        rng = np.random.default_rng(3)
+        for data in (tiny_graph, tiny_ppi):
+            full = GraphCache(data if data is tiny_graph else data.train_graphs[0])
+            ring = probe_cache(data)
+            assert ring.num_nodes == 8
+            for build_seed in range(6):
+                indices = space.sample_indices(rng)
+                sizes = [
+                    candidate_tape_size(space, data, indices, build_seed, cache, 8)
+                    for cache in (full, ring)
+                ]
+                assert sizes[0] == sizes[1] > 0
 
 
 class TestWeightSharing:

@@ -105,6 +105,38 @@ class TestEvaluatorBatchAcrossWorkerCounts:
         ]
         assert record_key(parallel.best) == record_key(sequential.best)
 
+    def test_largest_tape_dispatches_first(self, tiny_graph, monkeypatch):
+        # Three candidates on two workers; the LSTM layer aggregator
+        # over IDENTITY skips records the largest tape and comes last.
+        space = sane_decision_space(SearchSpace(num_layers=3))
+        choices = [decision.choices for decision in space.decisions]
+
+        def pick(*names):
+            return tuple(c.index(name) for c, name in zip(choices, names))
+
+        batch = [
+            pick("gcn", "gcn", "gcn", "zero", "zero", "zero", "concat"),
+            pick("sage-sum", "gcn", "gin", "identity", "zero", "zero", "max"),
+            pick("gat", "gat", "gat", "identity", "identity", "identity", "lstm"),
+        ]
+        inline = evaluator_for(tiny_graph).evaluate_batch(batch)
+        dispatched = []
+        with WorkerPool(workers=2) as pool:
+            run = pool.run
+
+            def spy(jobs):
+                dispatched.append([job.job_id for job in jobs])
+                return run(jobs)
+
+            monkeypatch.setattr(pool, "run", spy)
+            pooled = evaluator_for(tiny_graph).evaluate_batch(batch, pool=pool)
+        assert dispatched[0][0] == 2
+        assert sorted(dispatched[0]) == [0, 1, 2]
+        assert [record_key(r) for r in pooled] == [
+            record_key(r) for r in inline
+        ]
+        assert [r.indices for r in pooled] == batch
+
     def test_rollout_batch_one_matches_classic_sequential(self, tiny_graph):
         # rollout_batch=1 must be the pre-batching algorithm exactly.
         classic = graphnas_search(

@@ -6,6 +6,8 @@ where possible and keep job bodies tiny. The suite doubles as the
 forever, and the repo's test runner treats that as failure.
 """
 
+import multiprocessing
+
 import pytest
 
 from repro.obs import InMemorySink, MetricsRegistry, get_tracer
@@ -139,6 +141,75 @@ class TestParallelMode:
                 )
             # The pool survives a dispatch failure.
             assert pool.run(echo_jobs(["ok"])) == ["ok"]
+
+
+def pool_children():
+    return [
+        proc for proc in multiprocessing.active_children()
+        if proc.name.startswith("repro-worker-")
+    ]
+
+
+class TestDispatchOrder:
+    def test_jobs_start_in_the_order_given(self, tmp_path):
+        log = tmp_path / "starts.log"
+        with WorkerPool(workers=2) as pool:
+            # Both workers up and idle on the queue before the batch.
+            pids = pool.run([
+                SearchJob(
+                    job_id=i,
+                    fn="repro.parallel.testing:rendezvous_job",
+                    kwargs={"directory": str(tmp_path / "arrived"), "parties": 2},
+                )
+                for i in range(2)
+            ])
+            assert len(set(pids)) == 2
+            # Given 3, 2, 1, 0. The first two start together, so job 2
+            # logs 0.15 s late; job 3 holds its worker until after that,
+            # and job 2 holds the other until 1 and 0 have started.
+            timing = {3: (0.0, 0.4), 2: (0.15, 0.8), 1: (0.0, 0.0), 0: (0.0, 0.0)}
+            jobs = [
+                SearchJob(
+                    job_id=job_id,
+                    fn="repro.parallel.testing:record_start_job",
+                    kwargs={"log_path": str(log), "value": job_id,
+                            "delay_s": delay, "hold_s": hold},
+                )
+                for job_id, (delay, hold) in timing.items()
+            ]
+            assert pool.run(jobs) == [3, 2, 1, 0]
+        assert log.read_text().split() == ["3", "2", "1", "0"]
+
+    def test_inline_runs_in_the_order_given(self, tmp_path):
+        log = tmp_path / "starts.log"
+        jobs = [
+            SearchJob(
+                job_id=job_id,
+                fn="repro.parallel.testing:record_start_job",
+                kwargs={"log_path": str(log), "value": job_id},
+            )
+            for job_id in (2, 0, 1)
+        ]
+        assert WorkerPool(workers=0).run(jobs) == [2, 0, 1]
+        assert log.read_text().split() == ["2", "0", "1"]
+
+
+class TestEagerStart:
+    def test_entering_starts_the_workers(self):
+        before = set(pool_children())
+        with WorkerPool(workers=2):
+            started = [p for p in pool_children() if p not in before]
+            assert len(started) == 2
+            assert all(proc.is_alive() for proc in started)
+        assert not any(proc.is_alive() for proc in started)
+        assert not set(pool_children()) - before
+
+    def test_inline_pool_starts_none(self):
+        before = set(pool_children())
+        with WorkerPool(workers=0) as pool:
+            assert set(pool_children()) == before
+            assert pool.run(echo_jobs([1])) == [1]
+            assert set(pool_children()) == before
 
 
 class TestFaultInjection:
