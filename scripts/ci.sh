@@ -35,9 +35,20 @@ REPRO_SCALE=smoke python -m pytest -x -q
 # SHA-256 over every seed-derived output — must match exactly. This is
 # the bit-identical-merge contract (DESIGN.md section 12) checked end
 # to end, CLI included, on every CI run.
+#
+# Each of the four sweeps below takes 0.9-1.8 s on a 2-core box. The
+# bound leaves room for a cold bytecode cache and a loaded machine, and
+# turns a wedged pool into a failed stage instead of a stalled CI run.
+SWEEP_TIMEOUT_S=20
+sweep() {
+    REPRO_SCALE=smoke timeout "$SWEEP_TIMEOUT_S" python -m repro sweep cora "$@" || {
+        echo "repro sweep cora $* failed (exit $?; 124 means it ran past ${SWEEP_TIMEOUT_S}s)" >&2
+        exit 1
+    }
+}
 echo "==> parallel sweep smoke (repro sweep --workers 2)"
-SWEEP_SEQ="$(REPRO_SCALE=smoke python -m repro sweep cora --methods sane random --workers 0)"
-SWEEP_PAR="$(REPRO_SCALE=smoke python -m repro sweep cora --methods sane random --workers 2)"
+SWEEP_SEQ="$(sweep --methods sane random --workers 0)"
+SWEEP_PAR="$(sweep --methods sane random --workers 2)"
 echo "$SWEEP_PAR"
 DIGEST_SEQ="$(grep '^digest:' <<<"$SWEEP_SEQ")"
 DIGEST_PAR="$(grep '^digest:' <<<"$SWEEP_PAR")"
@@ -49,8 +60,8 @@ DIGEST_PAR="$(grep '^digest:' <<<"$SWEEP_PAR")"
 # evaluator hands the pool its jobs longest-first; the digest must not
 # notice.
 echo "==> parallel sweep smoke (graphnas --rollout-batch 3 --workers 2)"
-SWEEP_SEQ="$(REPRO_SCALE=smoke python -m repro sweep cora --methods graphnas --rollout-batch 3 --workers 0)"
-SWEEP_PAR="$(REPRO_SCALE=smoke python -m repro sweep cora --methods graphnas --rollout-batch 3 --workers 2)"
+SWEEP_SEQ="$(sweep --methods graphnas --rollout-batch 3 --workers 0)"
+SWEEP_PAR="$(sweep --methods graphnas --rollout-batch 3 --workers 2)"
 echo "$SWEEP_PAR"
 DIGEST_SEQ="$(grep '^digest:' <<<"$SWEEP_SEQ")"
 DIGEST_PAR="$(grep '^digest:' <<<"$SWEEP_PAR")"

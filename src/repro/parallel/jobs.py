@@ -57,8 +57,8 @@ class JobDispatchError(ParallelError):
     """A job could not be shipped to workers (unpicklable payload).
 
     Raised synchronously from :meth:`WorkerPool.run` before anything
-    is enqueued — a poisoned task never reaches the queue, so it can
-    never wedge a worker.
+    is sent — a poisoned task never reaches a worker, so it can never
+    wedge one.
     """
 
 

@@ -4,46 +4,51 @@
 ``workers <= 1`` it runs jobs in-process, in the order given, through
 the same :func:`execute_job` path the workers use — no separate
 sequential loop exists anywhere. At ``workers >= 2`` it spawn-starts
-persistent worker processes sharing one task queue and one result
-queue, and merges results **by job id**, so the returned list is
-bit-identical to the in-process run regardless of worker count or
-completion order.
+persistent worker processes, each reached by one duplex pipe that
+carries its jobs out and its results back, and merges results **by
+job id**, so the returned list is bit-identical to the in-process run
+regardless of worker count or completion order.
 
-Dispatch order is the caller's: jobs enter the task queue in the
-order :meth:`WorkerPool.run` receives them, so a caller that knows
-which jobs run longest can hand those out first and shorten the idle
-tail of a batch (:meth:`ArchitectureEvaluator.evaluate_batch` does).
-Entering the pool as a context manager at ``workers >= 2`` starts the
-workers at once, so their start-up overlaps whatever the caller does
-before its first :meth:`WorkerPool.run`; a pool used without ``with``
-spawns them lazily on that first run.
+Dispatch order is the caller's: the parent hands the jobs, in the
+order :meth:`WorkerPool.run` receives them, each to a worker that is
+idle, so a caller that knows which jobs run longest can hand those
+out first and shorten the idle tail of a batch
+(:meth:`ArchitectureEvaluator.evaluate_batch` does). Entering the pool
+as a context manager at ``workers >= 2`` starts the workers at once,
+so their start-up overlaps whatever the caller does before its first
+:meth:`WorkerPool.run`; a pool used without ``with`` spawns them
+lazily, when a run has a job to hand them.
 
-Robustness contract (exercised by ``tests/parallel/``):
+Robustness contract (exercised by ``tests/parallel/``). The parent
+knows which job each worker holds, so every failure is charged to
+exactly one job:
 
 * an unpicklable task raises :class:`JobDispatchError` before
-  anything is enqueued;
-* a worker that dies mid-job is detected (end-of-file on its result
-  pipe, read after every message it sent), its job is retried at most
-  ``max_retries`` times on a replacement worker, then
-  :class:`WorkerCrashError` surfaces;
-* a job exceeding its timeout gets its worker killed and the same
-  bounded retry, then :class:`JobTimeoutError`;
+  anything is sent;
+* a worker that dies holding a job (end-of-file on its pipe, or a
+  failed send) crashes that job, which is retried at most
+  ``_MAX_RETRIES`` times on another worker, then
+  :class:`WorkerCrashError` surfaces — a worker that can never start
+  charges a job on every attempt, so the batch ends there too;
+* a worker found dead while idle is replaced, and no job is charged;
+* a job exceeding its timeout (counted from dispatch) gets its worker
+  killed and the same bounded retry, then :class:`JobTimeoutError`;
 * a job that raises is retried the same way, then :class:`JobError`
   carries the remote traceback. In-process mode re-raises the
   original exception unwrapped (callers like the CLI's
   ``--check-numerics raise`` depend on catching the real type).
 
 On any fatal error the pool shuts its workers down before raising —
-a failed run never leaves orphan processes or a wedged queue. The
-pool is reusable afterwards (workers respawn lazily).
+a failed run never leaves orphan processes behind. The pool is
+reusable afterwards (workers respawn lazily).
 
 Telemetry lands in the pool's :class:`MetricsRegistry` (pass the
 bench registry to fold it into a ``BENCH_*.json`` payload):
 ``parallel.jobs`` / ``parallel.retries`` / ``parallel.crashes`` /
 ``parallel.timeouts`` counters, ``parallel.workers`` /
-``parallel.queue_depth`` / ``parallel.utilization`` /
-``parallel.straggler_s`` gauges, plus per-worker utilization:
-``parallel.worker.<i>.busy_frac`` gauges and
+``parallel.queue_depth`` (jobs waiting for a worker) /
+``parallel.utilization`` / ``parallel.straggler_s`` gauges, plus
+per-worker utilization: ``parallel.worker.<i>.busy_frac`` gauges and
 ``parallel.worker.<i>.tasks`` counters, mirrored into a
 ``pool_utilization`` telemetry event per batch (rendered by ``repro
 report run``). Per-job span trees recorded in the workers are
@@ -52,6 +57,7 @@ replayed under ``worker-<i>`` roots via :meth:`Tracer.adopt`.
 
 from __future__ import annotations
 
+import collections
 import pickle
 from multiprocessing import connection
 
@@ -68,37 +74,19 @@ from repro.parallel.jobs import (
 
 __all__ = ["WorkerPool"]
 
-# Idle polls (no result message, every worker idle, task queue empty)
-# tolerated after a worker died with no in-flight record before
-# concluding it took a task with it — dequeued, but killed before its
-# "start" message. Only such a death can orphan a task, so only such a
-# death arms the sweep: while workers spawn, or while a task sits in
-# the queue's pipe, the same idle picture means nothing is lost. A
-# narrow race, but leaving it unhandled would hang the pool forever.
-_ORPHAN_SWEEP_POLLS = 40
+# Further attempts a failed job gets before its error surfaces.
+_MAX_RETRIES = 1
 
 
 class WorkerPool:
     """Executes :class:`SearchJob` batches; see the module docstring."""
 
-    def __init__(
-        self,
-        workers: int = 0,
-        max_retries: int = 1,
-        timeout_s: float | None = None,
-        metrics: MetricsRegistry | None = None,
-        poll_s: float = 0.1,
-    ):
+    def __init__(self, workers: int = 0, metrics: MetricsRegistry | None = None):
         self.workers = int(workers)
-        self.max_retries = int(max_retries)
-        self.timeout_s = timeout_s
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.poll_s = poll_s
-        self._ctx = None
-        self._task_queue = None
         self._procs: dict[int, object] = {}  # worker_id -> Process
-        # worker_id -> read end of that worker's own result pipe
-        self._results: dict[int, connection.Connection] = {}
+        # worker_id -> the parent's end of that worker's duplex pipe
+        self._conns: dict[int, connection.Connection] = {}
         self._next_worker_id = 0
 
     # ------------------------------------------------------------------
@@ -153,137 +141,89 @@ class WorkerPool:
                     f"picklable and cannot be dispatched: {exc}"
                 ) from exc
 
-        self._ensure_workers()
-        pending = set(by_id)
-        failures = {job_id: 0 for job_id in by_id}
-        inflight: dict[int, tuple[int, int, float]] = {}  # wid -> (jid, attempt, t0)
+        waiting = collections.deque(by_id)  # the caller's order
+        failures = dict.fromkeys(by_id, 0)
+        held: dict[int, tuple[int, float]] = {}  # wid -> (jid, dispatched at)
         results: dict[int, object] = {}
         finish_times: list[float] = []
         busy_s = 0.0
         worker_busy: dict[int, float] = {}
         worker_tasks: dict[int, int] = {}
-        idle_polls = 0
-        # Workers that died with no in-flight record: each may have
-        # taken a task with it, which arms the orphan sweep.
-        unaccounted_deaths: set[int] = set()
+        depth = self.metrics.gauge("parallel.queue_depth")
         t_run = clock()
 
-        depth = self.metrics.gauge("parallel.queue_depth")
-        for job in jobs:
-            self._task_queue.put((job.job_id, 0, payloads[job.job_id]))
-        depth.set(len(pending))
-
-        def fail(error):
-            self.shutdown()
-            raise error
-
-        def retry(job_id: int) -> bool:
-            nonlocal idle_polls
+        def retry(job_id: int, error: Exception) -> None:
+            """Put a failed job back in line, or raise once it is out of retries."""
             failures[job_id] += 1
-            if failures[job_id] > self.max_retries:
-                return False
+            if failures[job_id] > _MAX_RETRIES:
+                self.shutdown()
+                raise error
             self.metrics.counter("parallel.retries").inc()
-            self._task_queue.put(
-                (job_id, failures[job_id], payloads[job_id])
-            )
-            idle_polls = 0
-            return True
+            waiting.append(job_id)
 
-        def crashed(job_id: int, exitcode) -> None:
+        def crashed(worker_id: int) -> None:
+            """The worker holding a job is gone: charge that job."""
+            job_id, __ = held.pop(worker_id)
+            exitcode = self._drop_worker(worker_id, grace_s=1.0)
             self.metrics.counter("parallel.crashes").inc()
-            if not retry(job_id):
-                fail(WorkerCrashError(job_id, by_id[job_id].tag, exitcode))
+            retry(job_id, WorkerCrashError(job_id, by_id[job_id].tag, exitcode))
 
-        def worker_gone(worker_id: int) -> None:
-            """Handle a worker whose result pipe hit end-of-file.
+        while waiting or held:
+            for worker_id in self._idle_workers(held, len(waiting)):
+                if not waiting:
+                    break
+                job_id = waiting.popleft()
+                held[worker_id] = (job_id, clock())
+                try:
+                    self._conns[worker_id].send_bytes(payloads[job_id])
+                except OSError:
+                    crashed(worker_id)
+            depth.set(len(waiting))
+            if not held:
+                continue  # every send failed; each charged its job
 
-            Every message it sent has been read by then, so an
-            in-flight record is exact: present, the job crashed with
-            it; absent, the worker died idle or between dequeue and
-            its "start" message, and the orphan sweep is armed.
-            """
-            self._results.pop(worker_id).close()
-            proc = self._procs.pop(worker_id)
-            proc.join(timeout=1.0)  # reap, so exitcode is populated
-            job = inflight.pop(worker_id, None)
-            if job is None:
-                unaccounted_deaths.add(worker_id)
-            elif job[0] in pending:
-                crashed(job[0], proc.exitcode)
-            self._ensure_workers()
-
-        while pending:
-            by_conn = {conn: wid for wid, conn in self._results.items()}
-            ready = connection.wait(list(by_conn), timeout=self.poll_s)
-            if not ready:
-                idle_polls += 1
+            deadlines = [
+                t0 + by_id[job_id].timeout_s
+                for job_id, t0 in held.values()
+                if by_id[job_id].timeout_s is not None
+            ]
+            by_conn = {self._conns[wid]: wid for wid in held}
+            ready = connection.wait(
+                list(by_conn),
+                timeout=max(0.0, min(deadlines) - clock()) if deadlines else None,
+            )
             for conn in ready:
                 worker_id = by_conn[conn]
                 try:
                     message = conn.recv()
                 except (EOFError, OSError):
-                    # The worker holds the only write end: it is gone.
-                    worker_gone(worker_id)
+                    # The worker holds the only other end: it is gone.
+                    crashed(worker_id)
                     continue
-                idle_polls = 0
-                kind, job_id = message[0], message[1]
-                if kind == "start":
-                    __, __, attempt, worker_id = message
-                    if job_id in pending:
-                        inflight[worker_id] = (job_id, attempt, clock())
-                elif kind == "ok":
-                    __, __, attempt, worker_id, blob, records = message
-                    inflight.pop(worker_id, None)
-                    if job_id in pending:
-                        results[job_id] = pickle.loads(blob)
-                        pending.discard(job_id)
-                        finish_times.append(clock())
-                        self.metrics.counter("parallel.jobs").inc()
-                        job_busy = self._adopt_spans(
-                            worker_id, by_id[job_id], records
-                        )
-                        busy_s += job_busy
-                        worker_busy[worker_id] = (
-                            worker_busy.get(worker_id, 0.0) + job_busy
-                        )
-                        worker_tasks[worker_id] = (
-                            worker_tasks.get(worker_id, 0) + 1
-                        )
-                elif kind == "error":
-                    __, __, attempt, worker_id, etype, msg, tb = message
-                    inflight.pop(worker_id, None)
-                    if job_id in pending and not retry(job_id):
-                        fail(JobError(job_id, by_id[job_id].tag, etype, msg, tb))
-                depth.set(len(pending) - len(inflight))
+                job_id, __ = held.pop(worker_id)
+                if message[0] == "error":
+                    __, etype, msg, tb = message
+                    retry(job_id, JobError(job_id, by_id[job_id].tag, etype, msg, tb))
+                    continue
+                __, blob, records = message
+                results[job_id] = pickle.loads(blob)
+                finish_times.append(clock())
+                self.metrics.counter("parallel.jobs").inc()
+                job_busy = self._adopt_spans(worker_id, by_id[job_id], records)
+                busy_s += job_busy
+                worker_busy[worker_id] = worker_busy.get(worker_id, 0.0) + job_busy
+                worker_tasks[worker_id] = worker_tasks.get(worker_id, 0) + 1
 
             # Timeouts: kill the worker, retry the job bounded times.
             now = clock()
-            for worker_id, (job_id, attempt, t0) in list(inflight.items()):
-                limit = by_id[job_id].timeout_s or self.timeout_s
+            for worker_id, (job_id, t0) in list(held.items()):
+                limit = by_id[job_id].timeout_s
                 if limit is None or now - t0 <= limit:
                     continue
-                inflight.pop(worker_id, None)
-                self._kill_worker(worker_id)
+                del held[worker_id]
+                self._drop_worker(worker_id, grace_s=0.0)
                 self.metrics.counter("parallel.timeouts").inc()
-                if job_id in pending and not retry(job_id):
-                    fail(JobTimeoutError(job_id, by_id[job_id].tag, limit))
-                self._ensure_workers()
-
-            # Orphan sweep: a worker died with no in-flight record and
-            # since then every worker sat idle with nothing queued, yet
-            # jobs are pending — their task died with that worker before
-            # its "start" message. Re-enqueue, charging a retry.
-            if (
-                unaccounted_deaths
-                and idle_polls >= _ORPHAN_SWEEP_POLLS
-                and not inflight
-                and pending
-                and self._task_queue.empty()
-            ):
-                unaccounted_deaths.clear()
-                for job in jobs:
-                    if job.job_id in pending:
-                        crashed(job.job_id, None)
+                retry(job_id, JobTimeoutError(job_id, by_id[job_id].tag, limit))
 
         wall = max(clock() - t_run, 1e-9)
         utilization = min(1.0, busy_s / (self.workers * wall))
@@ -349,70 +289,80 @@ class WorkerPool:
         return busy
 
     # ------------------------------------------------------------------
-    def _ensure_workers(self) -> None:
-        """Spawn workers up to the configured count (replacing dead ones)."""
+    def _idle_workers(self, busy, wanted: int) -> list[int]:
+        """Live workers not in ``busy``, spawning up to ``wanted`` in all.
+
+        Never more than the pool's size. A worker that died while idle
+        held no job, so it is dropped (and replaced if needed) without
+        charging one.
+        """
+        idle = []
+        for worker_id, proc in list(self._procs.items()):
+            if worker_id in busy:
+                continue
+            if proc.is_alive():
+                idle.append(worker_id)
+            else:
+                self._drop_worker(worker_id, grace_s=0.0)
+        while len(idle) < wanted and len(self._procs) < self.workers:
+            idle.append(self._spawn())
+        return idle
+
+    def _spawn(self) -> int:
         import multiprocessing
 
-        if self._ctx is None:
-            self._ctx = multiprocessing.get_context("spawn")
-            self._task_queue = self._ctx.Queue()
         from repro.parallel.worker import worker_main
 
-        while len(self._procs) < self.workers:
-            worker_id = self._next_worker_id
-            self._next_worker_id += 1
-            reader, writer = self._ctx.Pipe(duplex=False)
-            proc = self._ctx.Process(
-                target=worker_main,
-                args=(worker_id, self._task_queue, writer),
-                daemon=True,
-                name=f"repro-worker-{worker_id}",
-            )
-            proc.start()
-            # The worker now holds the only write end, so end-of-file
-            # on the read end means the worker is gone.
-            writer.close()
-            self._procs[worker_id] = proc
-            self._results[worker_id] = reader
+        ctx = multiprocessing.get_context("spawn")
+        worker_id = self._next_worker_id
+        self._next_worker_id += 1
+        ours, theirs = ctx.Pipe()
+        proc = ctx.Process(
+            target=worker_main,
+            args=(theirs,),
+            daemon=True,
+            name=f"repro-worker-{worker_id}",
+        )
+        proc.start()
+        # The worker now holds the only other end, so end-of-file on
+        # ours means the worker is gone.
+        theirs.close()
+        self._procs[worker_id] = proc
+        self._conns[worker_id] = ours
+        return worker_id
 
-    def _kill_worker(self, worker_id: int) -> None:
-        proc = self._procs.pop(worker_id, None)
-        if proc is None:
-            return
-        self._results.pop(worker_id).close()
-        proc.terminate()
-        proc.join(timeout=5.0)
+    def _drop_worker(self, worker_id: int, grace_s: float) -> int | None:
+        """Close a worker's pipe and reap it; return its exit code.
+
+        A worker still alive ``grace_s`` after its pipe closed is
+        terminated, then killed if it ignores that.
+        """
+        self._conns.pop(worker_id).close()
+        proc = self._procs.pop(worker_id)
+        proc.join(timeout=grace_s)
+        if proc.is_alive():
+            proc.terminate()
+            proc.join(timeout=5.0)
         if proc.is_alive():
             proc.kill()
             proc.join(timeout=5.0)
+        return proc.exitcode
 
     # ------------------------------------------------------------------
     def shutdown(self) -> None:
-        """Stop workers and drop the queue and pipes; the pool stays reusable."""
-        if self._ctx is None:
-            return
-        for __ in self._procs:
-            try:
-                self._task_queue.put(None)
-            except (OSError, ValueError):
-                break
-        for worker_id, proc in list(self._procs.items()):
-            proc.join(timeout=5.0)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=5.0)
-        self._procs.clear()
-        for reader in self._results.values():
-            reader.close()
-        self._results.clear()
-        self._task_queue.cancel_join_thread()
-        self._task_queue.close()
-        self._ctx = None
-        self._task_queue = None
+        """Stop the workers and close their pipes; the pool stays reusable.
+
+        Every pipe closes first, so idle workers see end-of-file and
+        return together; a worker still busy after 5 s is terminated.
+        """
+        for conn in self._conns.values():
+            conn.close()
+        for worker_id in list(self._procs):
+            self._drop_worker(worker_id, grace_s=5.0)
 
     def __enter__(self) -> "WorkerPool":
         if self.workers >= 2:
-            self._ensure_workers()
+            self._idle_workers((), self.workers)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:

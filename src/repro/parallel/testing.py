@@ -83,7 +83,7 @@ def rendezvous_job(directory: str, parties: int):
 
     Each job holds its worker until all have arrived, so a batch of
     ``parties`` of them returns only once that many workers are up
-    and serving the queue. Gives up after 60 s.
+    and serving jobs. Gives up after 60 s.
     """
     os.makedirs(directory, exist_ok=True)
     open(os.path.join(directory, str(os.getpid())), "w").close()

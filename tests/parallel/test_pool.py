@@ -2,14 +2,21 @@
 
 Every parallel test here runs real spawn workers, so they share pools
 where possible and keep job bodies tiny. The suite doubles as the
-"never hang" contract: a wedged queue would stall one of these tests
-forever, and the repo's test runner treats that as failure.
+"never hang" contract: a pool that waits on a job no worker holds, or
+respawns workers forever, would stall one of these tests, and the
+repo's test runner treats that as failure.
 """
 
 import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import repro
 from repro.obs import InMemorySink, MetricsRegistry, get_tracer
 from repro.parallel import (
     JobDispatchError,
@@ -154,7 +161,7 @@ class TestDispatchOrder:
     def test_jobs_start_in_the_order_given(self, tmp_path):
         log = tmp_path / "starts.log"
         with WorkerPool(workers=2) as pool:
-            # Both workers up and idle on the queue before the batch.
+            # Both workers up and idle before the batch.
             pids = pool.run([
                 SearchJob(
                     job_id=i,
@@ -285,7 +292,7 @@ class TestFaultInjection:
 
     def test_timeout_kills_worker_and_raises(self):
         metrics = MetricsRegistry()
-        with WorkerPool(workers=2, metrics=metrics, poll_s=0.05) as pool:
+        with WorkerPool(workers=2, metrics=metrics) as pool:
             with pytest.raises(JobTimeoutError) as excinfo:
                 pool.run(
                     [
@@ -314,21 +321,67 @@ class TestFaultInjection:
             )
             assert pool.run(jobs) == [10, 20, 30, 40]
 
-    def test_orphan_sweep_waits_for_a_worker_death(self, monkeypatch):
-        # While workers spawn, no message arrives and nothing is in
-        # flight; with the task queue forced to look empty that is the
-        # sweep's whole idle picture, yet no task is lost. A sweep here
-        # would charge a crash and, with no retry budget, fail a healthy
-        # batch. Only a worker death without an in-flight record arms it.
-        monkeypatch.setattr("repro.parallel.pool._ORPHAN_SWEEP_POLLS", 1)
+    def test_worker_that_died_idle_is_replaced_without_a_charge(self, tmp_path):
+        # A worker killed between batches held no job, so the next batch
+        # must replace it without charging a crash to a healthy job.
         metrics = MetricsRegistry()
-        with WorkerPool(
-            workers=2, max_retries=0, poll_s=0.01, metrics=metrics
-        ) as pool:
-            pool._ensure_workers()
-            monkeypatch.setattr(pool._task_queue, "empty", lambda: True)
-            assert pool.run(echo_jobs([1, 2, 3])) == [1, 2, 3]
+        with WorkerPool(workers=2, metrics=metrics) as pool:
+            pids = pool.run([
+                SearchJob(
+                    job_id=i,
+                    fn="repro.parallel.testing:rendezvous_job",
+                    kwargs={"directory": str(tmp_path / "arrived"), "parties": 2},
+                )
+                for i in range(2)
+            ])
+            victim = next(p for p in pool_children() if p.pid == pids[0])
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=10.0)
+            assert not victim.is_alive()
+            assert pool.run(echo_jobs([0, 1, 2, 3])) == [0, 1, 2, 3]
         assert "parallel.crashes" not in metrics.snapshot()["counters"]
+
+    def test_workers_that_never_start_end_in_a_crash_error(self, tmp_path):
+        # Spawn children re-run the parent's main script as __mp_main__;
+        # this one exits there, so no worker ever serves a job. Each
+        # attempt charges its job, and the batch must end in
+        # WorkerCrashError instead of respawning workers forever.
+        script = tmp_path / "unguarded_main.py"
+        script.write_text(textwrap.dedent("""
+            if __name__ != "__main__":
+                raise SystemExit(3)
+            from repro.parallel import SearchJob, WorkerCrashError, WorkerPool
+            jobs = [
+                SearchJob(job_id=i, fn="repro.parallel.testing:echo_job",
+                          kwargs={"value": i})
+                for i in range(3)
+            ]
+            with WorkerPool(workers=2) as pool:
+                try:
+                    pool.run(jobs)
+                except WorkerCrashError as exc:
+                    print(type(exc).__name__, exc)
+        """))
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+        )
+        # Own session, so a hung pool and every worker it spawned die
+        # together on timeout.
+        proc = subprocess.Popen(
+            [sys.executable, str(script)], env=env, cwd=tmp_path,
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+            start_new_session=True,
+        )
+        try:
+            stdout, __ = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("pool.run neither finished nor raised within 60 s")
+        assert proc.returncode == 0
+        assert stdout.startswith("WorkerCrashError")
 
 
 class TestSpanAdoption:
