@@ -53,8 +53,11 @@ def test_figure3_efficiency_trajectories(benchmark):
         return
 
     # Largest-dataset ordering (default and up): SANE's anytime curve
-    # on ppi ends before every trial-and-error trajectory (measured
-    # margin >= 1.5x at the 6-candidate budget).
+    # on ppi ends before every trial-and-error trajectory. Since dead
+    # layers stopped being trained, candidate training is cheap enough
+    # that random search (2.2 s against SANE's 2.7 s) and TPE finish
+    # ppi first and this assertion fails at `default`; whether
+    # `default` can make the claim at all is open (ROADMAP.md item 2).
     ppi = result.trajectories["ppi"]
     sane_end = ppi["sane"][-1][0]
     for method in ("random", "bayesian", "graphnas"):

@@ -55,7 +55,7 @@ def test_table7_search_time(benchmark):
     # Measured margin before dead layers were skipped: 1.39-1.80x in
     # SANE's favour. With them skipped random search can finish ppi
     # first and this assertion fails at `default`; whether `default`
-    # can make the claim at all is open (ROADMAP.md item 8).
+    # can make the claim at all is open (ROADMAP.md item 2).
     sane_ppi = result.times["sane"]["ppi"]
     for method in ("random", "bayesian", "graphnas"):
         assert result.times[method]["ppi"] > sane_ppi, (

@@ -85,6 +85,25 @@ result = json.loads(sys.argv[1])
 assert result["correct"] is True, f"perfbench serve-mixed failed: {result['failed']} of {result['attempted']}"
 print(f"perfbench serve-mixed ok: {result['attempted']} responses checked")
 PYEOF
+# search-pubmed runs the supernet inline; its traced run times every
+# candidate op per layer through hooks on repro.core and counts the
+# segment kernels, so a kernel or hook change on the supernet path
+# fails here (about 8 s) rather than at the next benchmark run.
+echo "==> perfbench traced search-pubmed smoke"
+PERFBENCH_OUT="$(python3 perfbench/run.py --workload search-pubmed --seed 0 --seconds 3 --trace 1)"
+python - "$(tail -n 1 <<<"$PERFBENCH_OUT")" <<'PYEOF'
+import json
+import sys
+result = json.loads(sys.argv[1])
+assert result["correct"] is True, f"perfbench search-pubmed failed: {result['failed']} of {result['attempted']}"
+metrics = result["metrics"]
+for name in ("core.layer0.sage-max.fwd_ms", "kernel.scatter_max.calls"):
+    value = metrics[name]["value"]
+    assert value > 0, f"perfbench search-pubmed recorded no {name} ({value})"
+print(f"perfbench search-pubmed ok: {result['attempted']} epochs, "
+      f"sage-max fwd {metrics['core.layer0.sage-max.fwd_ms']['value']:.2f} ms, "
+      f"{metrics['kernel.scatter_max.calls']['value']:.0f} scatter_max calls")
+PYEOF
 # trials-cora trains candidates on spawned pool workers; its traced run
 # hooks repro.parallel.worker.worker_main inside each worker, so a
 # nonzero worker-side train.fit_ms proves the hook survived.

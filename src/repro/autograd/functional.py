@@ -91,7 +91,9 @@ def dropout(x, p: float, training: bool, rng: np.random.Generator) -> Tensor:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     x = as_tensor(x)
     keep = 1.0 - p
-    mask = (rng.random(x.shape) < keep).astype(np.float64) / keep
+    mask = rng.random(x.shape)
+    np.less(mask, keep, out=mask)
+    mask /= keep
     return Tensor._from_op(x.data * mask, (x,), lambda g: (g * mask,))
 
 
@@ -111,33 +113,44 @@ def lstm_gate_update(gates, c_prev) -> tuple[Tensor, Tensor]:
         raise ValueError(f"gates must be (N, 4d), got {gates.shape}")
     d = gates.shape[1] // 4
     raw = gates.data
-    # Same numerically stable logistic as ops.sigmoid.
-    i_gate = 0.5 * (np.tanh(0.5 * raw[:, 0 * d : 1 * d]) + 1.0)
-    f_gate = 0.5 * (np.tanh(0.5 * raw[:, 1 * d : 2 * d]) + 1.0)
+    i_gate = ops._logistic(raw[:, 0 * d : 1 * d])
+    f_gate = ops._logistic(raw[:, 1 * d : 2 * d])
     g_gate = np.tanh(raw[:, 2 * d : 3 * d])
-    o_gate = 0.5 * (np.tanh(0.5 * raw[:, 3 * d : 4 * d]) + 1.0)
-    c_data = f_gate * c_prev.data + i_gate * g_gate
+    o_gate = ops._logistic(raw[:, 3 * d : 4 * d])
+    c_data = f_gate * c_prev.data
+    c_data += i_gate * g_gate
     tanh_c = np.tanh(c_data)
 
     def backward_c(g):
-        grad_gates = np.zeros_like(raw)
-        grad_gates[:, 0 * d : 1 * d] = g * g_gate * i_gate * (1.0 - i_gate)
-        grad_gates[:, 1 * d : 2 * d] = (
-            g * c_prev.data * f_gate * (1.0 - f_gate)
-        )
-        grad_gates[:, 2 * d : 3 * d] = g * i_gate * (1.0 - g_gate * g_gate)
+        grad_gates = np.empty_like(raw)
+        _gate_vjp(grad_gates[:, 0 * d : 1 * d], g, g_gate, i_gate)
+        _gate_vjp(grad_gates[:, 1 * d : 2 * d], g, c_prev.data, f_gate)
+        grad = grad_gates[:, 2 * d : 3 * d]
+        np.multiply(g, i_gate, out=grad)
+        grad *= ops._one_minus_square(g_gate)
+        grad_gates[:, 3 * d : 4 * d] = 0.0
         grad_c = g * f_gate if c_prev.requires_grad else None
         return grad_gates, grad_c
 
     c_new = Tensor._from_op(c_data, (gates, c_prev), backward_c)
 
     def backward_h(g):
-        grad_gates = np.zeros_like(raw)
-        grad_gates[:, 3 * d : 4 * d] = g * tanh_c * o_gate * (1.0 - o_gate)
-        return grad_gates, g * o_gate * (1.0 - tanh_c * tanh_c)
+        grad_gates = np.empty_like(raw)
+        grad_gates[:, : 3 * d] = 0.0
+        _gate_vjp(grad_gates[:, 3 * d : 4 * d], g, tanh_c, o_gate)
+        grad_c = g * o_gate
+        grad_c *= ops._one_minus_square(tanh_c)
+        return grad_gates, grad_c
 
     h_new = Tensor._from_op(o_gate * tanh_c, (gates, c_new), backward_h)
     return h_new, c_new
+
+
+def _gate_vjp(out: np.ndarray, g, other: np.ndarray, gate: np.ndarray) -> None:
+    """Write ``g * other * gate * (1 - gate)`` into ``out``, left to right."""
+    np.multiply(g, other, out=out)
+    out *= gate
+    out *= 1.0 - gate
 
 
 def nll_loss(log_probs, targets, reduction: str = "mean") -> Tensor:

@@ -19,9 +19,12 @@ Kernel choice is measurement-driven (numpy 2.x, scipy 1.x, see DESIGN):
 * weighted sums ``out[s] = sum_e w[e] * x[col[e]]`` (the attention /
   GCN message-passing step) are one weighted CSR product, so no
   ``(E, F)`` gathered-and-scaled copy is ever built;
-* maxima over 2-D+ values use ``np.take`` along the sort permutation
-  plus ``np.maximum.reduceat`` over the CSR row starts; 1-D maxima stay
-  on ``np.maximum.at``, whose 1-D fast path already wins.
+* maxima over 2-D+ values run over degree buckets: segments grouped
+  by in-degree rounded up to a power of two, each bucket one
+  ``(width, segments)`` index whose rows ``np.take`` gathers and
+  ``np.maximum.reduce`` folds, so no per-segment ``reduceat`` loop
+  runs; 1-D maxima stay on ``np.maximum.at``, whose 1-D fast path
+  already wins.
 
 The buffered-scatter formulation survives as the test oracle
 (``tests/naive_kernels.py``): the planned kernels must match it
@@ -70,14 +73,19 @@ class SegmentPlan:
 
     Precomputes, once, everything the fused kernels need to reduce any
     number of value arrays over the same segment structure: the stable
-    sort permutation by segment id, CSR row pointers, the list of
-    non-empty segments with their row starts (``reduceat`` offsets),
-    and the per-segment element counts (cached in integer, float and
-    clamped-float form so ``segment_mean`` / degree normalisation never
-    re-run ``np.bincount``), and the 0/1 ``(num_segments, n)`` CSR
-    matrix whose product with value rows is the segment sum. Everything
-    is built in ``__init__``; nothing is filled in lazily, so one plan
-    can serve concurrent threads.
+    sort permutation by segment id, CSR row pointers, the per-segment
+    element counts (cached in integer, float and clamped-float form so
+    ``segment_mean`` / degree normalisation never re-run
+    ``np.bincount``), and the 0/1 ``(num_segments, n)`` CSR matrix
+    whose product with value rows is the segment sum.
+
+    The degree buckets of the 2-D max (:meth:`max_buckets`) are the one
+    part built on first use, since most plans never run a max and a
+    serving plan cache builds plans for every foreign graph. One plan
+    still serves concurrent threads: the buckets are a pure function of
+    the plan's immutable arrays, stored read-only by one attribute
+    assignment, so threads that race on the first call each build the
+    same layout and every reader sees either none or a complete one.
 
     The plan assumes the id array it was built from is not mutated
     afterwards; graph edge arrays are immutable in this codebase.
@@ -88,12 +96,11 @@ class SegmentPlan:
         "num_segments",
         "order",
         "indptr",
-        "present",
-        "starts",
         "counts",
         "counts_float",
         "counts_clamped",
         "csr",
+        "_max_buckets",
     )
 
     def __init__(self, segment_ids: np.ndarray, num_segments: int):
@@ -114,8 +121,6 @@ class SegmentPlan:
         indptr = np.zeros(num_segments + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
         self.indptr = indptr
-        self.present = np.flatnonzero(counts)
-        self.starts = indptr[self.present]
         counts_float = counts.astype(np.float64)
         counts_float.flags.writeable = False
         self.counts_float = counts_float
@@ -126,6 +131,46 @@ class SegmentPlan:
             (np.ones(len(ids)), self.order, indptr),
             shape=(num_segments, len(ids)),
         )
+        self._max_buckets = None
+
+    def max_buckets(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The degree-bucket layout of the 2-D max, built on first call.
+
+        One ``(segments, members)`` pair per bucket. Non-empty segments
+        whose in-degree rounds up to the same power of two share a
+        bucket; ``members`` is a ``(width, len(segments))`` array of
+        value-row indices, column ``j`` listing segment
+        ``segments[j]``'s members in id order. A segment with fewer
+        members than ``width`` repeats its last member, which leaves
+        the maximum unchanged.
+        """
+        buckets = self._max_buckets
+        if buckets is None:
+            buckets = self._max_buckets = _degree_buckets(
+                self.order, self.indptr, self.counts
+            )
+        return buckets
+
+
+def _degree_buckets(order, indptr, counts):
+    present = np.flatnonzero(counts)
+    degrees = counts[present]
+    # Width: the in-degree rounded up to a power of two, so padding at
+    # most doubles the rows gathered and the bucket count stays
+    # logarithmic in the largest degree.
+    widths = np.left_shift(1, np.ceil(np.log2(degrees)).astype(np.int64))
+    buckets = []
+    for width in np.unique(widths):
+        in_bucket = widths == width
+        segments = present[in_bucket]
+        offsets = np.minimum(
+            np.arange(width)[:, None], degrees[in_bucket][None, :] - 1
+        )
+        members = order[indptr[segments][None, :] + offsets]
+        segments.flags.writeable = False
+        members.flags.writeable = False
+        buckets.append((segments, members))
+    return tuple(buckets)
 
 
 class LruMap:
@@ -538,17 +583,20 @@ def _scatter_max_impl(
     out = np.full(
         (num_segments,) + values.shape[1:], -np.inf, dtype=np.float64
     )
-    # 1-D values: numpy's ufunc.at fast path already beats the sorted
-    # reduceat (measured), so they keep it.
+    # 1-D values: numpy's ufunc.at fast path already beats the planned
+    # layout (measured), so they keep it.
     if values.ndim == 1 or len(values) == 0:
         np.maximum.at(out, segment_ids, values)
         return out
     if plan is None:
         plan = plan_for(segment_ids, num_segments)
-    if plan.present.size:
-        sorted_values = np.take(values, plan.order, axis=0)
-        out[plan.present] = np.maximum.reduceat(
-            sorted_values, plan.starts, axis=0
+    if len(values) != len(plan.order):
+        raise ValueError(
+            f"{len(values)} value rows for {len(plan.order)} segment ids"
+        )
+    for segments, members in plan.max_buckets():
+        out[segments] = np.maximum.reduce(
+            np.take(values, members, axis=0), axis=0
         )
     return out
 

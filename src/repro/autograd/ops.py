@@ -121,13 +121,18 @@ def sqrt(a) -> Tensor:
 def tanh(a) -> Tensor:
     a = as_tensor(a)
     out = np.tanh(a.data)
-    return Tensor._from_op(out, (a,), lambda g: (g * (1.0 - out * out),))
+
+    def backward(g):
+        grad = _one_minus_square(out)
+        np.multiply(g, grad, out=grad)
+        return (grad,)
+
+    return Tensor._from_op(out, (a,), backward)
 
 
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
-    # Numerically stable logistic via tanh.
-    out = 0.5 * (np.tanh(0.5 * a.data) + 1.0)
+    out = _logistic(a.data)
     return Tensor._from_op(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
@@ -135,8 +140,25 @@ def softplus(a) -> Tensor:
     """``log(1 + exp(x))`` computed without overflow."""
     a = as_tensor(a)
     out = np.logaddexp(0.0, a.data)
-    grad_factor = 0.5 * (np.tanh(0.5 * a.data) + 1.0)
+    grad_factor = _logistic(a.data)
     return Tensor._from_op(out, (a,), lambda g: (g * grad_factor,))
+
+
+def _logistic(x: np.ndarray) -> np.ndarray:
+    """Numerically stable logistic ``0.5 * (tanh(0.5 * x) + 1)``,
+    computed in one fresh buffer."""
+    out = 0.5 * x
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
+
+
+def _one_minus_square(x: np.ndarray) -> np.ndarray:
+    """``1 - x * x`` (the tanh derivative) in one fresh buffer."""
+    out = x * x
+    np.subtract(1.0, out, out=out)
+    return out
 
 
 def abs(a) -> Tensor:
@@ -240,14 +262,17 @@ def max(a, axis=None, keepdims: bool = False) -> Tensor:
     """Reduction max; gradient is shared evenly among tied maxima."""
     a = as_tensor(a)
     out = a.data.max(axis=axis, keepdims=keepdims)
-    out_keep = a.data.max(axis=axis, keepdims=True)
-    mask = (a.data == out_keep).astype(np.float64)
-    mask = mask / mask.sum(axis=axis, keepdims=True)
 
     def backward(g):
+        # The tie mask is built here, not on the forward, so forwards
+        # that never run a backward (validation, serving) skip it.
         g = np.asarray(g)
+        out_keep = np.asarray(out)
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
+            out_keep = np.expand_dims(out_keep, axis)
+        mask = (a.data == out_keep).astype(np.float64)
+        mask /= mask.sum(axis=axis, keepdims=True)
         return (np.broadcast_to(g, mask.shape) * mask,)
 
     return Tensor._from_op(out, (a,), backward)
@@ -321,7 +346,7 @@ def linear(x, weight, bias=None) -> Tensor:
     out = x.data @ weight.data
     if bias is not None:
         bias = as_tensor(bias)
-        out = out + bias.data
+        out += bias.data
 
     def backward(g):
         grad_x = g @ weight.data.T if x.requires_grad else None
@@ -352,9 +377,8 @@ def weighted_sum(tensors, weights) -> Tensor:
     tensor with one scalar per candidate, ``tensors`` the candidate
     outputs (all the same shape). Fusing the mixture collapses the
     per-candidate ``getitem``/``mul``/``add`` chain — and its per-node
-    temporaries on both passes — into one op; the weight gradient is a
-    direct inner product instead of a full-size elementwise product
-    reduced after the fact.
+    temporaries on both passes — into one op; the weight gradients are
+    inner products taken through one reused product buffer.
     """
     tensors = [as_tensor(t) for t in tensors]
     weights = as_tensor(weights)
@@ -365,8 +389,10 @@ def weighted_sum(tensors, weights) -> Tensor:
         )
     w = weights.data
     out = w[0] * tensors[0].data
+    term = np.empty_like(out)
     for i in range(1, len(tensors)):
-        out += w[i] * tensors[i].data
+        np.multiply(w[i], tensors[i].data, out=term)
+        out += term
 
     def backward(g):
         grads = [
@@ -374,7 +400,16 @@ def weighted_sum(tensors, weights) -> Tensor:
             for i, t in enumerate(tensors)
         ]
         if weights.requires_grad:
-            grads.append(np.array([np.vdot(g, t.data) for t in tensors]))
+            # A numpy reduction, not ``np.vdot``: BLAS splits a long dot
+            # across its threads, which makes the alpha gradient's bits
+            # depend on the thread count. ``sum`` adds in one fixed
+            # (pairwise) order.
+            product = np.empty(g.shape)
+            inner = []
+            for t in tensors:
+                np.multiply(g, t.data, out=product)
+                inner.append(product.sum())
+            grads.append(np.array(inner))
         else:
             grads.append(None)
         return tuple(grads)

@@ -99,14 +99,11 @@ def segment_attention_sum(
             if x.requires_grad
             else None
         )
-        grad_w = (
-            (
-                np.take(g, segment_ids, axis=0)
-                * np.take(x.data, src_index, axis=0)
-            ).sum(axis=-1)
-            if weights.requires_grad
-            else None
-        )
+        grad_w = None
+        if weights.requires_grad:
+            messages = np.take(g, segment_ids, axis=0)
+            messages *= np.take(x.data, src_index, axis=0)
+            grad_w = messages.sum(axis=-1)
         return grad_x, grad_w
 
     return Tensor._from_op(out, (x, weights), backward)
@@ -172,15 +169,17 @@ def segment_max(
 
     def backward(g):
         g = np.where(empty, 0.0, g)
-        max_per_row = np.take(out, segment_ids, axis=0)
-        winners = (x.data == max_per_row).astype(np.float64)
+        winners = np.take(out, segment_ids, axis=0)
+        np.equal(x.data, winners, out=winners)
         # Normalise ties: count winners per segment, divide each winner's share.
         winner_counts = kernels.scatter_sum(
             winners, segment_ids, num_segments, plan
         )
-        winner_counts = np.maximum(winner_counts, 1.0)
-        share = winners / np.take(winner_counts, segment_ids, axis=0)
-        return (np.take(g, segment_ids, axis=0) * share,)
+        np.maximum(winner_counts, 1.0, out=winner_counts)
+        grad = np.take(g, segment_ids, axis=0)
+        winners /= np.take(winner_counts, segment_ids, axis=0)
+        grad *= winners
+        return (grad,)
 
     return Tensor._from_op(out, (x,), backward)
 

@@ -21,6 +21,8 @@ first-order DARTS approximation (``xi = 0`` in Eq. 8).
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import os
 import threading
 from typing import Callable, Sequence
 
@@ -34,6 +36,40 @@ __all__ = [
     "set_tape_hook",
     "get_tape_hook",
 ]
+
+# glibc's malloc returns a freed block of 128 KB or more to the kernel
+# (an mmapped block at once, a heap top past the trim threshold on the
+# next free), and its next use faults every page back in. An autograd
+# pass frees and reallocates the same few dozen (N, d) and (E, d)
+# buffers per op, so a supernet epoch on pubmed paid ~8,000 minor faults
+# (~32 MB of zeroed pages) for memory it had just released. Fixed
+# thresholds keep such blocks in the heap for reuse: blocks under 4 MB
+# come from the heap, and up to 32 MB of free heap top stays mapped.
+# Both are set, because setting either one turns off glibc's dynamic
+# adjustment of the other. The setting is process-wide (malloc has one
+# policy per process), so it is made once, at import; off glibc nothing
+# is changed.
+_M_TRIM_THRESHOLD = -1  # mallopt parameter numbers from <malloc.h>
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 4 << 20
+_TRIM_THRESHOLD_BYTES = 32 << 20
+
+
+def _keep_freed_buffers() -> None:
+    """Set glibc's mmap and trim thresholds (no-op on other C libraries)."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, ValueError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+
+
+_keep_freed_buffers()
 
 # Grad mode is per-thread: the serving layer runs eval-mode forwards
 # inside `with no_grad():` on concurrent worker threads, and a shared
@@ -229,24 +265,39 @@ class Tensor:
 
         order = _topological_order(self)
         grads: dict[int, np.ndarray] = {id(self): grad}
+        # Keys whose pending gradient is a sum this pass allocated. Only
+        # those are written in place: a first contribution is stored as
+        # the VJP returned it, and may alias ``g``, a view of it, or
+        # another node's gradient.
+        owned: set[int] = set()
         for node in order:
-            node_grad = grads.pop(id(node), None)
+            key = id(node)
+            node_grad = grads.pop(key, None)
             if node_grad is None:
                 continue
+            owned.discard(key)
             if node.requires_grad and node._backward_fn is None:
                 # A leaf (parameter or input marked differentiable).
                 node._accumulate_grad(node_grad)
                 continue
-            node._accumulate_into(grads, node_grad)
+            node._accumulate_into(grads, owned, node_grad)
 
     def tape_size(self) -> int:
         """Tape nodes a :meth:`backward` from this tensor would visit."""
         return len(_topological_order(self))
 
     def _accumulate_into(
-        self, grads: dict[int, np.ndarray], node_grad: np.ndarray
+        self,
+        grads: dict[int, np.ndarray],
+        owned: set[int],
+        node_grad: np.ndarray,
     ) -> None:
-        """Run this node's VJP and merge parent gradients into ``grads``."""
+        """Run this node's VJP and merge parent gradients into ``grads``.
+
+        A parent's second contribution is summed into a fresh array,
+        whose key joins ``owned``; later contributions are added into
+        that array in place, the same additions in the same order.
+        """
         backward_fn = self._backward_fn
         if backward_fn is None:
             return
@@ -262,8 +313,11 @@ class Tensor:
             if parent_grad.shape != parent.data.shape:
                 parent_grad = _unbroadcast(parent_grad, parent.data.shape)
             key = id(parent)
-            if key in grads:
+            if key in owned:
+                grads[key] += parent_grad
+            elif key in grads:
                 grads[key] = grads[key] + parent_grad
+                owned.add(key)
             else:
                 grads[key] = parent_grad
 

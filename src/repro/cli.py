@@ -1262,11 +1262,21 @@ def _serve_work(args, engine, artifact, deadline_s, trace_sink) -> int:
     return 0
 
 
+def _minor_faults() -> int | None:
+    """This process's minor page faults so far (None without ``resource``)."""
+    try:
+        import resource
+    except ImportError:  # not a Unix platform
+        return None
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def _cmd_profile(args, scale) -> int:
     """``repro profile``: wrap search/baseline in a ProfileSession."""
     trace_path = args.trace or f"trace-{args.target}-{args.dataset}.jsonl"
     data = load_dataset(args.dataset, seed=args.seed, scale=scale.dataset_scale)
     label = f"{args.target}:{args.dataset}"
+    faults_before = _minor_faults()
     with ProfileSession(
         trace_path=trace_path,
         autograd=not args.no_autograd,
@@ -1296,6 +1306,12 @@ def _cmd_profile(args, scale) -> int:
             headline = f"{args.name} on {args.dataset}: {format_mean_std(scores)}"
             session.metrics.histogram("test_score").observe(
                 float(sum(scores) / len(scores))
+            )
+        if faults_before is not None:
+            # Pages the run faulted in afresh: what the allocator
+            # policy (repro.autograd.tensor) keeps low.
+            session.metrics.gauge("minor_faults").set(
+                _minor_faults() - faults_before
             )
     print(headline)
     print()

@@ -35,7 +35,6 @@ class Scale:
     train_epochs: int
     train_patience: int
     ws_epochs: int  # weight-sharing adaptation schedule
-    tune_trials: int  # hyperopt-style fine-tuning trials (paper: 50)
     hidden_dim: int  # retraining hidden size
     search_hidden_dim: int  # supernet hidden size (paper: 32)
     ppi_train_epochs: int
@@ -66,7 +65,6 @@ SCALES: dict[str, Scale] = {
         train_epochs=80,
         train_patience=25,
         ws_epochs=15,
-        tune_trials=2,
         hidden_dim=16,
         search_hidden_dim=16,
         ppi_train_epochs=80,
@@ -81,7 +79,6 @@ SCALES: dict[str, Scale] = {
         train_epochs=120,
         train_patience=20,
         ws_epochs=15,
-        tune_trials=4,
         hidden_dim=32,
         search_hidden_dim=32,
         ppi_train_epochs=120,
@@ -96,7 +93,6 @@ SCALES: dict[str, Scale] = {
         train_epochs=300,
         train_patience=40,
         ws_epochs=40,
-        tune_trials=15,
         hidden_dim=64,
         search_hidden_dim=32,
         ppi_train_epochs=300,

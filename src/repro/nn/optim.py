@@ -76,15 +76,26 @@ class Adam(Optimizer):
             m = self._m.get(key)
             v = self._v.get(key)
             if m is None:
-                m = np.zeros_like(param.data)
-                v = np.zeros_like(param.data)
-            m = self.beta1 * m + (1.0 - self.beta1) * grad
-            v = self.beta2 * v + (1.0 - self.beta2) * grad * grad
-            self._m[key] = m
-            self._v[key] = v
-            m_hat = m / bias1
-            v_hat = v / bias2
-            param.data = param.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+                m = self._m[key] = np.zeros_like(param.data)
+                v = self._v[key] = np.zeros_like(param.data)
+            # The moments are this optimiser's own buffers, so they are
+            # updated in place: the same products and sums, in the same
+            # order, as ``beta1 * m + (1 - beta1) * grad`` and
+            # ``beta2 * v + (1 - beta2) * grad * grad``.
+            m *= self.beta1
+            m += (1.0 - self.beta1) * grad
+            v *= self.beta2
+            term = (1.0 - self.beta2) * grad
+            term *= grad
+            v += term
+            # lr * m_hat / (sqrt(v_hat) + eps), in two fresh buffers.
+            step = np.divide(m, bias1, out=np.empty_like(m))
+            step *= self.lr
+            denom = np.divide(v, bias2, out=np.empty_like(v))
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            step /= denom
+            param.data = param.data - step
 
 
 def clip_grad_norm(params: list[Parameter], max_norm: float) -> float:

@@ -88,10 +88,6 @@ RETAINS: dict[str, dict[str, str]] = {
     "ops.clip": {
         "inside": "active-range mask is the whole Jacobian diagonal",
     },
-    "ops.max": {
-        "mask": "tie-normalised argmax mask; recompute needs a second "
-        "reduction pass",
-    },
     "scatter.segment_mean": {
         "denom": "clamped per-segment counts, num_segments floats (often "
         "served read-only from the SegmentPlan cache)",

@@ -232,6 +232,62 @@ def test_empty_input_and_empty_segments():
         assert np.isneginf(max_kernel(values, ids, 4)).all()
 
 
+# ----------------------------------------------------------------------
+# degree-bucket max against the oracle
+# ----------------------------------------------------------------------
+def _bucket_case_ids():
+    """Segment ids over 40 segments: empty, single-member, every
+    in-degree 2..9, and one segment far wider than the rest, in a
+    shuffled edge order."""
+    rng = np.random.default_rng(11)
+    degrees = [0, 1, 0, 1, 1] + list(range(2, 10)) + [37] + [0] * 26
+    ids = np.repeat(np.arange(len(degrees)), degrees)
+    return rng.permutation(ids), len(degrees)
+
+
+@pytest.mark.parametrize(
+    "trailing", [(5,), (3, 4)], ids=["(E, d)", "(E, H, d)"]
+)
+def test_bucketed_max_matches_the_oracle(trailing):
+    ids, n = _bucket_case_ids()
+    values = np.random.default_rng(12).normal(size=(len(ids),) + trailing)
+    plan = SegmentPlan(ids, n)
+    widths = [members.shape[0] for __, members in plan.max_buckets()]
+    assert widths == [1, 2, 4, 8, 16, 64]  # 37 pads to the widest bucket
+    out = scatter_max(values, ids, n, plan)
+    np.testing.assert_array_equal(out, naive_scatter_max(values, ids, n))
+    counts = np.bincount(ids, minlength=n)
+    assert np.isneginf(out[counts == 0]).all()
+    single = np.flatnonzero(counts == 1)
+    rows = [np.flatnonzero(ids == segment)[0] for segment in single]
+    np.testing.assert_array_equal(out[single], values[rows])
+
+
+def test_bucketed_max_ties_share_the_gradient():
+    """Tied maxima, in padded and unpadded buckets alike, split the
+    gradient evenly, bit for bit as on the oracle."""
+    ids, n = _bucket_case_ids()
+    rng = np.random.default_rng(13)
+    values = rng.integers(0, 3, size=(len(ids), 4)).astype(np.float64)
+    upstream = rng.normal(size=(n, 4))
+
+    def gradient(backend):
+        with kernel_path(backend):
+            x = Tensor(values, requires_grad=True)
+            (segment_max(x, ids, n) * Tensor(upstream)).sum().backward()
+        return x.grad
+
+    grads = [gradient(backend) for backend in KERNEL_PATHS]
+    assert_bit_identical(grads[1], grads[0])
+    out = naive_scatter_max(values, ids, n)
+    winners = (values == out[ids]).astype(np.float64)
+    ties = naive_scatter_sum(winners, ids, n)
+    assert (ties > 1).sum() > 20  # the case really exercises ties
+    # Each winner of a slot gets upstream / (number of winners).
+    expected = winners * (upstream / np.maximum(ties, 1.0))[ids]
+    np.testing.assert_allclose(grads[1], expected, rtol=1e-15, atol=0)
+
+
 _COLUMNS = np.random.default_rng(7).integers(0, 30, size=30)
 _WEIGHTS = np.random.default_rng(8).normal(size=30)
 
@@ -354,8 +410,14 @@ def test_plan_structure():
     plan = SegmentPlan(ids, 5)
     np.testing.assert_array_equal(plan.counts, [1, 0, 3, 0, 1])
     np.testing.assert_array_equal(plan.indptr, [0, 1, 1, 4, 4, 5])
-    np.testing.assert_array_equal(plan.present, [0, 2, 4])
-    np.testing.assert_array_equal(plan.starts, [0, 1, 4])
+    # Degree buckets of the 2-D max: degrees 1, 1 share width 1;
+    # degree 3 pads to width 4 by repeating its last member.
+    (ones, ones_members), (three, three_members) = plan.max_buckets()
+    np.testing.assert_array_equal(ones, [0, 4])
+    np.testing.assert_array_equal(ones_members, [[1, 4]])
+    np.testing.assert_array_equal(three, [2])
+    np.testing.assert_array_equal(three_members, [[0], [2], [3], [3]])
+    assert plan.max_buckets() is plan.max_buckets()
     np.testing.assert_array_equal(ids[plan.order], np.sort(ids))
     np.testing.assert_array_equal(plan.counts_float, plan.counts)
     np.testing.assert_array_equal(

@@ -95,11 +95,49 @@ class TestBackward:
         y.sum().backward()
         np.testing.assert_allclose(x.grad, [51.0])
 
+    def test_many_aliasing_contributions_match_fresh_sums(self):
+        """A node fed four gradient contributions, two of them one
+        array (``add``'s ``(g, g)``) and one a ``reshape`` view of
+        ``g``, gets the same bits as summing each into a fresh array,
+        and no contribution is written through."""
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+        scale = Tensor(rng.normal(size=(4, 6)))
+        h = ops.tanh(x)
+        out = (h + h) + h.reshape(6, 4).reshape(4, 6) + h * scale
+        seed = rng.normal(size=(4, 6))
+        seed_before = seed.copy()
+        out.backward(seed)
+        assert np.array_equal(seed, seed_before)
+        assert x.grad.tobytes() == _fresh_sum_backward(out, seed)[id(x)].tobytes()
+
     def test_no_grad_to_non_required_leaves(self):
         x = Tensor([1.0], requires_grad=True)
         c = Tensor([2.0])
         (x * c).sum().backward()
         assert c.grad is None
+
+
+def _fresh_sum_backward(root, seed):
+    """Reference backward: every accumulation sums into a new array."""
+    from repro.autograd.tensor import _topological_order
+
+    grads = {id(root): seed.copy()}
+    leaves = {}
+    for node in _topological_order(root):
+        grad = grads.pop(id(node), None)
+        if grad is None:
+            continue
+        if node._backward_fn is None:
+            leaves[id(node)] = grad.copy()
+            continue
+        for parent, parent_grad in zip(node._parents, node._backward_fn(grad)):
+            if parent_grad is None or not parent.requires_grad:
+                continue
+            parent_grad = np.asarray(parent_grad, dtype=np.float64)
+            key = id(parent)
+            grads[key] = grads[key] + parent_grad if key in grads else parent_grad
+    return leaves
 
 
 class TestGradMode:

@@ -117,6 +117,24 @@ class TestProfileCommand:
         op_stats = [r for r in read_records(trace, kind="trace") if r["type"] == "op_stats"]
         assert op_stats[0]["data"] == []
 
+    def test_profile_records_minor_page_faults(self, tmp_path, capsys):
+        pytest.importorskip("resource")
+        from repro.obs import read_records
+
+        trace = tmp_path / "trace.jsonl"
+        code = main(
+            ["--scale", "smoke", "profile", "baseline", "--name", "gcn",
+             "--dataset", "cora", "--trace", str(trace), "--no-autograd"]
+        )
+        assert code == 0
+        capsys.readouterr()
+        (metrics,) = [
+            r["data"] for r in read_records(trace, kind="trace")
+            if r["type"] == "metrics"
+        ]
+        # Zero is possible: a warm heap serves the run without new pages.
+        assert metrics["gauges"]["minor_faults"]["value"] >= 0
+
 
 class TestCommonOptionPlacement:
     """Every subcommand takes --scale/--seed before *and* after its name."""
