@@ -572,8 +572,10 @@ def _hotspot_deltas(
         return []
     totals_a = {agg.path: agg.total for agg in aggregate_spans(spans_a)}
     totals_b = {agg.path: agg.total for agg in aggregate_spans(spans_b)}
+    # Ties (equal deltas) keep name order, not set order, so the table
+    # does not change with the interpreter's string hash seed.
     shared = sorted(
-        set(totals_a) & set(totals_b),
+        sorted(set(totals_a) & set(totals_b)),
         key=lambda path: -abs(totals_b[path] - totals_a[path]),
     )
     if not shared:
@@ -641,7 +643,7 @@ def _memory_deltas(
         )
 
     rows = []
-    for op in sorted(set(ops_a) | set(ops_b), key=_delta_key)[:top]:
+    for op in sorted(sorted(set(ops_a) | set(ops_b)), key=_delta_key)[:top]:
         entry_a = ops_a.get(op) or {}
         entry_b = ops_b.get(op) or {}
         retained_a = entry_a.get("retained_bytes", 0)

@@ -310,3 +310,33 @@ class TestRenderDiff:
         text = render_diff(*paths)
         assert "hotspot deltas" in text
         assert "search/epoch" in text
+
+    def test_tied_deltas_list_in_name_order(self, tmp_path):
+        # Eight root spans (and ops) whose deltas all tie: the tables
+        # must not follow set iteration order, which moves with the
+        # string hash seed.
+        import json
+
+        names = [f"x{index}" for index in range(8)]
+        paths = []
+        for label, scale in (("a", 1.0), ("b", 2.0)):
+            records = [
+                {"type": "meta", "kind": "trace", "version": 1, "label": label},
+                {"type": "event", "event": "search_start", "data": {}, "t": 0.0},
+                {"type": "event", "event": "search_end", "data": {}, "t": 1.0},
+            ]
+            records += [
+                {"type": "span", "id": index, "parent": None, "name": name,
+                 "dur": scale}
+                for index, name in enumerate(names)
+            ]
+            per_op = {name: {"retained_bytes": int(1024 * scale)} for name in names}
+            records.append(
+                {"type": "memory_stats", "data": {"per_op": per_op}}
+            )
+            path = tmp_path / f"{label}.jsonl"
+            path.write_text("".join(json.dumps(r) + "\n" for r in records))
+            paths.append(path)
+        lines = render_diff(*paths).splitlines()
+        listed = [line.split()[0] for line in lines if line.startswith("x")]
+        assert listed == names + names
