@@ -44,7 +44,7 @@ import json
 import re
 from pathlib import Path
 
-from repro.obs.report import format_table
+from repro.obs.report import change_pct, format_table
 
 __all__ = [
     "Verdict",
@@ -263,14 +263,13 @@ def render_bench_diff(
     """One bench's comparison table plus its verdict line."""
     rows = []
     for delta in deltas:
-        rel = "-" if delta.change is None else f"{100.0 * delta.change:+.1f}%"
         rows.append(
             [
                 delta.name,
                 _ARROW[delta.direction],
                 "-" if delta.baseline is None else f"{delta.baseline:.6g}",
                 "-" if delta.current is None else f"{delta.current:.6g}",
-                rel,
+                change_pct(delta.change),
                 delta.status,
             ]
         )

@@ -34,7 +34,7 @@ import weakref
 import numpy as np
 
 from repro.obs import tape
-from repro.obs.report import _bytes_human, format_table
+from repro.obs.report import bytes_human, format_table, last_record
 from repro.obs.sinks import read_records
 from repro.obs.spans import get_tracer
 
@@ -216,7 +216,7 @@ def render_memory_report(stats: dict, top: int = 10) -> str:
     """Render the per-span peak-memory hotspot table from a stats dict."""
     sections: list[str] = []
     peak = stats.get("peak_live_bytes", 0)
-    sections.append(f"== Tape memory: peak live {_bytes_human(peak)} ==")
+    sections.append(f"== Tape memory: peak live {bytes_human(peak)} ==")
 
     paths = sorted(
         (stats.get("per_path") or {}).items(),
@@ -227,9 +227,9 @@ def render_memory_report(stats: dict, top: int = 10) -> str:
             [
                 path,
                 str(entry.get("entries", 0)),
-                _bytes_human(entry.get("peak_live_bytes", 0)),
-                _bytes_human(entry.get("output_bytes", 0)),
-                _bytes_human(entry.get("retained_bytes", 0)),
+                bytes_human(entry.get("peak_live_bytes", 0)),
+                bytes_human(entry.get("output_bytes", 0)),
+                bytes_human(entry.get("retained_bytes", 0)),
             ]
             for path, entry in paths
         ]
@@ -252,8 +252,8 @@ def render_memory_report(stats: dict, top: int = 10) -> str:
             [
                 f"{site.get('path', '?')}:{site.get('op', '?')}",
                 str(site.get("entries", 0)),
-                _bytes_human(site.get("retained_bytes", 0)),
-                _bytes_human(site.get("peak_live_bytes", 0)),
+                bytes_human(site.get("retained_bytes", 0)),
+                bytes_human(site.get("peak_live_bytes", 0)),
             ]
             for site in sites
         ]
@@ -279,7 +279,7 @@ def render_memory_report(stats: dict, top: int = 10) -> str:
         lines.extend(
             format_table(
                 ["epoch", "peak live"],
-                [[str(e), _bytes_human(peak)] for e, peak in ordered],
+                [[str(e), bytes_human(peak)] for e, peak in ordered],
             )
         )
         sections.append("\n".join(lines))
@@ -289,11 +289,7 @@ def render_memory_report(stats: dict, top: int = 10) -> str:
 
 def render_memory_report_file(path, top: int = 10) -> str:
     """Render ``repro report memory`` from a recorded trace file."""
-    records = read_records(path, kind="trace")
-    stats = None
-    for record in records:
-        if record.get("type") == "memory_stats":
-            stats = record.get("data")
+    stats = last_record(read_records(path, kind="trace"), "memory_stats")
     if stats is None:
         raise ValueError(
             f"{path}: no memory_stats record — record the run with "

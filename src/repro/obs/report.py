@@ -11,13 +11,32 @@ report ``repro profile`` prints:
 * **hotspot table** — top-K autograd ops ranked by self time
   (forward self + backward), with call counts and tensor bytes;
 * **metrics** — counters/gauges/histograms, if any were recorded.
+
+It is also the one home of the text pieces every ``repro.obs`` view
+shares: :func:`format_table`, :func:`num`, :func:`bytes_human`,
+:func:`signed_bytes`, :func:`change_pct`, :func:`sparkline`,
+:func:`elide_rows`, :func:`nearest_rank` and :func:`last_record`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 
-__all__ = ["SpanAggregate", "aggregate_spans", "format_table", "hotspot_report"]
+__all__ = [
+    "SpanAggregate",
+    "aggregate_spans",
+    "format_table",
+    "num",
+    "bytes_human",
+    "signed_bytes",
+    "change_pct",
+    "sparkline",
+    "elide_rows",
+    "nearest_rank",
+    "last_record",
+    "hotspot_report",
+]
 
 
 def _as_record(span) -> dict:
@@ -116,21 +135,71 @@ def format_table(headers: list[str], rows: list[list[str]]) -> list[str]:
     return lines
 
 
-def _seconds(value: float) -> str:
-    return f"{value:.4f}"
+def elide_rows(rows: list[list[str]], max_rows: int) -> list[list[str]]:
+    """Keep the first and last rows of a long table, ``...`` between."""
+    if len(rows) <= max_rows:
+        return rows
+    head = max_rows // 2
+    marker = ["..."] + [""] * (len(rows[0]) - 1)
+    return [*rows[:head], marker, *rows[-(max_rows - head):]]
 
 
-def _num(value, digits: int = 4) -> str:
+def num(value, digits: int = 4) -> str:
     return "-" if value is None else f"{value:.{digits}f}"
 
 
-def _bytes_human(num: float) -> str:
+def bytes_human(value: float) -> str:
     """Human byte count; negative deltas keep their sign."""
     for unit in ("B", "KB", "MB", "GB"):
-        if abs(num) < 1024.0 or unit == "GB":
-            return f"{num:.1f}{unit}" if unit != "B" else f"{int(num)}B"
-        num /= 1024.0
-    return f"{num:.1f}GB"
+        if abs(value) < 1024.0 or unit == "GB":
+            return f"{value:.1f}{unit}" if unit != "B" else f"{int(value)}B"
+        value /= 1024.0
+    return f"{value:.1f}GB"
+
+
+def signed_bytes(before: float, after: float) -> str:
+    """``after - before`` as a human byte count with its sign."""
+    return f"{'+' if after >= before else '-'}{bytes_human(abs(after - before))}"
+
+
+def change_pct(change: float | None, missing: str = "-") -> str:
+    """A relative change as ``+x.x%``; ``missing`` when there is none."""
+    return missing if change is None else f"{100.0 * change:+.1f}%"
+
+
+_SPARK = "▁▂▃▄▅▆▇█"
+SPARK_WIDTH = 32
+
+
+def sparkline(values: list[float]) -> str:
+    """Unicode trend line from min to max, at most ``SPARK_WIDTH`` cells."""
+    if not values:
+        return ""
+    if len(values) > SPARK_WIDTH:
+        step = (len(values) - 1) / (SPARK_WIDTH - 1)
+        values = [values[round(i * step)] for i in range(SPARK_WIDTH)]
+    low, high = min(values), max(values)
+    if high - low < 1e-12:
+        return _SPARK[0] * len(values)
+    scale = (len(_SPARK) - 1) / (high - low)
+    return "".join(_SPARK[int((v - low) * scale)] for v in values)
+
+
+def nearest_rank(ordered, q: float):
+    """The nearest-rank ``q``-th percentile (0..100) of a sorted sequence."""
+    if not ordered:
+        raise ValueError("percentile of an empty sample")
+    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
+    return ordered[min(rank, len(ordered)) - 1]
+
+
+def last_record(records: list[dict], record_type: str) -> dict | None:
+    """``data`` of the last record of ``record_type``; None when absent."""
+    data = None
+    for record in records:
+        if record.get("type") == record_type:
+            data = record.get("data")
+    return data
 
 
 def hotspot_report(
@@ -148,9 +217,9 @@ def hotspot_report(
             [
                 a.path,
                 str(a.count),
-                _seconds(a.total),
-                _seconds(a.self_time),
-                _seconds(a.mean),
+                num(a.total),
+                num(a.self_time),
+                num(a.mean),
             ]
             for a in aggregates
         ]
@@ -172,10 +241,10 @@ def hotspot_report(
                     stat["name"],
                     str(stat.get("calls", 0)),
                     str(stat.get("tape_entries", 0)),
-                    _seconds(stat.get("forward_self", 0.0)),
-                    _seconds(stat.get("forward_cum", 0.0)),
-                    _seconds(stat.get("backward_time", 0.0)),
-                    _bytes_human(stat.get("output_bytes", 0)),
+                    num(stat.get("forward_self", 0.0)),
+                    num(stat.get("forward_cum", 0.0)),
+                    num(stat.get("backward_time", 0.0)),
+                    bytes_human(stat.get("output_bytes", 0)),
                 ]
             )
         lines = [f"== Top {len(ranked)} autograd ops (by self time) =="]

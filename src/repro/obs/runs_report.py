@@ -23,9 +23,8 @@ import statistics
 from datetime import datetime, timezone
 
 from repro.obs.bench_gate import Verdict, classify, metric_direction
-from repro.obs.report import _num, format_table
+from repro.obs.report import change_pct, format_table, num, sparkline
 from repro.obs.runs import RunManifest
-from repro.obs.search_report import _sparkline
 
 __all__ = [
     "metric_series",
@@ -127,20 +126,16 @@ def render_trend(
             values, metric, tolerance=tolerance, window=window
         )
         failed = failed or verdict.gates
-        drift = (
-            f"{100.0 * verdict.change:+.1f}%" if verdict.change is not None
-            else "-"
-        )
         arrow = {1: "up", -1: "down", 0: "?"}[verdict.direction]
         rows.append(
             [
                 metric,
                 str(verdict.points),
                 arrow,
-                _sparkline(verdict.values) or "-",
-                _num(verdict.baseline),
-                _num(verdict.values[-1] if verdict.values else None),
-                drift,
+                sparkline(verdict.values) or "-",
+                num(verdict.baseline),
+                num(verdict.values[-1] if verdict.values else None),
+                change_pct(verdict.change),
                 verdict.status.upper()
                 if verdict.status == "regression" else verdict.status,
             ]
@@ -323,7 +318,7 @@ def render_runs_diff(
         for name in shared[:top]:
             va, vb = a.metrics[name], b.metrics[name]
             delta = vb - va
-            pct = f"{100.0 * delta / abs(va):+.1f}%" if abs(va) > 1e-12 else "n/a"
+            pct = change_pct(delta / abs(va) if abs(va) > 1e-12 else None, "n/a")
             rows.append(
                 [name, f"{va:.6g}", f"{vb:.6g}", f"{delta:+.6g}", pct]
             )

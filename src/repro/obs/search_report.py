@@ -18,27 +18,20 @@ from __future__ import annotations
 import dataclasses
 from pathlib import Path
 
-from repro.obs.report import _bytes_human, _num, aggregate_spans, format_table
+from repro.obs.report import (
+    aggregate_spans,
+    bytes_human,
+    change_pct,
+    elide_rows,
+    format_table,
+    last_record,
+    num,
+    signed_bytes,
+    sparkline,
+)
 from repro.obs.sinks import read_records
 
 __all__ = ["SearchRun", "load_run_records", "split_searches", "render_run", "render_diff"]
-
-_SPARK = "▁▂▃▄▅▆▇█"
-_SPARK_WIDTH = 32
-
-
-def _sparkline(values: list[float]) -> str:
-    """Unicode trend line, downsampled to at most ``_SPARK_WIDTH`` cells."""
-    if not values:
-        return ""
-    if len(values) > _SPARK_WIDTH:
-        step = (len(values) - 1) / (_SPARK_WIDTH - 1)
-        values = [values[round(i * step)] for i in range(_SPARK_WIDTH)]
-    low, high = min(values), max(values)
-    if high - low < 1e-12:
-        return _SPARK[0] * len(values)
-    scale = (len(_SPARK) - 1) / (high - low)
-    return "".join(_SPARK[int((v - low) * scale)] for v in values)
 
 
 @dataclasses.dataclass
@@ -182,7 +175,7 @@ def _render_search_section(run: SearchRun, index: int) -> list[str]:
         for edge in sorted(run.entropy, key=_edge_sort_key):
             series = run.entropy[edge]
             rows.append(
-                [edge, _num(series[0]), _num(series[-1]), _sparkline(series)]
+                [edge, num(series[0]), num(series[-1]), sparkline(series)]
             )
         lines.append("")
         lines.append("per-edge entropy (nats):")
@@ -273,8 +266,8 @@ def _entropy_collapse_lines(run: SearchRun) -> list[str]:
                 edge,
                 f"{index}/{len(series) - 1}",
                 f"{100.0 * frac:.0f}%",
-                _num(series[0]),
-                _num(series[-1]),
+                num(series[0]),
+                num(series[-1]),
             ]
         )
     if not tracked:
@@ -295,46 +288,31 @@ def _entropy_collapse_lines(run: SearchRun) -> list[str]:
     return lines
 
 
-def _grad_health_lines(run: SearchRun, max_rows: int = 12) -> list[str]:
+def _grad_health_lines(run: SearchRun) -> list[str]:
     """Gradient-health section: ratio trend table + dead-op sightings."""
     lines: list[str] = []
     if run.grad_health:
-        epochs = sorted(run.grad_health)
-        ratios = [
-            float(run.grad_health[epoch].get("grad_ratio") or 0.0)
-            for epoch in epochs
-        ]
+        health = sorted(run.grad_health.items())
+        ratios = [float(payload.get("grad_ratio") or 0.0) for _, payload in health]
         lines.append(
-            f"gradient health (|g_alpha|/|g_w| trend {_sparkline(ratios)}):"
+            f"gradient health (|g_alpha|/|g_w| trend {sparkline(ratios)}):"
         )
-        if len(epochs) > max_rows:
-            head = epochs[: max_rows // 2]
-            shown: list[int | None] = [
-                *head, None, *epochs[-(max_rows - len(head)):]
+        rows = [
+            [
+                str(epoch),
+                num(payload.get("arch_grad_norm")),
+                num(payload.get("weight_grad_norm")),
+                num(payload.get("grad_ratio")),
+                num(payload.get("arch_update_scale"), 6),
+                num(payload.get("weight_update_scale"), 6),
             ]
-        else:
-            shown = list(epochs)
-        rows: list[list[str]] = []
-        for epoch in shown:
-            if epoch is None:
-                rows.append(["...", "", "", "", "", ""])
-                continue
-            payload = run.grad_health[epoch]
-            rows.append(
-                [
-                    str(epoch),
-                    _num(payload.get("arch_grad_norm")),
-                    _num(payload.get("weight_grad_norm")),
-                    _num(payload.get("grad_ratio")),
-                    _num(payload.get("arch_update_scale"), 6),
-                    _num(payload.get("weight_update_scale"), 6),
-                ]
-            )
+            for epoch, payload in health
+        ]
         lines.extend(
             format_table(
                 ["epoch", "|g_alpha|", "|g_w|", "ratio",
                  "alpha_step", "w_step"],
-                rows,
+                elide_rows(rows, 12),
             )
         )
     if run.dead_ops:
@@ -347,7 +325,7 @@ def _grad_health_lines(run: SearchRun, max_rows: int = 12) -> list[str]:
                 str(sighting.get("edge", "?")),
                 str(sighting.get("layer", "?")),
                 str(sighting.get("op", "?")),
-                _num(sighting.get("weight"), 6),
+                num(sighting.get("weight"), 6),
             ]
             for sighting in run.dead_ops
         ]
@@ -363,33 +341,19 @@ def _edge_sort_key(edge: str) -> tuple[int, int]:
     return (order.get(kind, 3), int(index or 0))
 
 
-def _curve_rows(run: SearchRun, max_rows: int = 20) -> list[list[str]]:
-    epochs = sorted(run.epochs)
-    if not epochs:
-        return []
-    if len(epochs) > max_rows:
-        head = epochs[: max_rows // 2]
-        tail = epochs[-(max_rows - len(head)) :]
-        shown: list[int | None] = [*head, None, *tail]
-    else:
-        shown = list(epochs)
-    rows: list[list[str]] = []
-    for epoch in shown:
-        if epoch is None:
-            rows.append(["...", "", "", "", "", ""])
-            continue
-        payload = run.epochs[epoch]
-        rows.append(
-            [
-                str(epoch),
-                _num(payload.get("train_loss")),
-                _num(payload.get("val_loss")),
-                _num(payload.get("val_score")),
-                _num(payload.get("arch_grad_norm")),
-                _num(payload.get("weight_grad_norm")),
-            ]
-        )
-    return rows
+def _curve_rows(run: SearchRun) -> list[list[str]]:
+    rows = [
+        [
+            str(epoch),
+            num(payload.get("train_loss")),
+            num(payload.get("val_loss")),
+            num(payload.get("val_score")),
+            num(payload.get("arch_grad_norm")),
+            num(payload.get("weight_grad_norm")),
+        ]
+        for epoch, payload in sorted(run.epochs.items())
+    ]
+    return elide_rows(rows, 20)
 
 
 def render_run(path: str | Path) -> str:
@@ -505,10 +469,10 @@ def render_diff(path_a: str | Path, path_b: str | Path) -> str:
         ("epochs", lambda r: r.num_epochs),
         ("convergence epoch", lambda r: r.convergence_epoch),
         ("genotype flips", lambda r: len(r.flips)),
-        ("final val_score", lambda r: _num(r.final_metric("val_score"))),
-        ("final train_loss", lambda r: _num(r.final_metric("train_loss"))),
-        ("final val_loss", lambda r: _num(r.final_metric("val_loss"))),
-        ("mean final entropy", lambda r: _num(_mean_final_entropy(r))),
+        ("final val_score", lambda r: num(r.final_metric("val_score"))),
+        ("final train_loss", lambda r: num(r.final_metric("train_loss"))),
+        ("final val_loss", lambda r: num(r.final_metric("val_loss"))),
+        ("mean final entropy", lambda r: num(_mean_final_entropy(r))),
     ):
         rows.append([name, str(getter(a)), str(getter(b))])
     lines.append("")
@@ -551,7 +515,7 @@ def _score_curve_diff(
     for epoch in picks:
         delta = series_b[epoch] - series_a[epoch]
         rows.append(
-            [str(epoch), _num(series_a[epoch]), _num(series_b[epoch]),
+            [str(epoch), num(series_a[epoch]), num(series_b[epoch]),
              f"{delta:+.4f}"]
         )
     lines = ["val_score curve (first/mid/last shared epoch):"]
@@ -582,26 +546,17 @@ def _hotspot_deltas(
         return []
     rows = []
     for path in shared[:top]:
-        delta = totals_b[path] - totals_a[path]
         base = totals_a[path]
-        pct = f"{100.0 * delta / base:+.1f}%" if base > 1e-12 else "n/a"
+        delta = totals_b[path] - base
         rows.append(
-            [path, _num(totals_a[path]), _num(totals_b[path]),
-             f"{delta:+.4f}", pct]
+            [path, num(base), num(totals_b[path]), f"{delta:+.4f}",
+             change_pct(delta / base if base > 1e-12 else None, "n/a")]
         )
     lines = [f"hotspot deltas (cumulative seconds, {label_b} - {label_a}):"]
     lines.extend(
         format_table(["phase", label_a, label_b, "delta", "pct"], rows)
     )
     return lines
-
-
-def _last_memory_stats(records: list[dict]) -> dict | None:
-    stats = None
-    for record in records:
-        if record.get("type") == "memory_stats":
-            stats = record.get("data")
-    return stats
 
 
 def _memory_deltas(
@@ -617,18 +572,17 @@ def _memory_deltas(
     (i.e. both were captured with ``repro profile --memory``), so
     plain event logs keep their byte-identical dashboards.
     """
-    stats_a = _last_memory_stats(records_a)
-    stats_b = _last_memory_stats(records_b)
+    stats_a = last_record(records_a, "memory_stats")
+    stats_b = last_record(records_b, "memory_stats")
     if stats_a is None or stats_b is None:
         return []
 
     peak_a = stats_a.get("peak_live_bytes", 0)
     peak_b = stats_b.get("peak_live_bytes", 0)
-    sign = "+" if peak_b >= peak_a else "-"
     lines = [
         f"tape memory deltas ({label_b} - {label_a}):",
-        f"overall peak live: {_bytes_human(peak_a)} -> {_bytes_human(peak_b)} "
-        f"({sign}{_bytes_human(abs(peak_b - peak_a))})",
+        f"overall peak live: {bytes_human(peak_a)} -> {bytes_human(peak_b)} "
+        f"({signed_bytes(peak_a, peak_b)})",
     ]
     ops_a = stats_a.get("per_op") or {}
     ops_b = stats_b.get("per_op") or {}
@@ -653,14 +607,12 @@ def _memory_deltas(
         rows.append(
             [
                 op,
-                _bytes_human(retained_a),
-                _bytes_human(retained_b),
-                f"{'+' if retained_b >= retained_a else '-'}"
-                f"{_bytes_human(abs(retained_b - retained_a))}",
-                _bytes_human(peak_op_a),
-                _bytes_human(peak_op_b),
-                f"{'+' if peak_op_b >= peak_op_a else '-'}"
-                f"{_bytes_human(abs(peak_op_b - peak_op_a))}",
+                bytes_human(retained_a),
+                bytes_human(retained_b),
+                signed_bytes(retained_a, retained_b),
+                bytes_human(peak_op_a),
+                bytes_human(peak_op_b),
+                signed_bytes(peak_op_a, peak_op_b),
             ]
         )
     if rows:

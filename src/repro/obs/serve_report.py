@@ -30,7 +30,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.obs.context import PATH_STAGES, REQUEST_SPAN, REQUEST_STAGES
-from repro.obs.report import format_table
+from repro.obs.report import format_table, last_record, nearest_rank
 from repro.obs.sinks import read_records
 
 __all__ = ["load_request_trees", "render_serve_report"]
@@ -107,13 +107,6 @@ def _stage_order(name: str) -> tuple[int, str]:
         return (len(REQUEST_STAGES), name)
 
 
-def _percentile(ordered: list[float], q: float) -> float:
-    import math
-
-    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-    return ordered[min(rank, len(ordered)) - 1]
-
-
 def _render_stage_breakdown(trees: list[RequestTree]) -> list[str]:
     by_stage: dict[str, list[float]] = {}
     for tree in trees:
@@ -129,8 +122,8 @@ def _render_stage_breakdown(trees: list[RequestTree]) -> list[str]:
             name,
             str(len(durs)),
             f"{1e3 * total / len(durs):.3f}",
-            f"{1e3 * _percentile(durs, 50.0):.3f}",
-            f"{1e3 * _percentile(durs, 99.0):.3f}",
+            f"{1e3 * nearest_rank(durs, 50.0):.3f}",
+            f"{1e3 * nearest_rank(durs, 99.0):.3f}",
             f"{total:.3f}",
             f"{share:.1f}%",
         ])
@@ -218,10 +211,7 @@ def _render_slowest(trees: list[RequestTree], top: int) -> list[str]:
 
 
 def _render_slo(records: list[dict]) -> list[str]:
-    snapshot = None
-    for record in records:
-        if record.get("type") == "metrics":
-            snapshot = record.get("data") or {}
+    snapshot = last_record(records, "metrics")
     if snapshot is None:
         return []
     counters = snapshot.get("counters") or {}

@@ -51,7 +51,7 @@ from repro.serve.loadgen import (
     run_load,
     sweep_levels,
 )
-from repro.serve.metrics import Reservoir, ServeMetrics, nearest_rank_percentile
+from repro.serve.metrics import Reservoir, ServeMetrics
 from repro.serve.plans import PlanCache
 from repro.serve.server import PendingRequest, ServeServer
 
@@ -70,7 +70,6 @@ __all__ = [
     "PlanCache",
     "Reservoir",
     "ServeMetrics",
-    "nearest_rank_percentile",
     "ServeServer",
     "PendingRequest",
     "LevelResult",

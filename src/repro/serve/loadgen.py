@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import os
 from pathlib import Path
 
@@ -36,8 +35,7 @@ import numpy as np
 from repro import obs
 from repro.graph.data import Graph
 from repro.obs import MetricsRegistry, RECORD_VERSION, aggregate_spans
-from repro.obs.report import format_table
-from repro.serve.metrics import nearest_rank_percentile
+from repro.obs.report import format_table, nearest_rank
 from repro.serve.server import ServeServer
 
 __all__ = [
@@ -91,15 +89,6 @@ class LevelResult:
     p99_trace: str | None = None
 
 
-def _percentile_with_trace(
-    pairs: list[tuple[float, str | None]], q: float
-) -> tuple[float, str | None]:
-    """Nearest-rank percentile over (latency, trace id) pairs."""
-    ordered = sorted(pairs, key=lambda pair: pair[0])
-    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-    return ordered[min(rank, len(ordered)) - 1]
-
-
 def run_load(
     server: ServeServer,
     levels: tuple[int, ...],
@@ -138,16 +127,15 @@ def run_load(
             done += wave
         span.finish()
         wall = span.duration
-        p99, p99_trace = _percentile_with_trace(samples, 99.0)
+        samples.sort(key=lambda sample: sample[0])
+        p99, p99_trace = nearest_rank(samples, 99.0)
         results.append(
             LevelResult(
                 concurrency=level,
                 requests=done,
                 wall_s=wall,
                 rps=done / wall if wall > 0 else float("inf"),
-                p50_s=nearest_rank_percentile(
-                    [latency for latency, _ in samples], 50.0
-                ),
+                p50_s=nearest_rank(samples, 50.0)[0],
                 p99_s=p99,
                 p99_trace=p99_trace,
             )

@@ -5,7 +5,8 @@ registry's :class:`~repro.obs.metrics.Histogram` keeps only
 count/total/min/max/last — no reservoir — so the p50/p99 tail numbers
 the throughput bench gates on are computed here from retained latency
 samples (nearest-rank percentiles, the deterministic textbook
-definition) and published as gauges:
+definition, :func:`repro.obs.report.nearest_rank`) and published as
+gauges:
 
 * ``serve.requests`` / ``serve.batches`` counters,
 * ``serve.errors`` / ``serve.deadline_exceeded`` SLO counters
@@ -32,21 +33,13 @@ import random
 import threading
 
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.report import nearest_rank
 
-__all__ = ["Reservoir", "ServeMetrics", "nearest_rank_percentile"]
+__all__ = ["Reservoir", "ServeMetrics"]
 
 # Largest bench level is 5 levels x 2048 requests = 10240 samples; the
 # default cap clears it so gated numbers never see a replacement.
 DEFAULT_RESERVOIR_CAPACITY = 16384
-
-
-def nearest_rank_percentile(samples, q: float) -> float:
-    """Nearest-rank percentile (q in [0, 100]) of a non-empty sample."""
-    if not samples:
-        raise ValueError("percentile of an empty sample")
-    ordered = sorted(samples)
-    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-    return float(ordered[min(rank, len(ordered)) - 1])
 
 
 class Reservoir:
@@ -106,18 +99,13 @@ class Reservoir:
         return iter(self.values())
 
     def percentile(self, q: float) -> float:
-        return nearest_rank_percentile(self.values(), q)
+        return self.percentile_with_tag(q)[0]
 
     def percentile_with_tag(self, q: float) -> tuple[float, object]:
         """Nearest-rank percentile plus the tag of the ranked sample."""
         with self._lock:
             samples = list(self._samples)
-        if not samples:
-            raise ValueError("percentile of an empty sample")
-        ordered = sorted(samples, key=lambda sample: sample[0])
-        rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-        value, tag = ordered[min(rank, len(ordered)) - 1]
-        return float(value), tag
+        return nearest_rank(sorted(samples, key=lambda sample: sample[0]), q)
 
 
 class ServeMetrics:

@@ -10,11 +10,8 @@ import numpy as np
 from repro.core.search import SaneSearcher, SearchConfig
 from repro.core.search_space import SearchSpace
 from repro.obs import health, record_events, render_diff, render_run
-from repro.obs.search_report import (
-    _sparkline,
-    load_run_records,
-    split_searches,
-)
+from repro.obs.report import sparkline
+from repro.obs.search_report import load_run_records, split_searches
 
 SMALL_SPACE = SearchSpace(
     num_layers=2, node_ops=("gcn", "sage-mean"), layer_ops=("concat", "max")
@@ -42,18 +39,18 @@ def _record_search(path, seed: int, tiny_graph, label="search:test") -> None:
 
 class TestSparkline:
     def test_flat_series_renders_lowest_cell(self):
-        assert _sparkline([1.0, 1.0, 1.0]) == "▁▁▁"
+        assert sparkline([1.0, 1.0, 1.0]) == "▁▁▁"
 
     def test_monotone_series_spans_the_ramp(self):
-        line = _sparkline([0.0, 1.0, 2.0, 3.0])
+        line = sparkline([0.0, 1.0, 2.0, 3.0])
         assert line[0] == "▁"
         assert line[-1] == "█"
 
     def test_long_series_is_downsampled(self):
-        assert len(_sparkline(list(range(500)))) == 32
+        assert len(sparkline(list(range(500)))) == 32
 
     def test_empty_series(self):
-        assert _sparkline([]) == ""
+        assert sparkline([]) == ""
 
 
 class TestRenderRun:

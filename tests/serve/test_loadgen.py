@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from repro.obs.bench_gate import load_bench, metric_direction, scalar_metrics
+from repro.obs.report import nearest_rank
 from repro.serve import (
     InferenceEngine,
     ServeServer,
     bench_metrics,
     emit_serve_bench,
-    nearest_rank_percentile,
     render_load_report,
     run_load,
     sweep_levels,
@@ -19,13 +19,13 @@ from repro.serve import (
 class TestPercentile:
     def test_nearest_rank_picks_elements(self):
         samples = [0.1, 0.2, 0.3, 0.4]
-        assert nearest_rank_percentile(samples, 50.0) == 0.2
-        assert nearest_rank_percentile(samples, 99.0) == 0.4
-        assert nearest_rank_percentile(samples, 100.0) == 0.4
+        assert nearest_rank(samples, 50.0) == 0.2
+        assert nearest_rank(samples, 99.0) == 0.4
+        assert nearest_rank(samples, 100.0) == 0.4
 
     def test_single_sample(self):
-        assert nearest_rank_percentile([7.0], 50.0) == 7.0
-        assert nearest_rank_percentile([7.0], 99.0) == 7.0
+        assert nearest_rank([7.0], 50.0) == 7.0
+        assert nearest_rank([7.0], 99.0) == 7.0
 
 
 class TestSweeps:

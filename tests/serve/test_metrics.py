@@ -3,12 +3,9 @@
 import pytest
 
 from repro.obs import MetricsRegistry
+from repro.obs.report import nearest_rank
 from repro.serve import Reservoir
-from repro.serve.metrics import (
-    DEFAULT_RESERVOIR_CAPACITY,
-    ServeMetrics,
-    nearest_rank_percentile,
-)
+from repro.serve.metrics import DEFAULT_RESERVOIR_CAPACITY, ServeMetrics
 
 
 class TestReservoir:
@@ -58,9 +55,7 @@ class TestReservoir:
         for value in samples:
             reservoir.add(value)
         for q in (50.0, 95.0, 99.0):
-            assert reservoir.percentile(q) == nearest_rank_percentile(
-                samples, q
-            )
+            assert reservoir.percentile(q) == nearest_rank(samples, q)
 
     def test_percentile_with_tag_returns_exemplar(self):
         reservoir = Reservoir(capacity=10)
