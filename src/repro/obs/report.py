@@ -171,14 +171,19 @@ _SPARK = "▁▂▃▄▅▆▇█"
 SPARK_WIDTH = 32
 
 
-def sparkline(values: list[float]) -> str:
-    """Unicode trend line from min to max, at most ``SPARK_WIDTH`` cells."""
+def sparkline(values: list[float], low: float | None = None) -> str:
+    """Unicode trend line, at most ``SPARK_WIDTH`` cells.
+
+    Cells scale from ``low`` (the series minimum when None) to the
+    maximum; a flat series draws the lowest cell throughout.
+    """
     if not values:
         return ""
     if len(values) > SPARK_WIDTH:
         step = (len(values) - 1) / (SPARK_WIDTH - 1)
         values = [values[round(i * step)] for i in range(SPARK_WIDTH)]
-    low, high = min(values), max(values)
+    low = min(values) if low is None else low
+    high = max(values)
     if high - low < 1e-12:
         return _SPARK[0] * len(values)
     scale = (len(_SPARK) - 1) / (high - low)

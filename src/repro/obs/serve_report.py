@@ -10,9 +10,9 @@ cannot — *where* a slow p99 went — with three sections:
   across every request, stages in pipeline order, plus each stage's
   share of summed request time (this is the table whose stage sums
   must be consistent with end-to-end latency);
-* **queue-depth timeline** — a sparkline of how many requests sat in
-  ``queue_wait`` over the run (overlap-count of the queue_wait span
-  intervals, bucketed);
+* **queue-depth timeline** — a sparkline, scaled from zero, of how
+  many requests sat in ``queue_wait`` over the run (overlap-count of
+  the queue_wait span intervals, bucketed);
 * **slowest traces** — a drilldown of the worst requests by
   end-to-end duration, one stage-by-stage line each, with the
   stage-sum coverage of the root span.
@@ -30,13 +30,16 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.obs.context import PATH_STAGES, REQUEST_SPAN, REQUEST_STAGES
-from repro.obs.report import format_table, last_record, nearest_rank
+from repro.obs.report import (
+    SPARK_WIDTH,
+    format_table,
+    last_record,
+    nearest_rank,
+    sparkline,
+)
 from repro.obs.sinks import read_records
 
 __all__ = ["load_request_trees", "render_serve_report"]
-
-_SPARK = "▁▂▃▄▅▆▇█"
-_TIMELINE_WIDTH = 48
 
 
 class RequestTree:
@@ -141,17 +144,6 @@ def _render_stage_breakdown(trees: list[RequestTree]) -> list[str]:
     return lines
 
 
-def _sparkline(values: list[float]) -> str:
-    peak = max(values) if values else 0.0
-    if peak <= 0:
-        return _SPARK[0] * len(values)
-    chars = []
-    for value in values:
-        index = int(value / peak * (len(_SPARK) - 1) + 0.5)
-        chars.append(_SPARK[index])
-    return "".join(chars)
-
-
 def _render_queue_timeline(trees: list[RequestTree]) -> list[str]:
     intervals = [
         (float(span["start"]), float(span["end"]))
@@ -173,15 +165,15 @@ def _render_queue_timeline(trees: list[RequestTree]) -> list[str]:
         [(start, 1) for start, _ in intervals]
         + [(end, -1) for _, end in intervals]
     )
-    buckets = [0.0] * _TIMELINE_WIDTH
+    buckets = [0.0] * SPARK_WIDTH
     depth = 0
-    scale = _TIMELINE_WIDTH / (t1 - t0)
+    scale = SPARK_WIDTH / (t1 - t0)
     for at, delta in events:
         depth += delta
-        index = min(_TIMELINE_WIDTH - 1, int((at - t0) * scale))
+        index = min(SPARK_WIDTH - 1, int((at - t0) * scale))
         buckets[index] = max(buckets[index], depth)
     peak = max(buckets)
-    lines.append(f"waiting {_sparkline(buckets)} (peak {int(peak)})")
+    lines.append(f"waiting {sparkline(buckets, low=0.0)} (peak {int(peak)})")
     lines.append(
         f"window  {t1 - t0:.3f}s, {len(intervals)} requests queued"
     )
