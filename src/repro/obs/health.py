@@ -166,18 +166,6 @@ def current_op_scope() -> dict | None:
     return _SCOPES[-1] if _SCOPES else None
 
 
-def _span_provenance() -> tuple[int | None, str]:
-    """(epoch index, span path) read off the process tracer's stack."""
-    stack = get_tracer()._stack
-    epoch = None
-    for span in reversed(stack):
-        if span.name == "epoch":
-            index = span.attrs.get("index")
-            epoch = int(index) if index is not None else None
-            break
-    return epoch, "/".join(span.name for span in stack)
-
-
 # ---------------------------------------------------------------------
 # the monitor
 # ---------------------------------------------------------------------
@@ -257,7 +245,8 @@ class HealthMonitor:
         op = tape.op_name(backward_fn)
         scope = current_op_scope() or {}
         kind = self._classify(np.asarray(data))
-        epoch, span_path = _span_provenance()
+        span_path, epoch_span = get_tracer().position()
+        epoch = epoch_span[1] if epoch_span is not None else None
         edge = scope.get("edge")
         layer = scope.get("layer")
         if kind is not None:

@@ -20,9 +20,11 @@ while the tape can still reach it. A ``weakref.finalize`` on the
 closure releases the entry's bytes: ops under ``no_grad`` (and ops
 whose inputs need no gradient) are released immediately, which is
 exactly the "transient vs retained" distinction DESIGN section 7
-documents. The tracker keeps the running live total, the overall and
-per-search-epoch peaks, and per-(span path, op) *site* peaks — the
-"top retained-buffer sites" of ``repro report memory``.
+documents. The tracker keeps the running live total, the overall peak,
+the peak of each epoch (keyed by the epoch span's path and index, so a
+search epoch and a retraining epoch of the same index stay apart), and
+per-(span path, op) *site* peaks — the "top retained-buffer sites" of
+``repro report memory``.
 
 Zero-overhead-when-off: nothing here runs until a tracker is installed.
 """
@@ -104,7 +106,8 @@ class MemoryTracker:
         self.per_op: dict[str, _SiteStats] = {}
         self.per_path: dict[str, _SiteStats] = {}
         self.per_site: dict[tuple[str, str], _SiteStats] = {}
-        self.epoch_peaks: dict[int, int] = {}
+        # (epoch span path, epoch index) -> peak live bytes
+        self.epoch_peaks: dict[tuple[str, int], int] = {}
         self.installed = False
 
     # ------------------------------------------------------------------
@@ -133,22 +136,13 @@ class MemoryTracker:
             stats = table[key] = _SiteStats()
         return stats
 
-    def _span_context(self) -> tuple[str, int | None]:
-        stack = get_tracer()._stack
-        epoch = None
-        for span in reversed(stack):
-            if span.name == "epoch":
-                index = span.attrs.get("index")
-                epoch = int(index) if index is not None else None
-                break
-        return "/".join(span.name for span in stack) or "<no-span>", epoch
-
     def _tape_hook(self, data, parents, backward_fn):
         array = np.asarray(data)
         out_bytes = int(array.nbytes)
         in_bytes = sum(int(p.data.nbytes) for p in parents)
         retained = _retained_bytes(backward_fn, data, parents)
-        path, epoch = self._span_context()
+        path, epoch = get_tracer().position()
+        path = path or "<no-span>"
         op = tape.op_name(backward_fn)
 
         entry_bytes = out_bytes + retained
@@ -193,8 +187,8 @@ class MemoryTracker:
             "peak_live_bytes": self.peak_live,
             "current_live_bytes": self.current_live,
             "epoch_peaks": {
-                str(epoch): peak
-                for epoch, peak in sorted(self.epoch_peaks.items())
+                f"{path}:{index}": peak
+                for (path, index), peak in sorted(self.epoch_peaks.items())
             },
             "per_op": {
                 op: stats.to_dict() for op, stats in self.per_op.items()
@@ -265,12 +259,12 @@ def render_memory_report(stats: dict, top: int = 10) -> str:
 
     epochs = stats.get("epoch_peaks") or {}
     if epochs:
-        ordered = sorted(epochs.items(), key=lambda item: int(item[0]))
+        ordered = sorted(epochs.items(), key=_epoch_order)
         title = "-- Peak tape memory per epoch --"
         if len(ordered) > max(top, 1):
             # Long runs: keep the heaviest epochs, in epoch order.
             heaviest = sorted(ordered, key=lambda item: -item[1])[: max(top, 1)]
-            ordered = sorted(heaviest, key=lambda item: int(item[0]))
+            ordered = sorted(heaviest, key=_epoch_order)
             title = (
                 f"-- Peak tape memory per epoch (top {len(ordered)} "
                 f"of {len(epochs)}) --"
@@ -285,6 +279,16 @@ def render_memory_report(stats: dict, top: int = 10) -> str:
         sections.append("\n".join(lines))
 
     return "\n\n".join(sections)
+
+
+def _epoch_order(item: tuple[str, int]) -> tuple[str, int]:
+    """Sort key of an ``epoch_peaks`` entry: epoch span path, then index.
+
+    Keys read ``<epoch span path>:<index>``; traces recorded before the
+    path was part of the key carry the bare index.
+    """
+    path, _, index = item[0].rpartition(":")
+    return path, int(index)
 
 
 def render_memory_report_file(path, top: int = 10) -> str:

@@ -300,6 +300,24 @@ class Tracer:
         """The innermost open span, if any."""
         return self._stack[-1] if self._stack else None
 
+    def position(self) -> tuple[str, tuple[str, int] | None]:
+        """``(span path, innermost epoch)`` of the open span stack.
+
+        The path joins the open spans' names with ``/`` (empty when none
+        is open). The epoch is the innermost ``epoch`` span's own path
+        and ``index`` attribute, or None when there is no such span or
+        it carries no index: a search epoch and a retraining epoch of
+        the same index sit on different paths.
+        """
+        names = [span.name for span in self._stack]
+        for depth in range(len(names) - 1, -1, -1):
+            if names[depth] == "epoch":
+                index = self._stack[depth].attrs.get("index")
+                if index is None:
+                    break
+                return "/".join(names), ("/".join(names[: depth + 1]), int(index))
+        return "/".join(names), None
+
     @property
     def has_sinks(self) -> bool:
         """True when at least one sink is attached (recording is on)."""

@@ -54,10 +54,8 @@ GRAPH = _module_tiny_graph()
 
 
 def _current_epoch():
-    for span in reversed(get_tracer()._stack):
-        if span.name == "epoch":
-            return span.attrs.get("index")
-    return None
+    epoch = get_tracer().position()[1]
+    return epoch[1] if epoch is not None else None
 
 
 def _drain_spans():

@@ -82,8 +82,24 @@ class TestLiveAccounting:
                     x = Tensor(np.ones((8, 8)), requires_grad=True)
                     _ = x * x
         stats = mem.stats()
-        assert set(stats["epoch_peaks"]) == {"0", "1"}
+        assert set(stats["epoch_peaks"]) == {"epoch:0", "epoch:1"}
         assert all(peak > 0 for peak in stats["epoch_peaks"].values())
+
+    def test_search_and_retrain_epochs_of_one_index_stay_apart(self):
+        from repro import obs
+
+        with MemoryTracker() as mem:
+            with obs.span("search"), obs.span("epoch", index=0):
+                x = Tensor(np.ones((64, 64)), requires_grad=True)
+                big = x * x
+            with obs.span("train"), obs.span("epoch", index=0):
+                y = Tensor(np.ones((2, 2)), requires_grad=True)
+                small = y * y
+        peaks = mem.stats()["epoch_peaks"]
+        assert set(peaks) == {"search/epoch:0", "train/epoch:0"}
+        assert peaks["search/epoch:0"] >= big.data.nbytes
+        text = render_memory_report(mem.stats())
+        assert "search/epoch:0" in text and "train/epoch:0" in text
 
     def test_site_table_keys_on_path_and_op(self):
         from repro import obs

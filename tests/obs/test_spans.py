@@ -64,6 +64,24 @@ class TestNesting:
             assert tracer.current is outer
         assert tracer.current is None
 
+    def test_position_names_path_and_innermost_epoch(self):
+        tracer, _ = make_tracer()
+        assert tracer.position() == ("", None)
+        with tracer.span("search"):
+            with tracer.span("epoch", index=3):
+                with tracer.span("train"):
+                    with tracer.span("epoch", index=7):
+                        with tracer.span("forward"):
+                            assert tracer.position() == (
+                                "search/epoch/train/epoch/forward",
+                                ("search/epoch/train/epoch", 7),
+                            )
+                assert tracer.position() == (
+                    "search/epoch", ("search/epoch", 3)
+                )
+            with tracer.span("epoch"):
+                assert tracer.position() == ("search/epoch", None)
+
 
 class TestTiming:
     def test_duration_from_injected_clock(self):
