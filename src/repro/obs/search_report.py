@@ -16,6 +16,7 @@ dashboards, which the tier-1 telemetry test locks down.
 from __future__ import annotations
 
 import dataclasses
+import math
 from pathlib import Path
 
 from repro.obs.report import (
@@ -43,6 +44,7 @@ class SearchRun:
     end_t: float | None = None
     epochs: dict[int, dict] = dataclasses.field(default_factory=dict)
     entropy: dict[str, list[float]] = dataclasses.field(default_factory=dict)
+    num_ops: dict[str, int] = dataclasses.field(default_factory=dict)
     flips: list[dict] = dataclasses.field(default_factory=list)
     grad_health: dict[int, dict] = dataclasses.field(default_factory=dict)
     dead_ops: list[dict] = dataclasses.field(default_factory=list)
@@ -125,6 +127,9 @@ def split_searches(event_records: list[dict]) -> list[SearchRun]:
                 for index, value in enumerate(rows):
                     series = current.entropy.setdefault(f"{kind}/{index}", [])
                     series.append(float(value))
+            for kind, rows in (data.get("probs") or {}).items():
+                for index, row in enumerate(rows):
+                    current.num_ops[f"{kind}/{index}"] = len(row)
             current.epochs.setdefault(epoch, {})
         elif name == "epoch_metrics" and epoch is not None:
             current.epochs.setdefault(epoch, {}).update(data)
@@ -229,6 +234,11 @@ def _render_search_section(run: SearchRun, index: int) -> list[str]:
 _COLLAPSE_FLOOR = 0.05
 _COLLAPSE_FRAC = 0.1
 _EARLY_FRAC = 0.5
+# No selection, the opposite failure: an edge whose final entropy is
+# still above _NO_SELECTION_FRAC of ln(#ops), the entropy of the uniform
+# mixture, has not picked an op. When every edge ends there, the argmax
+# genotype is decided by near-ties, not by the search.
+_NO_SELECTION_FRAC = 0.95
 
 
 def _collapse_index(series: list[float]) -> int | None:
@@ -273,6 +283,15 @@ def _entropy_collapse_lines(run: SearchRun) -> list[str]:
     if not tracked:
         return []
     if not rows:
+        share = _lowest_uniform_share(run)
+        if share is not None and share > _NO_SELECTION_FRAC:
+            return [
+                "entropy collapse: none before 50% of the search",
+                f"no selection: every edge ended above {_NO_SELECTION_FRAC} "
+                f"x ln(#ops), the uniform mixture's entropy (lowest ratio "
+                f"{share:.6f}) — the alphas stayed near uniform, so no op "
+                "was selected",
+            ]
         return [
             "entropy collapse: none before 50% of the search (mixtures "
             "stayed soft — SANE-like dynamics, not the DARTS failure mode)"
@@ -286,6 +305,16 @@ def _entropy_collapse_lines(run: SearchRun) -> list[str]:
         format_table(["edge", "collapse@", "frac", "first", "last"], rows)
     )
     return lines
+
+
+def _lowest_uniform_share(run: SearchRun) -> float | None:
+    """Smallest final entropy / ln(#ops) over the edges with 2+ ops."""
+    shares = [
+        run.entropy[edge][-1] / math.log(count)
+        for edge, count in run.num_ops.items()
+        if count > 1 and run.entropy.get(edge)
+    ]
+    return min(shares) if shares else None
 
 
 def _grad_health_lines(run: SearchRun) -> list[str]:

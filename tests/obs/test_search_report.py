@@ -5,6 +5,8 @@ the event log and replayed through the dashboard renders *byte-identical*
 text across two seeded runs (deterministic formatting, fake clock).
 """
 
+import math
+
 import numpy as np
 
 from repro.core.search import SaneSearcher, SearchConfig
@@ -143,6 +145,43 @@ class TestEntropyCollapseSection:
             "entropy collapse: none before 50% of the search (mixtures "
             "stayed soft — SANE-like dynamics, not the DARTS failure mode)"
         ]
+
+    def test_near_uniform_final_entropy_reports_no_selection(self):
+        from repro.obs.search_report import SearchRun, _entropy_collapse_lines
+
+        ln11, ln2 = math.log(11), math.log(2)
+        run = SearchRun(
+            entropy={"node/0": [ln11, ln11 - 1e-5], "skip/0": [ln2, ln2]},
+            num_ops={"node/0": 11, "skip/0": 2},
+        )
+        lines = _entropy_collapse_lines(run)
+        assert lines[0] == "entropy collapse: none before 50% of the search"
+        assert lines[1].startswith("no selection: every edge ended above 0.95")
+        assert "SANE-like" not in "\n".join(lines)
+
+    def test_one_selecting_edge_is_a_selection(self):
+        from repro.obs.search_report import SearchRun, _entropy_collapse_lines
+
+        ln11, ln2 = math.log(11), math.log(2)
+        run = SearchRun(
+            entropy={"node/0": [ln11, 0.5 * ln11], "skip/0": [ln2, ln2]},
+            num_ops={"node/0": 11, "skip/0": 2},
+        )
+        (line,) = _entropy_collapse_lines(run)
+        assert "SANE-like" in line
+
+    def test_recorded_paper_rate_search_selects_nothing(self, tiny_graph, tmp_path):
+        # At the paper's alpha_lr a 6-epoch search leaves every mixture
+        # at its uniform entropy to four decimals.
+        events = tmp_path / "events.jsonl"
+        config = SearchConfig(epochs=6, hidden_dim=8, dropout=0.1)
+        with record_events(events, label="uniform", clock=FakeClock()):
+            SaneSearcher(SMALL_SPACE, tiny_graph, config, seed=0).search()
+        (run,) = split_searches(load_run_records(events)[0])
+        assert run.num_ops == {
+            "node/0": 2, "node/1": 2, "skip/0": 2, "skip/1": 2, "layer/0": 2,
+        }
+        assert "no selection: every edge" in render_run(events)
 
     def test_no_tracked_edges_renders_nothing(self):
         from repro.obs.search_report import _entropy_collapse_lines
