@@ -10,7 +10,8 @@ Benchmarks that want machine-readable output wrap the run in
 :func:`tracked_run`: the library's ``repro.obs`` spans (search/train/
 epoch timings) are collected for the duration and a ``BENCH_<name>.json``
 summary — aggregated spans, a metrics snapshot, free-form extras — is
-written to ``REPRO_BENCH_DIR`` (default: current directory).
+written to ``REPRO_BENCH_DIR`` (default: current directory) by
+:func:`repro.obs.bench_gate.write_bench`, next to the gate's reader.
 
 Run with::
 
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import json
 import os
 import time
 from pathlib import Path
@@ -29,7 +29,8 @@ from typing import Iterator
 
 from repro.autograd.kernels import KernelCounters, count_kernels
 from repro.experiments.config import SCALES, Scale
-from repro.obs import InMemorySink, MetricsRegistry, RECORD_VERSION, aggregate_spans, get_tracer
+from repro.obs import InMemorySink, MetricsRegistry, get_tracer
+from repro.obs.bench_gate import write_bench
 from repro.obs.runs import env_fingerprint, record_run
 
 __all__ = [
@@ -110,44 +111,18 @@ def tracked_run(name: str) -> Iterator[BenchRun]:
 
 def emit_metrics(name: str, spans=(), metrics: MetricsRegistry | None = None,
                  extra: dict | None = None) -> Path:
-    """Write a ``BENCH_<name>.json`` machine-readable benchmark summary.
+    """Write a ``BENCH_<name>.json`` summary and record the run.
 
-    The file carries the per-path span aggregates (count / cumulative /
-    self time), a metrics-registry snapshot and free-form extras, under
-    the same version number as the trace schema.
+    The payload is :func:`repro.obs.bench_gate.write_bench`'s.
     """
-    out_dir = Path(os.environ.get("REPRO_BENCH_DIR", "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "bench": name,
-        "version": RECORD_VERSION,
-        "scale": os.environ.get("REPRO_SCALE", "default"),
-        "spans": [
-            {
-                "path": agg.path,
-                "count": agg.count,
-                "total_s": agg.total,
-                "self_s": agg.self_time,
-                "mean_s": agg.mean,
-                "min_s": agg.minimum,
-                "max_s": agg.maximum,
-            }
-            for agg in aggregate_spans(spans)
-        ],
-        "metrics": (metrics or MetricsRegistry()).snapshot(),
-        "extra": extra or {},
-    }
-    path = out_dir / f"BENCH_{name}.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    path = write_bench(name, spans, metrics or MetricsRegistry(), extra)
+    scale = os.environ.get("REPRO_SCALE", "default")
     # Benchmarks ride the run ledger alongside the BENCH_*.json they
     # overwrite: the snapshot goes to the gate, the history goes here.
     record_run(
         "bench",
-        {"name": name, "scale": payload["scale"]},
-        env=env_fingerprint(
-            scale=payload["scale"], workers=bench_workers()
-        ),
+        {"name": name, "scale": scale},
+        env=env_fingerprint(scale=scale, workers=bench_workers()),
         registry=metrics,
         outputs={"bench": name},
         files=[str(path)],

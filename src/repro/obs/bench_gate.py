@@ -2,7 +2,8 @@
 regression classifier behind it and the run-ledger trend gate.
 
 Compares freshly emitted ``BENCH_<name>.json`` summaries (written by
-``benchmarks/common.py::tracked_run``) against committed baselines and
+:func:`write_bench`, which ``benchmarks/common.py::tracked_run`` and
+``repro serve --bench`` call) against committed baselines and
 flags metrics that degraded beyond a relative tolerance. Direction is
 inferred from the metric name — ``*time*``/``*loss*``/``*latency*``
 tokens and failure counts (``*errors*``, ``*deadline_exceeded*``) are
@@ -41,10 +42,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import re
 from pathlib import Path
 
-from repro.obs.report import change_pct, format_table
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.report import aggregate_spans, change_pct, format_table
+from repro.obs.sinks import RECORD_VERSION
 
 __all__ = [
     "Verdict",
@@ -54,6 +58,7 @@ __all__ = [
     "is_seconds",
     "is_tail_percentile",
     "load_bench",
+    "write_bench",
     "scalar_metrics",
     "compare_bench",
     "render_bench_diff",
@@ -136,6 +141,43 @@ def load_bench(path: str | Path) -> dict:
     if "bench" not in payload or "metrics" not in payload:
         raise ValueError(f"{path}: not a BENCH summary (missing bench/metrics)")
     return payload
+
+
+def write_bench(
+    name: str, spans, registry: MetricsRegistry, extra: dict | None
+) -> Path:
+    """Write ``BENCH_<name>.json`` into ``REPRO_BENCH_DIR`` (default ``.``).
+
+    The payload carries the per-path span aggregates (count / cumulative
+    / self time), the registry snapshot and free-form extras, under the
+    record version of the trace files; :func:`load_bench` reads it back.
+    """
+    out_dir = Path(os.environ.get("REPRO_BENCH_DIR", "."))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    payload = {
+        "bench": name,
+        "version": RECORD_VERSION,
+        "scale": os.environ.get("REPRO_SCALE", "default"),
+        "spans": [
+            {
+                "path": agg.path,
+                "count": agg.count,
+                "total_s": agg.total,
+                "self_s": agg.self_time,
+                "mean_s": agg.mean,
+                "min_s": agg.minimum,
+                "max_s": agg.maximum,
+            }
+            for agg in aggregate_spans(spans)
+        ],
+        "metrics": registry.snapshot(),
+        "extra": dict(extra or {}),
+    }
+    path = out_dir / f"BENCH_{name}.json"
+    path.write_text(
+        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    return path
 
 
 def scalar_metrics(payload: dict) -> dict[str, float]:

@@ -26,15 +26,14 @@ respectively.
 from __future__ import annotations
 
 import dataclasses
-import json
-import os
 from pathlib import Path
 
 import numpy as np
 
 from repro import obs
 from repro.graph.data import Graph
-from repro.obs import MetricsRegistry, RECORD_VERSION, aggregate_spans
+from repro.obs import MetricsRegistry
+from repro.obs.bench_gate import write_bench
 from repro.obs.report import format_table, nearest_rank
 from repro.serve.server import ServeServer
 
@@ -197,37 +196,6 @@ def emit_serve_bench(
     registry: MetricsRegistry | None = None,
     extra: dict | None = None,
 ) -> Path:
-    """Write a ``BENCH_<name>.json`` payload for the regression gate.
-
-    Same shape as ``benchmarks/common.py::emit_metrics`` (the gate
-    reads either interchangeably); lives here so ``repro serve
-    --bench`` works from an installed package without the benchmarks
-    tree on the path.
-    """
-    registry = bench_metrics(results, registry)
-    out_dir = Path(os.environ.get("REPRO_BENCH_DIR", "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "bench": name,
-        "version": RECORD_VERSION,
-        "scale": os.environ.get("REPRO_SCALE", "default"),
-        "spans": [
-            {
-                "path": agg.path,
-                "count": agg.count,
-                "total_s": agg.total,
-                "self_s": agg.self_time,
-                "mean_s": agg.mean,
-                "min_s": agg.minimum,
-                "max_s": agg.maximum,
-            }
-            for agg in aggregate_spans(spans)
-        ],
-        "metrics": registry.snapshot(),
-        "extra": dict(extra or {}),
-    }
-    path = out_dir / f"BENCH_{name}.json"
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    return path
+    """Write the sweep's ``BENCH_<name>.json`` payload for the gate
+    (:func:`repro.obs.bench_gate.write_bench` plus the per-level gauges)."""
+    return write_bench(name, spans, bench_metrics(results, registry), extra)

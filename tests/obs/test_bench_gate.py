@@ -1,6 +1,7 @@
 """Bench regression gate: direction inference, classification, rendering."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -230,3 +231,58 @@ class TestLoadersAndRender:
         payload = _payload({"final_score.cora": 0.8})
         text = render_bench_diff("b", compare_bench(payload, payload))
         assert "== Bench b: ok (0 gated metric(s)) ==" in text
+
+
+class TestWriteBench:
+    """One writer for BENCH payloads; its bytes are pinned."""
+
+    SPANS = [
+        {"id": 0, "parent": None, "name": "bench", "dur": 2.5},
+        {"id": 1, "parent": 0, "name": "epoch", "dur": 1.0},
+        {"id": 2, "parent": 0, "name": "epoch", "dur": 1.25},
+        {"id": 3, "parent": 1, "name": "forward", "dur": 0.5},
+    ]
+    EXTRA = {"levels": [{"concurrency": 1, "rps": 301.5}], "note": "writer"}
+    PINNED = Path(__file__).parent / "fixtures" / "bench-writer.json"
+
+    @staticmethod
+    def _registry():
+        from repro.obs import MetricsRegistry
+
+        registry = MetricsRegistry()
+        registry.counter("serve.requests").inc(24)
+        registry.gauge("search_time_s").set(2.5)
+        registry.histogram("serve.latency_s").observe(0.001)
+        registry.histogram("serve.latency_s").observe(0.003)
+        return registry
+
+    @pytest.fixture(autouse=True)
+    def _bench_env(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_SCALE", "smoke")
+
+    def test_payload_bytes_are_pinned(self, tmp_path):
+        from repro.obs.bench_gate import write_bench
+
+        path = write_bench("writer", self.SPANS, self._registry(), self.EXTRA)
+        assert path == tmp_path / "BENCH_writer.json"
+        assert path.read_bytes() == self.PINNED.read_bytes()
+        assert load_bench(path)["bench"] == "writer"
+
+    def test_serve_bench_writes_the_same_bytes(self):
+        from repro.serve import emit_serve_bench
+
+        path = emit_serve_bench(
+            "writer", [], spans=self.SPANS, registry=self._registry(),
+            extra=self.EXTRA,
+        )
+        assert path.read_bytes() == self.PINNED.read_bytes()
+
+    def test_benchmark_harness_writes_the_same_bytes(self):
+        from benchmarks.common import emit_metrics
+
+        path = emit_metrics(
+            "writer", spans=self.SPANS, metrics=self._registry(),
+            extra=self.EXTRA,
+        )
+        assert path.read_bytes() == self.PINNED.read_bytes()
