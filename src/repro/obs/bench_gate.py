@@ -158,18 +158,7 @@ def write_bench(
         "bench": name,
         "version": RECORD_VERSION,
         "scale": os.environ.get("REPRO_SCALE", "default"),
-        "spans": [
-            {
-                "path": agg.path,
-                "count": agg.count,
-                "total_s": agg.total,
-                "self_s": agg.self_time,
-                "mean_s": agg.mean,
-                "min_s": agg.minimum,
-                "max_s": agg.maximum,
-            }
-            for agg in aggregate_spans(spans)
-        ],
+        "spans": [agg.to_dict() for agg in aggregate_spans(spans)],
         "metrics": registry.snapshot(),
         "extra": dict(extra or {}),
     }

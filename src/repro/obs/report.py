@@ -59,14 +59,15 @@ class SpanAggregate:
         return self.total / self.count if self.count else 0.0
 
     def to_dict(self) -> dict:
+        """The ``spans`` entry of a ``BENCH_<name>.json`` payload."""
         return {
             "path": self.path,
             "count": self.count,
-            "total": self.total,
-            "self": self.self_time,
-            "mean": self.mean,
-            "min": self.minimum if self.count else None,
-            "max": self.maximum,
+            "total_s": self.total,
+            "self_s": self.self_time,
+            "mean_s": self.mean,
+            "min_s": self.minimum,
+            "max_s": self.maximum,
         }
 
 
@@ -219,13 +220,7 @@ def hotspot_report(
     aggregates = aggregate_spans(spans)
     if aggregates:
         rows = [
-            [
-                a.path,
-                str(a.count),
-                num(a.total),
-                num(a.self_time),
-                num(a.mean),
-            ]
+            [a.path, str(a.count), num(a.total), num(a.self_time), num(a.mean)]
             for a in aggregates
         ]
         lines = ["== Phase breakdown (spans) =="]
@@ -239,19 +234,18 @@ def hotspot_report(
             op_stats,
             key=lambda s: -(s.get("forward_self", 0.0) + s.get("backward_time", 0.0)),
         )[: max(top, 1)]
-        rows = []
-        for stat in ranked:
-            rows.append(
-                [
-                    stat["name"],
-                    str(stat.get("calls", 0)),
-                    str(stat.get("tape_entries", 0)),
-                    num(stat.get("forward_self", 0.0)),
-                    num(stat.get("forward_cum", 0.0)),
-                    num(stat.get("backward_time", 0.0)),
-                    bytes_human(stat.get("output_bytes", 0)),
-                ]
-            )
+        rows = [
+            [
+                stat["name"],
+                str(stat.get("calls", 0)),
+                str(stat.get("tape_entries", 0)),
+                num(stat.get("forward_self", 0.0)),
+                num(stat.get("forward_cum", 0.0)),
+                num(stat.get("backward_time", 0.0)),
+                bytes_human(stat.get("output_bytes", 0)),
+            ]
+            for stat in ranked
+        ]
         lines = [f"== Top {len(ranked)} autograd ops (by self time) =="]
         lines.extend(
             format_table(

@@ -177,21 +177,20 @@ def render_runs_list(
     if not entries:
         lines.append("(empty — run any repro command to record a manifest)")
         return "\n".join(lines)
-    rows = []
-    for seq, manifest in entries:
-        rows.append(
-            [
-                str(seq),
-                manifest.run_id,
-                manifest.command,
-                str(manifest.env.get("scale") or "-"),
-                str(manifest.env.get("seed")
-                    if manifest.env.get("seed") is not None else "-"),
-                str(manifest.env.get("git_rev") or "-"),
-                _when(manifest.t_wall),
-                str(len(manifest.metrics)),
-            ]
-        )
+    rows = [
+        [
+            str(seq),
+            manifest.run_id,
+            manifest.command,
+            str(manifest.env.get("scale") or "-"),
+            str(manifest.env.get("seed")
+                if manifest.env.get("seed") is not None else "-"),
+            str(manifest.env.get("git_rev") or "-"),
+            _when(manifest.t_wall),
+            str(len(manifest.metrics)),
+        ]
+        for seq, manifest in entries
+    ]
     lines.extend(
         format_table(
             ["seq", "run_id", "command", "scale", "seed", "git", "when",

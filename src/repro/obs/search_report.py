@@ -187,8 +187,7 @@ def _render_search_section(run: SearchRun, index: int) -> list[str]:
         lines.extend(format_table(["edge", "first", "last", "trend"], rows))
         collapse_lines = _entropy_collapse_lines(run)
         if collapse_lines:
-            lines.append("")
-            lines.extend(collapse_lines)
+            lines += ["", *collapse_lines]
 
     lines.append("")
     if run.flips:
@@ -218,8 +217,7 @@ def _render_search_section(run: SearchRun, index: int) -> list[str]:
     # byte-identical dashboards.
     grad_lines = _grad_health_lines(run)
     if grad_lines:
-        lines.append("")
-        lines.extend(grad_lines)
+        lines += ["", *grad_lines]
     return lines
 
 
@@ -405,12 +403,10 @@ def render_run(path: str | Path) -> str:
         lines.append("(no search_start events recorded)")
         return "\n".join(lines)
     for index, run in enumerate(runs, start=1):
-        lines.append("")
-        lines.extend(_render_search_section(run, index))
+        lines += ["", *_render_search_section(run, index)]
     pool_lines = _pool_utilization_lines(event_records)
     if pool_lines:
-        lines.append("")
-        lines.extend(pool_lines)
+        lines += ["", *pool_lines]
     return "\n".join(lines)
 
 
@@ -507,20 +503,13 @@ def render_diff(path_a: str | Path, path_b: str | Path) -> str:
     lines.append("")
     lines.extend(format_table(["quantity", label_a, label_b], rows))
 
-    curve_lines = _score_curve_diff(a, b, label_a, label_b)
-    if curve_lines:
-        lines.append("")
-        lines.extend(curve_lines)
-
-    hotspot_lines = _hotspot_deltas(records_a, records_b, label_a, label_b)
-    if hotspot_lines:
-        lines.append("")
-        lines.extend(hotspot_lines)
-
-    memory_lines = _memory_deltas(records_a, records_b, label_a, label_b)
-    if memory_lines:
-        lines.append("")
-        lines.extend(memory_lines)
+    for section in (
+        _score_curve_diff(a, b, label_a, label_b),
+        _hotspot_deltas(records_a, records_b, label_a, label_b),
+        _memory_deltas(records_a, records_b, label_a, label_b),
+    ):
+        if section:
+            lines += ["", *section]
     return "\n".join(lines)
 
 
@@ -616,34 +605,24 @@ def _memory_deltas(
     ops_a = stats_a.get("per_op") or {}
     ops_b = stats_b.get("per_op") or {}
 
-    def _delta_key(op: str) -> float:
-        entry_a = ops_a.get(op) or {}
-        entry_b = ops_b.get(op) or {}
-        return -abs(
-            entry_b.get("retained_bytes", 0) - entry_a.get("retained_bytes", 0)
-        ) - abs(
-            entry_b.get("peak_live_bytes", 0) - entry_a.get("peak_live_bytes", 0)
-        )
+    def sizes(op: str) -> list[tuple[int, int]]:
+        """(a, b) retained bytes, then (a, b) peak live bytes."""
+        entry_a, entry_b = ops_a.get(op) or {}, ops_b.get(op) or {}
+        return [
+            (entry_a.get(field, 0), entry_b.get(field, 0))
+            for field in ("retained_bytes", "peak_live_bytes")
+        ]
 
+    ranked = sorted(
+        sorted(set(ops_a) | set(ops_b)),
+        key=lambda op: -sum(abs(b - a) for a, b in sizes(op)),
+    )
     rows = []
-    for op in sorted(sorted(set(ops_a) | set(ops_b)), key=_delta_key)[:top]:
-        entry_a = ops_a.get(op) or {}
-        entry_b = ops_b.get(op) or {}
-        retained_a = entry_a.get("retained_bytes", 0)
-        retained_b = entry_b.get("retained_bytes", 0)
-        peak_op_a = entry_a.get("peak_live_bytes", 0)
-        peak_op_b = entry_b.get("peak_live_bytes", 0)
-        rows.append(
-            [
-                op,
-                bytes_human(retained_a),
-                bytes_human(retained_b),
-                signed_bytes(retained_a, retained_b),
-                bytes_human(peak_op_a),
-                bytes_human(peak_op_b),
-                signed_bytes(peak_op_a, peak_op_b),
-            ]
-        )
+    for op in ranked[:top]:
+        row = [op]
+        for a, b in sizes(op):
+            row += [bytes_human(a), bytes_human(b), signed_bytes(a, b)]
+        rows.append(row)
     if rows:
         lines.extend(
             format_table(

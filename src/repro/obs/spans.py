@@ -303,11 +303,8 @@ class Tracer:
     def position(self) -> tuple[str, tuple[str, int] | None]:
         """``(span path, innermost epoch)`` of the open span stack.
 
-        The path joins the open spans' names with ``/`` (empty when none
-        is open). The epoch is the innermost ``epoch`` span's own path
-        and ``index`` attribute, or None when there is no such span or
-        it carries no index: a search epoch and a retraining epoch of
-        the same index sit on different paths.
+        The epoch is the innermost ``epoch`` span's own path and
+        ``index``, or None when there is none or it has no index.
         """
         names = [span.name for span in self._stack]
         for depth in range(len(names) - 1, -1, -1):
