@@ -70,6 +70,26 @@ DIGEST_PAR="$(grep '^digest:' <<<"$SWEEP_PAR")"
     exit 1
 }
 
+# The text views over live records. tests/obs/test_pinned_views.py
+# renders committed fixtures; this stage renders what the current code
+# writes (a smoke profile with events and tape memory) through report
+# run, report diff (the trace against itself) and report memory, so a
+# renderer that breaks on live records fails here even while those
+# fixtures are stale.
+echo "==> repro profile + report run/diff/memory over a live trace"
+PROFILE_DIR="$(mktemp -d)"
+PROFILE_TRACE="$PROFILE_DIR/trace.jsonl"
+REPRO_SCALE=smoke python -m repro profile search --dataset cora \
+    --events --memory --trace "$PROFILE_TRACE" > "$PROFILE_DIR/profile.txt"
+python -m repro report run "$PROFILE_TRACE" > "$PROFILE_DIR/run.txt"
+python -m repro report diff "$PROFILE_TRACE" "$PROFILE_TRACE" > "$PROFILE_DIR/diff.txt"
+python -m repro report memory "$PROFILE_TRACE" > "$PROFILE_DIR/memory.txt"
+grep -q '^entropy collapse:' "$PROFILE_DIR/run.txt"
+grep -q '^final genotype: identical' "$PROFILE_DIR/diff.txt"
+grep -q '^-- Peak tape memory per epoch' "$PROFILE_DIR/memory.txt"
+head -n 3 "$PROFILE_DIR/run.txt"
+rm -rf "$PROFILE_DIR"
+
 # The repo benchmark (perfbench/, declared by BENCHMARK.json) hooks
 # library internals in its traced runs; run its self-tests and one
 # short traced serve-mixed run so a refactor that breaks a hook fails
