@@ -1,7 +1,7 @@
 """Observability: tracing, metrics, autograd profiling, and telemetry.
 
 The subsystem the efficiency experiments (Figure 3 / Table VII) and
-the search-dynamics reports lean on. It has six parts —
+the search-dynamics reports lean on. Its parts —
 
 * :mod:`repro.obs.spans` — nested wall-time spans via a process-wide
   :class:`Tracer`; all ``search_time``/``train_time`` numbers in the
@@ -9,10 +9,14 @@ the search-dynamics reports lean on. It has six parts —
   way);
 * :mod:`repro.obs.metrics` — counters/gauges/histograms in a
   :class:`MetricsRegistry`;
-* :mod:`repro.obs.sinks` + :mod:`repro.obs.report` — in-memory and
-  JSON-lines sinks, the one record format every stream file uses
-  (:func:`read_records` reads them all back), and the hotspot report
-  over a finished trace;
+* :mod:`repro.obs.sinks` — in-memory and JSON-lines sinks and the
+  one record format every stream file uses (:func:`read_records`
+  reads them all back);
+* :mod:`repro.obs.report` — the report toolkit: the one home of the
+  text pieces every view shares (tables, numbers, byte counts,
+  percent changes, sparklines, row elision, the nearest-rank
+  percentile, last-record lookup) and the hotspot report over a
+  finished trace;
 * :mod:`repro.obs.autograd` — per-op profiling hooked into the
   autograd tape dispatch (zero overhead while disabled);
 * :mod:`repro.obs.events` + :mod:`repro.obs.search_telemetry` — the
@@ -21,7 +25,9 @@ the search-dynamics reports lean on. It has six parts —
   unless an :class:`EventRecorder` is installed;
 * :mod:`repro.obs.search_report` + :mod:`repro.obs.bench_gate` +
   :mod:`repro.obs.serve_report` — the ``repro report
-  run``/``diff``/``bench``/``serve`` renderers;
+  run``/``diff``/``bench``/``serve`` renderers, built on
+  :mod:`repro.obs.report`; ``bench_gate`` also owns the
+  ``BENCH_<name>.json`` format (``write_bench`` and ``load_bench``);
 * :mod:`repro.obs.context` + :mod:`repro.obs.exporter` — request-scoped
   trace context (explicit parent handoff across the serve queue's
   thread boundary) and the live telemetry surfaces: periodic
