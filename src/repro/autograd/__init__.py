@@ -2,11 +2,12 @@
 
 from repro.autograd.tensor import (
     Tensor,
+    add_tape_hook,
     as_tensor,
     get_tape_hook,
     is_grad_enabled,
     no_grad,
-    set_tape_hook,
+    remove_tape_hook,
 )
 from repro.autograd import functional, kernels, ops, scatter
 
@@ -15,7 +16,8 @@ __all__ = [
     "as_tensor",
     "no_grad",
     "is_grad_enabled",
-    "set_tape_hook",
+    "add_tape_hook",
+    "remove_tape_hook",
     "get_tape_hook",
     "ops",
     "functional",

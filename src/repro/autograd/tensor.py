@@ -33,7 +33,8 @@ __all__ = [
     "as_tensor",
     "no_grad",
     "is_grad_enabled",
-    "set_tape_hook",
+    "add_tape_hook",
+    "remove_tape_hook",
     "get_tape_hook",
 ]
 
@@ -79,29 +80,33 @@ _keep_freed_buffers()
 # its own flag, defaulting to enabled.
 _GRAD_STATE = threading.local()
 
-# Observability hook installed while tape observers are active —
-# exactly one at a time; multiple observers (op profiler, numerics
-# health monitor, memory tracker) multiplex through the
-# ``repro.obs.tape`` chain rather than competing for this slot.
-# ``None`` means disabled, and the only cost every op then pays is one
-# global load and an identity check in ``Tensor._from_op``. When set,
-# the hook is called with ``(data, parents, backward_fn)`` for every
-# dispatched op and returns the (possibly wrapped) backward closure to
-# record on the tape.
-_TAPE_HOOK = None
+# Tape observers (op profiler, numerics health monitor, memory
+# tracker, test probes) hook ``Tensor._from_op``. Each hook is called
+# with ``(data, parents, backward_fn)`` for every dispatched op and
+# returns the (possibly wrapped) backward closure, which becomes the
+# next hook's input and, after the last, the closure recorded on the
+# tape; hooks run in registration order. With no hook registered the
+# only cost every op pays is one global load and a truth test on this
+# list. It is mutated in place, never rebound.
+_TAPE_HOOKS: list = []
 
 
-def set_tape_hook(hook) -> None:
-    """Install (or with ``None`` remove) the op-dispatch profiling hook."""
-    global _TAPE_HOOK
-    if hook is not None and _TAPE_HOOK is not None and _TAPE_HOOK is not hook:
-        raise RuntimeError("an autograd tape hook is already installed")
-    _TAPE_HOOK = hook
+def add_tape_hook(hook) -> None:
+    """Append ``hook`` to the op-dispatch chain; raises if already there."""
+    if hook in _TAPE_HOOKS:
+        raise RuntimeError("tape hook is already registered")
+    _TAPE_HOOKS.append(hook)
+
+
+def remove_tape_hook(hook) -> None:
+    """Remove ``hook`` from the chain (a no-op if it is not there)."""
+    if hook in _TAPE_HOOKS:
+        _TAPE_HOOKS.remove(hook)
 
 
 def get_tape_hook():
-    """The currently installed op-dispatch hook (``None`` when disabled)."""
-    return _TAPE_HOOK
+    """The registered hooks as a tuple, or ``None`` when there are none."""
+    return tuple(_TAPE_HOOKS) or None
 
 
 def is_grad_enabled() -> bool:
@@ -181,9 +186,9 @@ class Tensor:
         backward_fn: Callable[[np.ndarray], None],
     ) -> "Tensor":
         """Build the result tensor of an op, recording the tape entry."""
-        hook = _TAPE_HOOK
-        if hook is not None:
-            backward_fn = hook(data, parents, backward_fn)
+        if _TAPE_HOOKS:
+            for hook in _TAPE_HOOKS:
+                backward_fn = hook(data, parents, backward_fn)
         requires = is_grad_enabled() and any(
             p.requires_grad for p in parents
         )

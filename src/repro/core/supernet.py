@@ -33,7 +33,7 @@ from repro.gnn.common import GraphCache, LayerContext
 from repro.gnn.layer_aggregators import create_layer_aggregator
 from repro.nn.layers import Dropout, Linear
 from repro.nn.module import Module, Parameter
-from repro.obs import health
+from repro.obs.spans import op_scope
 
 __all__ = ["SaneSupernet", "derive_from_alphas"]
 
@@ -198,9 +198,9 @@ class SaneSupernet(Module):
             ctx = LayerContext(h, cache)
             outputs = []
             for name, candidate in zip(self.space.node_ops, candidates):
-                # Edge provenance for the health monitor; a shared no-op
-                # context manager while no monitor is installed.
-                with health.op_scope(
+                # One (edge, layer, op) span per candidate: the scope
+                # timing, tape memory and numerics all attribute to.
+                with op_scope(
                     edge=f"node/{layer_index}", layer=layer_index, op=name
                 ):
                     out = candidate(h, cache, ctx)
@@ -209,7 +209,7 @@ class SaneSupernet(Module):
                 outputs.append(out)
             # The Eq. 3 mixture is a tape node too; scope it so an
             # alpha-minted NaN reports the edge instead of op=None.
-            with health.op_scope(
+            with op_scope(
                 edge=f"node/{layer_index}", layer=layer_index, op="mixture"
             ):
                 h = self.activation(ops.weighted_sum(outputs, weights))
@@ -227,7 +227,7 @@ class SaneSupernet(Module):
                 ops.getitem(self.alpha_skip, layer_index), len(self.space.skip_ops)
             )
             identity_index = self.space.skip_ops.index("identity")
-            with health.op_scope(
+            with op_scope(
                 edge=f"skip/{layer_index}", layer=layer_index, op="identity"
             ):
                 skipped.append(output * weights[identity_index])
@@ -240,9 +240,9 @@ class SaneSupernet(Module):
         for name, aggregator, projection in zip(
             self.space.layer_ops, self.layer_candidates, self.layer_projections
         ):
-            with health.op_scope(edge="layer/0", layer=None, op=name):
+            with op_scope(edge="layer/0", layer=None, op=name):
                 terms.append(projection(aggregator(skipped)))
-        with health.op_scope(edge="layer/0", layer=None, op="mixture"):
+        with op_scope(edge="layer/0", layer=None, op="mixture"):
             return ops.weighted_sum(terms, weights)
 
     def forward(self, features, cache: GraphCache) -> Tensor:

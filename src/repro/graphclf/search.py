@@ -24,7 +24,7 @@ from repro.graphclf.pooling import POOLING_OPS, create_pooling_op
 from repro.nn.layers import Dropout, Linear
 from repro.nn.module import Module, Parameter
 from repro.nn.optim import Adam
-from repro.obs import health
+from repro.obs.spans import op_scope
 
 __all__ = ["GraphSearchConfig", "GraphSearchResult", "GraphSupernet", "search_graph_classifier"]
 
@@ -101,7 +101,7 @@ class GraphSupernet(Module):
             weights = F.softmax(ops.getitem(self.alpha_node, layer_index), axis=-1)
             mixed = None
             for op_index, candidate in enumerate(candidates):
-                with health.op_scope(
+                with op_scope(
                     edge=f"node/{layer_index}",
                     layer=layer_index,
                     op=self.config.node_ops[op_index],
@@ -114,7 +114,7 @@ class GraphSupernet(Module):
         weights = F.softmax(ops.getitem(self.alpha_pool, 0), axis=-1)
         pooled = None
         for op_index, pool in enumerate(self.pool_candidates):
-            with health.op_scope(
+            with op_scope(
                 edge="pool/0", layer=None, op=self.config.pooling_ops[op_index]
             ):
                 term = pool(h, batch.graph_ids, batch.num_graphs) * weights[op_index]

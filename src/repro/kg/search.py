@@ -28,7 +28,7 @@ from repro.kg.metrics import evaluate_alignment
 from repro.nn import init
 from repro.nn.module import Module, Parameter
 from repro.nn.optim import Adam
-from repro.obs import health
+from repro.obs.spans import op_scope
 
 __all__ = ["AlignSearchConfig", "AlignSearchResult", "AlignSupernet", "search_alignment"]
 
@@ -102,7 +102,7 @@ class AlignSupernet(Module):
                 # magnitudes (otherwise large-magnitude ops like
                 # sage-max dominate the mixture gradient regardless of
                 # their stand-alone quality).
-                with health.op_scope(
+                with op_scope(
                     edge=f"node/{layer_index}",
                     layer=layer_index,
                     op=self.config.node_ops[op_index],

@@ -6,7 +6,8 @@ the search-dynamics reports lean on. Its parts —
 * :mod:`repro.obs.spans` — nested wall-time spans via a process-wide
   :class:`Tracer`; all ``search_time``/``train_time`` numbers in the
   repo come from spans (the ``adhoc-timing`` lint rule keeps it that
-  way);
+  way), and :func:`op_scope` opens the ``op`` span that names the
+  supernet (edge, layer, op) every other layer attributes to;
 * :mod:`repro.obs.metrics` — counters/gauges/histograms in a
   :class:`MetricsRegistry`;
 * :mod:`repro.obs.sinks` — in-memory and JSON-lines sinks and the
@@ -17,8 +18,9 @@ the search-dynamics reports lean on. Its parts —
   percent changes, sparklines, row elision, the nearest-rank
   percentile, last-record lookup) and the hotspot report over a
   finished trace;
-* :mod:`repro.obs.autograd` — per-op profiling hooked into the
-  autograd tape dispatch (zero overhead while disabled);
+* :mod:`repro.obs.autograd` — the per-op profiler, a hook on the
+  autograd tape (tape entries, output bytes, backward time; zero
+  overhead while disabled);
 * :mod:`repro.obs.events` + :mod:`repro.obs.search_telemetry` — the
   structured event log (alpha snapshots, entropies, genotype flips,
   loss/score curves) the searchers and trainers emit into; a no-op
@@ -39,12 +41,12 @@ the search-dynamics reports lean on. Its parts —
   fingerprint, metric summary, artifact lineage) to the append-only
   history store, and ``repro runs list/show/diff/trend/gc`` renders
   history tables and the cross-run trend gate over it;
-* :mod:`repro.obs.tape` + :mod:`repro.obs.health` +
-  :mod:`repro.obs.memory` — the composable tape-hook chain and the PR-5
-  health layer on top of it: NaN/Inf/overflow detection with full op
-  provenance (:class:`NumericsAnomaly`), per-epoch gradient-health
-  gauges with dead-op detection, and tape memory accounting behind
-  ``repro report memory``.
+* :mod:`repro.obs.health` + :mod:`repro.obs.memory` — the health
+  layer, two more hooks on the tensor-owned tape-hook chain
+  (:func:`repro.autograd.tensor.add_tape_hook`): NaN/Inf/overflow
+  detection with full op provenance (:class:`NumericsAnomaly`),
+  per-epoch gradient-health gauges with dead-op detection, and tape
+  memory accounting behind ``repro report memory``.
 
 :class:`ProfileSession` bundles the profiling side for ``repro
 profile``::
@@ -61,7 +63,7 @@ and :func:`record_events` captures telemetry::
         run_search()
 """
 
-from repro.obs.autograd import AutogradProfiler, OpStats, profile_autograd
+from repro.obs.autograd import AutogradProfiler, OpStats, op_name, profile_autograd
 from repro.obs.context import (
     PATH_STAGES,
     REQUEST_SPAN,
@@ -87,14 +89,12 @@ from repro.obs.health import (
     NumericsAnomaly,
     check_numerics,
     get_monitor,
-    op_scope,
 )
 from repro.obs.memory import (
     MemoryTracker,
     render_memory_report,
     render_memory_report_file,
 )
-from repro.obs.tape import add_tape_hook, remove_tape_hook
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.report import SpanAggregate, aggregate_spans, format_table, hotspot_report
 from repro.obs.bench_gate import Verdict
@@ -125,7 +125,7 @@ from repro.obs.sinks import (
     RecordWarning,
     read_records,
 )
-from repro.obs.spans import ReplaySpan, Span, Tracer, get_tracer, span
+from repro.obs.spans import ReplaySpan, Span, Tracer, get_tracer, op_scope, span
 
 __all__ = [
     "ReplaySpan",
@@ -133,6 +133,7 @@ __all__ = [
     "Tracer",
     "get_tracer",
     "span",
+    "op_scope",
     "Counter",
     "Gauge",
     "Histogram",
@@ -149,6 +150,7 @@ __all__ = [
     "AutogradProfiler",
     "OpStats",
     "profile_autograd",
+    "op_name",
     "ProfileSession",
     "EventRecorder",
     "record_events",
@@ -159,12 +161,9 @@ __all__ = [
     "NumericsAnomaly",
     "check_numerics",
     "get_monitor",
-    "op_scope",
     "MemoryTracker",
     "render_memory_report",
     "render_memory_report_file",
-    "add_tape_hook",
-    "remove_tape_hook",
     "TraceContext",
     "RequestTrace",
     "RequestTracer",

@@ -6,25 +6,22 @@ NaN born in one candidate's ``segment_softmax`` poisons the Eq. 2
 mixture, then the alpha gradients, then the derived genotype — and
 without this layer nothing notices until the final score looks wrong.
 
-:class:`HealthMonitor` plugs into the same ``Tensor._from_op`` dispatch
-point as the op profiler (via the :mod:`repro.obs.tape` chain) and
-checks every op's forward output, and every gradient its VJP produces,
-for NaN / Inf / overflow. On the first anomaly it raises (mode
-``"raise"``) or records (mode ``"warn"``) a :class:`NumericsAnomaly`
-carrying the op name, the supernet edge / layer the op ran under (from
-:func:`op_scope` annotations), the search epoch, and the span path —
-enough to name the exact faulty op without a debugger.
+:class:`HealthMonitor` is a hook on the same ``Tensor._from_op``
+dispatch chain as the op profiler
+(:func:`repro.autograd.tensor.add_tape_hook`) and checks every op's
+forward output, and every gradient its VJP produces, for NaN / Inf /
+overflow. On the first anomaly it raises (mode ``"raise"``) or records
+(mode ``"warn"``) a :class:`NumericsAnomaly` carrying the op name, the
+supernet edge / layer the op ran under, the search epoch, and the span
+path — enough to name the exact faulty op without a debugger.
 
-Provenance comes from two always-cheap sources:
-
-* **op scopes** — ``SaneSupernet.embed`` wraps each candidate call in
-  :func:`op_scope`; while no monitor is installed the function returns
-  a shared no-op context manager, so the annotated forward stays
-  bit-identical to an unannotated one;
-* **the span stack** — the process tracer records nesting whether or
-  not sinks are attached, so the epoch index and span path are read
-  off ``get_tracer()`` at anomaly time (forward) or captured at
-  forward time for the backward check.
+All of it is read off the process tracer, which records nesting
+whether or not sinks are attached: the edge and layer are the
+attributes of the innermost ``op`` span (the supernets open one per
+candidate, mixture and skip with :func:`repro.obs.spans.op_scope`),
+the epoch index and span path come from :meth:`Tracer.position`. They
+are read at forward time, so the backward check reports the forward
+op's site.
 
 The monitor also aggregates per-epoch gradient-health gauges (alpha /
 weight grad-norm ratio, update-to-parameter scale, dead-op detection
@@ -43,16 +40,15 @@ from typing import Iterator
 
 import numpy as np
 
+from repro.autograd import tensor
 from repro.obs import events
-from repro.obs import tape
+from repro.obs.autograd import op_name
 from repro.obs.search_telemetry import grad_l2_norm
 from repro.obs.spans import get_tracer
 
 __all__ = [
     "NumericsAnomaly",
     "HealthMonitor",
-    "op_scope",
-    "current_op_scope",
     "install",
     "uninstall",
     "get_monitor",
@@ -113,60 +109,6 @@ class NumericsAnomaly(RuntimeError):
 
 
 # ---------------------------------------------------------------------
-# op scopes: supernet-edge provenance for tape-level anomalies
-# ---------------------------------------------------------------------
-_SCOPES: list[dict] = []
-
-
-class _OpScope:
-    __slots__ = ("attrs",)
-
-    def __init__(self, attrs: dict):
-        self.attrs = attrs
-
-    def __enter__(self) -> "_OpScope":
-        _SCOPES.append(self.attrs)
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        _SCOPES.pop()
-        return False
-
-
-class _NullScope:
-    """Shared do-nothing scope returned while no monitor is installed."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullScope":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return False
-
-
-_NULL_SCOPE = _NullScope()
-
-
-def op_scope(edge: str | None = None, layer: int | None = None, op: str | None = None):
-    """Annotate the ops dispatched inside the block with edge provenance.
-
-    While no monitor is installed this returns a shared no-op context
-    manager — the annotated code path performs no list mutation, no
-    allocation, and no RNG draws, keeping monitor-off runs
-    bit-identical.
-    """
-    if _MONITOR is None:
-        return _NULL_SCOPE
-    return _OpScope({"edge": edge, "layer": layer, "op": op})
-
-
-def current_op_scope() -> dict | None:
-    """The innermost active op-scope annotation, if any."""
-    return _SCOPES[-1] if _SCOPES else None
-
-
-# ---------------------------------------------------------------------
 # the monitor
 # ---------------------------------------------------------------------
 class HealthMonitor:
@@ -205,20 +147,14 @@ class HealthMonitor:
     # ------------------------------------------------------------------
     def install(self) -> "HealthMonitor":
         if not self.installed:
-            # Claim the singleton before touching the tape chain, so a
-            # conflicting install leaves no orphaned hook behind.
-            install(self)
-            try:
-                tape.add_tape_hook(self._tape_hook)
-            except Exception:
-                uninstall(self)
-                raise
+            install(self)  # raises while another monitor is installed
+            tensor.add_tape_hook(self._tape_hook)
             self.installed = True
         return self
 
     def uninstall(self) -> None:
         if self.installed:
-            tape.remove_tape_hook(self._tape_hook)
+            tensor.remove_tape_hook(self._tape_hook)
             self.installed = False
             uninstall(self)
 
@@ -242,13 +178,14 @@ class HealthMonitor:
 
     def _tape_hook(self, data, parents, backward_fn):
         self.checked_entries += 1
-        op = tape.op_name(backward_fn)
-        scope = current_op_scope() or {}
+        op = op_name(backward_fn)
         kind = self._classify(np.asarray(data))
-        span_path, epoch_span = get_tracer().position()
+        tracer = get_tracer()
+        span_path, epoch_span = tracer.position()
         epoch = epoch_span[1] if epoch_span is not None else None
-        edge = scope.get("edge")
-        layer = scope.get("layer")
+        scope = tracer.innermost("op")
+        edge = scope.attrs["edge"] if scope is not None else None
+        layer = scope.attrs["layer"] if scope is not None else None
         if kind is not None:
             self._report(
                 NumericsAnomaly(

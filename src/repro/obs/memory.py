@@ -5,8 +5,9 @@ its output array (and whatever arrays its backward closure captured)
 until the backward pass releases the tape, so peak tape memory — not
 the model's parameter count — is what bounds the supernet size.
 
-:class:`MemoryTracker` observes ``Tensor._from_op`` through the
-:mod:`repro.obs.tape` chain and accounts, per tape entry,
+:class:`MemoryTracker` is a hook on the ``Tensor._from_op`` dispatch
+chain (:func:`repro.autograd.tensor.add_tape_hook`) and accounts, per
+tape entry,
 
 * **output bytes** — the op's result array;
 * **input bytes** — the parents' arrays (attributed, not owned: parents
@@ -35,7 +36,8 @@ import weakref
 
 import numpy as np
 
-from repro.obs import tape
+from repro.autograd import tensor
+from repro.obs.autograd import op_name
 from repro.obs.report import bytes_human, format_table, last_record
 from repro.obs.sinks import read_records
 from repro.obs.spans import get_tracer
@@ -95,8 +97,8 @@ class _SiteStats:
 class MemoryTracker:
     """Accounts tape-node bytes per op, per span path, and per epoch.
 
-    Install/uninstall pairs with the :mod:`repro.obs.tape` chain, so the
-    tracker composes with the op profiler and the health monitor.
+    Install/uninstall adds/removes its hook on the tape-hook chain, so
+    the tracker composes with the op profiler and the health monitor.
     Cumulative stats survive ``uninstall`` for post-run reporting.
     """
 
@@ -113,13 +115,13 @@ class MemoryTracker:
     # ------------------------------------------------------------------
     def install(self) -> "MemoryTracker":
         if not self.installed:
-            tape.add_tape_hook(self._tape_hook)
+            tensor.add_tape_hook(self._tape_hook)
             self.installed = True
         return self
 
     def uninstall(self) -> None:
         if self.installed:
-            tape.remove_tape_hook(self._tape_hook)
+            tensor.remove_tape_hook(self._tape_hook)
             self.installed = False
 
     def __enter__(self) -> "MemoryTracker":
@@ -143,7 +145,7 @@ class MemoryTracker:
         retained = _retained_bytes(backward_fn, data, parents)
         path, epoch = get_tracer().position()
         path = path or "<no-span>"
-        op = tape.op_name(backward_fn)
+        op = op_name(backward_fn)
 
         entry_bytes = out_bytes + retained
         self.current_live += entry_bytes

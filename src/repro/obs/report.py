@@ -8,8 +8,9 @@ report ``repro profile`` prints:
 * **phase breakdown** — spans aggregated by their path in the span tree
   (``search/epoch/weight_step``), with cumulative, self (cumulative
   minus time attributed to child spans) and mean durations;
-* **hotspot table** — top-K autograd ops ranked by self time
-  (forward self + backward), with call counts and tensor bytes;
+* **hotspot table** — top-K autograd ops ranked by backward time,
+  with tape entries, backward calls and output bytes (forward time is
+  in the phase breakdown, under the supernet's ``op`` spans);
 * **metrics** — counters/gauges/histograms, if any were recorded.
 
 It is also the one home of the text pieces every ``repro.obs`` view
@@ -231,27 +232,21 @@ def hotspot_report(
 
     if op_stats:
         ranked = sorted(
-            op_stats,
-            key=lambda s: -(s.get("forward_self", 0.0) + s.get("backward_time", 0.0)),
+            op_stats, key=lambda s: -s.get("backward_time", 0.0)
         )[: max(top, 1)]
         rows = [
             [
                 stat["name"],
-                str(stat.get("calls", 0)),
                 str(stat.get("tape_entries", 0)),
-                num(stat.get("forward_self", 0.0)),
-                num(stat.get("forward_cum", 0.0)),
+                str(stat.get("backward_calls", 0)),
                 num(stat.get("backward_time", 0.0)),
                 bytes_human(stat.get("output_bytes", 0)),
             ]
             for stat in ranked
         ]
-        lines = [f"== Top {len(ranked)} autograd ops (by self time) =="]
+        lines = [f"== Top {len(ranked)} autograd ops (by backward time) =="]
         lines.extend(
-            format_table(
-                ["op", "calls", "tape", "fwd self s", "fwd cum s", "bwd s", "out bytes"],
-                rows,
-            )
+            format_table(["op", "tape", "bwd calls", "bwd s", "out bytes"], rows)
         )
         sections.append("\n".join(lines))
 

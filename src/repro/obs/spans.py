@@ -30,7 +30,7 @@ import threading
 import time
 from typing import Callable, Iterator
 
-__all__ = ["ReplaySpan", "Span", "Tracer", "get_tracer", "span"]
+__all__ = ["ReplaySpan", "Span", "Tracer", "get_tracer", "op_scope", "span"]
 
 
 class Span:
@@ -315,6 +315,13 @@ class Tracer:
                 return "/".join(names), ("/".join(names[: depth + 1]), int(index))
         return "/".join(names), None
 
+    def innermost(self, name: str) -> Span | None:
+        """The innermost open stack span called ``name``, if any."""
+        for span in reversed(self._stack):
+            if span.name == name:
+                return span
+        return None
+
     @property
     def has_sinks(self) -> bool:
         """True when at least one sink is attached (recording is on)."""
@@ -355,3 +362,16 @@ def get_tracer() -> Tracer:
 def span(name: str, kind: str = "span", **attrs) -> Span:
     """Shorthand for ``get_tracer().span(...)``."""
     return _TRACER.span(name, kind, **attrs)
+
+
+def op_scope(edge: str | None = None, layer: int | None = None, op: str | None = None) -> Span:
+    """An ``op`` span naming the supernet (edge, layer, op) run inside it.
+
+    The one attribution scope of timing, memory and numerics: the phase
+    breakdown times it, the memory tracker's span path ends at it, and
+    the health monitor reads its attributes off the tracer
+    (:meth:`Tracer.innermost`). Opened on every forward, with or without
+    sinks or monitors; it draws no randomness, so seeded runs stay
+    bit-identical.
+    """
+    return _TRACER.span("op", "op", edge=edge, layer=layer, op=op)

@@ -6,7 +6,7 @@ and the alpha step, so every VJP must return one gradient per parent,
 must not drop a gradient a parent asked for, and must not write into
 storage the tape still holds. :class:`ContractProbe` checks those
 contracts by *executing* the ops. It is a tape hook (registered through
-:func:`repro.obs.tape.add_tape_hook`) that, for every recorded op:
+:func:`repro.autograd.tensor.add_tape_hook`) that, for every recorded op:
 
 * copies the output array and each parent's ``.data`` at record time;
 * wraps the backward closure, and after the closure runs asserts
@@ -46,8 +46,8 @@ from collections import defaultdict
 import numpy as np
 
 from repro.autograd.kernels import LruMap
-from repro.autograd.tensor import is_grad_enabled
-from repro.obs.tape import add_tape_hook, op_name, remove_tape_hook
+from repro.autograd.tensor import add_tape_hook, is_grad_enabled, remove_tape_hook
+from repro.obs.autograd import op_name
 
 __all__ = [
     "RETAINS",

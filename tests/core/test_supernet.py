@@ -6,6 +6,7 @@ import pytest
 from repro.core.search_space import SearchSpace
 from repro.core.supernet import SaneSupernet
 from repro.gnn.common import GraphCache
+from repro.obs import InMemorySink, get_monitor, get_tracer
 
 SMALL_SPACE = SearchSpace(
     num_layers=2, node_ops=("gcn", "gat", "sage-mean"), layer_ops=("concat", "max")
@@ -39,6 +40,33 @@ class TestConstruction:
     def test_invalid_epsilon(self, tiny_graph):
         with pytest.raises(ValueError, match="epsilon"):
             make_supernet(tiny_graph, epsilon=1.5)
+
+
+class TestOpScopes:
+    def test_forward_opens_one_op_span_per_candidate_mixture_and_skip(
+        self, tiny_graph, tiny_cache
+    ):
+        space = SearchSpace(num_layers=3)
+        net = make_supernet(tiny_graph, space=space)
+        assert get_monitor() is None  # scopes do not depend on a monitor
+        sink = InMemorySink()
+        with get_tracer().collect(sink):
+            net(tiny_graph.features, tiny_cache)
+        scopes = [
+            (span.attrs["edge"], span.attrs["layer"], span.attrs["op"])
+            for span in sink.spans
+            if span.name == "op" and span.kind == "op"
+        ]
+        expected = []
+        for layer in range(3):
+            node = f"node/{layer}"
+            expected += [(node, layer, op) for op in space.node_ops]
+            expected.append((node, layer, "mixture"))
+        expected += [(f"skip/{layer}", layer, "identity") for layer in range(3)]
+        expected += [("layer/0", None, op) for op in space.layer_ops]
+        expected.append(("layer/0", None, "mixture"))
+        assert len(scopes) == 43
+        assert scopes == expected
 
 
 class TestParameterGroups:

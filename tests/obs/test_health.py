@@ -19,12 +19,10 @@ from repro.obs.health import (
     HealthMonitor,
     NumericsAnomaly,
     check_numerics,
-    current_op_scope,
     enabled,
     get_monitor,
-    op_scope,
 )
-from repro.obs.spans import get_tracer
+from repro.obs.spans import get_tracer, op_scope
 
 SMALL_SPACE = SearchSpace(
     num_layers=2, node_ops=("gcn", "sage-mean"), layer_ops=("concat", "max")
@@ -228,14 +226,6 @@ class TestZeroOverhead:
         assert monitor.anomalies == []
         assert len(monitor.epoch_reports) == FAST.epochs
 
-    def test_op_scope_is_shared_null_object_when_off(self):
-        assert get_monitor() is None
-        scope_a = op_scope(edge="node/0", layer=0, op="gcn")
-        scope_b = op_scope(edge="node/1", layer=1, op="gat")
-        assert scope_a is scope_b  # shared no-op: no allocation per call
-        with scope_a:
-            assert current_op_scope() is None
-
 
 class TestMonitorLifecycle:
     def test_install_uninstall_restores_tape_hook(self):
@@ -267,6 +257,23 @@ class TestMonitorLifecycle:
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
             HealthMonitor(mode="explode")
+
+
+class TestOpSpanProvenance:
+    def test_anomaly_names_the_innermost_op_span(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with check_numerics(mode="warn") as monitor:
+            with op_scope(edge="layer/0", layer=None, op="concat"):
+                with op_scope(edge="node/1", layer=1, op="gat"):
+                    _ = x * float("nan")
+                _ = x * float("inf")
+            _ = x * float("nan")
+        sites = [(a.kind, a.edge, a.layer, a.span_path) for a in monitor.anomalies]
+        assert sites == [
+            ("NaN", "node/1", 1, "op/op"),
+            ("Inf", "layer/0", None, "op"),
+            ("NaN", None, None, ""),
+        ]
 
 
 class TestClassification:

@@ -77,13 +77,12 @@ class TestHotspotReport:
 
     def test_op_section_ranked_and_truncated(self):
         op_stats = [
-            {"name": f"op{i}", "calls": 1, "tape_entries": 1,
-             "forward_self": float(i), "forward_cum": float(i),
-             "backward_time": 0.0, "output_bytes": 1024 * i}
+            {"name": f"op{i}", "tape_entries": 1, "backward_calls": 1,
+             "backward_time": float(i), "output_bytes": 1024 * i}
             for i in range(5)
         ]
         text = hotspot_report([], op_stats=op_stats, top=3)
-        assert "== Top 3 autograd ops (by self time) ==" in text
+        assert "== Top 3 autograd ops (by backward time) ==" in text
         assert "op4" in text and "op2" in text
         assert "op1" not in text and "op0" not in text
         assert "4.0KB" in text  # output_bytes rendered human-readable

@@ -94,7 +94,7 @@ class TestProfileCommand:
         out = capsys.readouterr().out
         assert "architecture:" in out
         assert "== Phase breakdown (spans) ==" in out
-        assert "autograd ops (by self time)" in out
+        assert "autograd ops (by backward time)" in out
         assert str(trace) in out
 
         records = read_records(trace, kind="trace")
