@@ -161,17 +161,23 @@ def _render_queue_timeline(trees: list[RequestTree]) -> list[str]:
         lines.append("(zero-length run)")
         return lines
     # Sweep the +1/-1 endpoint events; track the max depth per bucket.
+    # The depth before an event holds in every bucket since the last
+    # one, the event's own bucket included.
     events = sorted(
         [(start, 1) for start, _ in intervals]
         + [(end, -1) for _, end in intervals]
     )
     buckets = [0.0] * SPARK_WIDTH
     depth = 0
+    last = 0
     scale = SPARK_WIDTH / (t1 - t0)
     for at, delta in events:
-        depth += delta
         index = min(SPARK_WIDTH - 1, int((at - t0) * scale))
+        for held in range(last, index + 1):
+            buckets[held] = max(buckets[held], depth)
+        depth += delta
         buckets[index] = max(buckets[index], depth)
+        last = index
     peak = max(buckets)
     lines.append(f"waiting {sparkline(buckets, low=0.0)} (peak {int(peak)})")
     lines.append(

@@ -1,10 +1,13 @@
 """The ``repro report serve`` dashboard over a synthetic serve trace."""
 
+import types
+
 import pytest
 
 from repro.obs import JsonlSink, MetricsRegistry, Tracer
 from repro.obs.context import PATH_STAGES, REQUEST_STAGES, RequestTracer
 from repro.obs.serve_report import (
+    _render_queue_timeline,
     load_request_trees,
     render_serve_report,
 )
@@ -62,6 +65,27 @@ class TestLoadRequestTrees:
         assert [tree.trace_id for tree in trees] == [
             "t-00000000", "t-00000001",
         ]
+
+
+def queued(start: float, end: float):
+    """A request tree stand-in holding one queue_wait stage."""
+    return types.SimpleNamespace(
+        stages=[{"name": "queue_wait", "start": start, "end": end}]
+    )
+
+
+class TestQueueTimeline:
+    def test_waiting_request_holds_its_depth_between_events(self):
+        # One request waits the whole window and a second joins for its
+        # last 5%: no bucket of the window has an empty queue.
+        lines = _render_queue_timeline([queued(0.0, 1.0), queued(0.95, 1.0)])
+        assert lines[1] == "waiting " + "▄" * 30 + "██" + " (peak 2)"
+
+    def test_gap_between_requests_reads_empty(self):
+        lines = _render_queue_timeline([queued(0.0, 0.25), queued(0.75, 1.0)])
+        cells = lines[1].split()[1]
+        assert cells == "█" * 9 + "▁" * 15 + "█" * 8
+        assert lines[1].endswith("(peak 1)")
 
 
 class TestRenderServeReport:
