@@ -22,13 +22,9 @@ from repro.core.search import SaneSearcher, SearchConfig, derive_from_alphas
 from repro.core.search_space import SearchSpace
 from repro.experiments.config import Scale
 from repro.experiments.results import render_table
-from repro.experiments.runners import task_settings
+from repro.experiments.runners import search_nas_method, task_settings
 from repro.graph.datasets import load_dataset
 from repro.nas.encoding import sane_decision_space
-from repro.nas.evaluation import ArchitectureEvaluator
-from repro.nas.graphnas import graphnas_search
-from repro.nas.random_search import random_search
-from repro.nas.tpe import tpe_search
 from repro.parallel import SearchJob, WorkerPool
 
 __all__ = ["Figure3Result", "run_figure3"]
@@ -78,22 +74,9 @@ def _figure3_cell(
     space = SearchSpace(num_layers=3)
 
     if method != "sane":
-        evaluator = ArchitectureEvaluator(
-            sane_decision_space(space),
-            data,
-            train_config=settings.train_config,
-            hidden_dim=scale.hidden_dim,
-            dropout=settings.dropout,
-            seed=seed,
+        outcome = search_nas_method(
+            method, data, scale, sane_decision_space(space), seed=seed
         )
-        if method == "random":
-            outcome = random_search(evaluator, scale.nas_candidates, seed=seed)
-        elif method == "bayesian":
-            outcome = tpe_search(evaluator, scale.nas_candidates, seed=seed)
-        else:
-            outcome = graphnas_search(
-                evaluator, scale.nas_candidates, seed=seed, num_final_samples=1
-            )
         return [(float(t), float(s)) for t, s in outcome.trajectory]
 
     # SANE anytime curve: derive + retrain at alpha checkpoints.

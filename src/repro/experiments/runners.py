@@ -9,7 +9,9 @@ table/figure modules stay declarative:
   independent searches, best-by-validation selection among the derived
   top-1 architectures, then multi-seed retraining (Section IV-A3);
 * :func:`run_nas_method` — Random / Bayesian / GraphNAS(-WS) over a
-  decision space, then multi-seed retraining of the winner.
+  decision space, then multi-seed retraining of the winner; the search
+  itself is :func:`search_nas_method`, which Table VII and Figure 3
+  call too.
 
 ``run_sane`` expresses its three stages — search seeds, candidate
 probes, retraining repeats — as :class:`repro.parallel.SearchJob`
@@ -49,6 +51,7 @@ __all__ = [
     "run_human_baseline",
     "run_sane",
     "run_nas_method",
+    "search_nas_method",
     "SaneRun",
     "NasRun",
     "NAS_METHODS",
@@ -301,6 +304,57 @@ class NasRun:
     best_decoded: object
 
 
+def search_nas_method(
+    method: str,
+    data: Graph | MultiGraphDataset,
+    scale: Scale,
+    space: DecisionSpace,
+    seed: int,
+    evaluator_seed: int | None = None,
+    num_final_samples: int = 1,
+    rollout_batch: int = 1,
+    pool: WorkerPool | None = None,
+) -> SearchOutcome:
+    """One trial-and-error search of ``method`` over ``space``.
+
+    The one place the Random / Bayesian / GraphNAS(-WS) methods are
+    dispatched: builds the candidate evaluator (seeded
+    ``evaluator_seed``, default ``seed``; weight sharing for
+    ``graphnas-ws``) and runs the method's search with ``seed``.
+    ``rollout_batch`` applies to the adaptive methods, and
+    ``num_final_samples`` to GraphNAS.
+    """
+    settings = task_settings(data, scale)
+    evaluator = ArchitectureEvaluator(
+        space,
+        data,
+        train_config=settings.train_config,
+        hidden_dim=scale.hidden_dim,
+        dropout=settings.dropout,
+        seed=seed if evaluator_seed is None else evaluator_seed,
+        weight_sharing=(method == "graphnas-ws"),
+        ws_epochs=scale.ws_epochs,
+    )
+    if method == "random":
+        return random_search(evaluator, scale.nas_candidates, seed=seed, pool=pool)
+    if method == "bayesian":
+        return tpe_search(
+            evaluator,
+            scale.nas_candidates,
+            seed=seed,
+            batch=rollout_batch,
+            pool=pool,
+        )
+    return graphnas_search(
+        evaluator,
+        scale.nas_candidates,
+        seed=seed,
+        num_final_samples=num_final_samples,
+        rollout_batch=rollout_batch,
+        pool=pool,
+    )
+
+
 def run_nas_method(
     method: str,
     data: Graph | MultiGraphDataset,
@@ -325,40 +379,19 @@ def run_nas_method(
         raise ValueError(f"unknown NAS method {method!r}; choose from {NAS_METHODS}")
     space = space or sane_decision_space(SearchSpace(num_layers=num_layers))
     settings = task_settings(data, scale)
-    evaluator = ArchitectureEvaluator(
-        space,
-        data,
-        train_config=settings.train_config,
-        hidden_dim=scale.hidden_dim,
-        dropout=settings.dropout,
-        seed=seed,
-        weight_sharing=(method == "graphnas-ws"),
-        ws_epochs=scale.ws_epochs,
-    )
     own_pool = pool is None
     pool = pool if pool is not None else WorkerPool(workers=workers)
     try:
-        if method == "random":
-            outcome = random_search(
-                evaluator, scale.nas_candidates, seed=seed, pool=pool
-            )
-        elif method == "bayesian":
-            outcome = tpe_search(
-                evaluator,
-                scale.nas_candidates,
-                seed=seed,
-                batch=rollout_batch,
-                pool=pool,
-            )
-        else:
-            outcome = graphnas_search(
-                evaluator,
-                scale.nas_candidates,
-                seed=seed,
-                num_final_samples=max(2, scale.nas_candidates // 3),
-                rollout_batch=rollout_batch,
-                pool=pool,
-            )
+        outcome = search_nas_method(
+            method,
+            data,
+            scale,
+            space,
+            seed=seed,
+            num_final_samples=max(2, scale.nas_candidates // 3),
+            rollout_batch=rollout_batch,
+            pool=pool,
+        )
     finally:
         if own_pool:
             pool.shutdown()

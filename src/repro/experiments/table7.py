@@ -21,13 +21,9 @@ from repro.core.search import SaneSearcher, SearchConfig
 from repro.core.search_space import SearchSpace
 from repro.experiments.config import Scale
 from repro.experiments.results import render_table
-from repro.experiments.runners import task_settings
+from repro.experiments.runners import search_nas_method
 from repro.graph.datasets import load_dataset
 from repro.nas.encoding import sane_decision_space
-from repro.nas.evaluation import ArchitectureEvaluator
-from repro.nas.graphnas import graphnas_search
-from repro.nas.random_search import random_search
-from repro.nas.tpe import tpe_search
 from repro.parallel import SearchJob, WorkerPool
 
 __all__ = ["Table7Result", "run_table7"]
@@ -84,24 +80,15 @@ def _table7_cell(method: str, dataset: str, scale: Scale, seed: int) -> float:
         )
         return float(searcher.search().search_time)
 
-    settings = task_settings(data, scale)
     evaluator_seed = {"random": seed, "bayesian": seed + 1, "graphnas": seed + 2}
-    evaluator = ArchitectureEvaluator(
-        sane_decision_space(space),
+    outcome = search_nas_method(
+        method,
         data,
-        train_config=settings.train_config,
-        hidden_dim=scale.hidden_dim,
-        dropout=settings.dropout,
-        seed=evaluator_seed[method],
+        scale,
+        sane_decision_space(space),
+        seed=seed,
+        evaluator_seed=evaluator_seed[method],
     )
-    if method == "random":
-        outcome = random_search(evaluator, scale.nas_candidates, seed=seed)
-    elif method == "bayesian":
-        outcome = tpe_search(evaluator, scale.nas_candidates, seed=seed)
-    else:
-        outcome = graphnas_search(
-            evaluator, scale.nas_candidates, seed=seed, num_final_samples=1
-        )
     return float(outcome.search_time)
 
 
