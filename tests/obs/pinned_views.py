@@ -11,8 +11,12 @@ Each view renders committed inputs under ``tests/obs/fixtures/`` and
 * ``serve-trace.jsonl`` — ``repro serve --bench --trace`` at smoke
   scale (real clock; recorded once);
 * ``bench/`` — a hand-written baseline/fresh pair that meets every
-  gate status;
-* ``benchmarks/history/seed.jsonl`` — the committed run-ledger seed.
+  gate status, and a fresh payload with no baseline;
+* ``benchmarks/history/seed.jsonl`` — the committed run-ledger seed;
+* ``runs-lineage.jsonl`` — ``repro runs`` manifests of a smoke ``sweep
+  cora --methods sane random`` (children), an ``export baseline gcn
+  cora`` (artifacts) and a ``serve`` of that export (lineage), recorded
+  once.
 
 Re-record the inputs or the expected texts with::
 
@@ -46,6 +50,12 @@ _SEARCH_RUN = "r821643f25a08"
 _LATER_SEARCH_RUN = "r18d6485da881"
 _SERVE_RUN = "r2b4ac44dfd12"
 
+# runs-lineage.jsonl: the sweep, the export, and the serve it fed.
+LINEAGE_HISTORY = FIXTURES / "runs-lineage.jsonl"
+_SWEEP_RUN = "rf6e14135f765"
+_EXPORT_RUN = "rbb0deda42540"
+_LINEAGE_SERVE_RUN = "r89b3ce5500cd"
+
 _LEVELS = [
     LevelResult(1, 64, 0.2125, 301.17647, 0.0031, 0.00675, "t-63"),
     LevelResult(4, 64, 0.0875, 731.42857, 0.00485, 0.0112, "t-101"),
@@ -78,8 +88,8 @@ def _hotspot() -> str:
     ) + "\n"
 
 
-def _runs(*argv: str) -> str:
-    return _cli("runs", *argv, "--history", str(SEED_HISTORY))
+def _runs(*argv: str, history: Path = SEED_HISTORY) -> str:
+    return _cli("runs", *argv, "--history", str(history))
 
 
 RENDERERS = {
@@ -96,8 +106,19 @@ RENDERERS = {
         "report", "bench", "--baselines", "bench/baselines",
         "--bench-dir", "bench/fresh",
     ),
+    "report-bench-no-baseline": lambda: _cli(
+        "report", "bench", "--baselines", "bench/baselines",
+        "bench/fresh/BENCH_new.json",
+    ),
     "runs-list": lambda: _runs("list"),
     "runs-show": lambda: _runs("show", _SEARCH_RUN),
+    "runs-show-sweep": lambda: _runs("show", _SWEEP_RUN, history=LINEAGE_HISTORY),
+    "runs-show-export": lambda: _runs(
+        "show", _EXPORT_RUN, history=LINEAGE_HISTORY
+    ),
+    "runs-show-serve": lambda: _runs(
+        "show", _LINEAGE_SERVE_RUN, history=LINEAGE_HISTORY
+    ),
     "runs-diff": lambda: _runs("diff", _SEARCH_RUN, _LATER_SEARCH_RUN),
     "runs-diff-commands": lambda: _runs("diff", _SEARCH_RUN, _SERVE_RUN),
     "runs-trend": lambda: _runs(
