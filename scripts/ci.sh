@@ -75,7 +75,9 @@ DIGEST_PAR="$(grep '^digest:' <<<"$SWEEP_PAR")"
 # writes (a smoke profile with events and tape memory) through report
 # run, report diff (the trace against itself) and report memory, so a
 # renderer that breaks on live records fails here even while those
-# fixtures are stale.
+# fixtures are stale. The trace must also hold the supernet's (edge,
+# layer, op) scopes as "op" spans, which timing, tape memory and the
+# health monitor all attribute to.
 echo "==> repro profile + report run/diff/memory over a live trace"
 PROFILE_DIR="$(mktemp -d)"
 PROFILE_TRACE="$PROFILE_DIR/trace.jsonl"
@@ -87,8 +89,18 @@ python -m repro report memory "$PROFILE_TRACE" > "$PROFILE_DIR/memory.txt"
 grep -q '^entropy collapse:' "$PROFILE_DIR/run.txt"
 grep -q '^final genotype: identical' "$PROFILE_DIR/diff.txt"
 grep -q '^-- Peak tape memory per epoch' "$PROFILE_DIR/memory.txt"
+grep -q '"kind": "op"' "$PROFILE_TRACE"
+grep -q '/op ' "$PROFILE_DIR/profile.txt"
 head -n 3 "$PROFILE_DIR/run.txt"
 rm -rf "$PROFILE_DIR"
+
+# `search --check-numerics` is the one CLI path that installs the tape
+# health monitor; a healthy smoke search must finish under `raise` and
+# report the entries it checked.
+echo "==> repro search --check-numerics raise"
+HEALTH_OUT="$(REPRO_SCALE=smoke python -m repro search cora --check-numerics raise)"
+grep '^tape health:' <<<"$HEALTH_OUT"
+grep -q '^tape health: .* 0 anomalies' <<<"$HEALTH_OUT"
 
 # The repo benchmark (perfbench/, declared by BENCHMARK.json) hooks
 # library internals in its traced runs; run its self-tests and one
@@ -252,7 +264,7 @@ from repro.obs import RunLedger
 
 tail = RunLedger(sys.argv[1]).read()[-int(sys.argv[2]):]
 commands = {manifest.command for manifest in tail}
-expected = {"lint", "sweep"}
+expected = {"lint", "sweep", "search"}
 if os.environ.get("SKIP_BENCH", "0") != "1":
     expected |= {"export", "serve", "bench"}
 missing = expected - commands
