@@ -364,7 +364,7 @@ def span(name: str, kind: str = "span", **attrs) -> Span:
     return _TRACER.span(name, kind, **attrs)
 
 
-def op_scope(edge: str | None = None, layer: int | None = None, op: str | None = None) -> Span:
+def op_scope(*, edge: str, layer: int | None, op: str) -> Span:
     """An ``op`` span naming the supernet (edge, layer, op) run inside it.
 
     The one attribution scope of timing, memory and numerics: the phase
