@@ -554,23 +554,31 @@ def _hotspot_deltas(
         return []
     totals_a = {agg.path: agg.total for agg in aggregate_spans(spans_a)}
     totals_b = {agg.path: agg.total for agg in aggregate_spans(spans_b)}
-    # Ties (equal deltas) keep name order, not set order, so the table
-    # does not change with the interpreter's string hash seed.
-    shared = sorted(
-        sorted(set(totals_a) & set(totals_b)),
-        key=lambda path: -abs(totals_b[path] - totals_a[path]),
-    )
+    shared = set(totals_a) & set(totals_b)
     if not shared:
         return []
+    # A delta that prints as zero is float summation noise, not a move;
+    # listing it would push real moves out of the table. Ties (equal
+    # deltas) keep name order, not set order, so the table does not
+    # change with the interpreter's string hash seed.
+    moved = sorted(
+        sorted(
+            path for path in shared
+            if float(f"{totals_b[path] - totals_a[path]:.4f}") != 0.0
+        ),
+        key=lambda path: -abs(totals_b[path] - totals_a[path]),
+    )
+    lines = [f"hotspot deltas (cumulative seconds, {label_b} - {label_a}):"]
+    if not moved:
+        return [*lines, "(no phase moved at 4-decimal precision)"]
     rows = []
-    for path in shared[:top]:
+    for path in moved[:top]:
         base = totals_a[path]
         delta = totals_b[path] - base
         rows.append(
             [path, num(base), num(totals_b[path]), f"{delta:+.4f}",
              change_pct(delta / base if base > 1e-12 else None, "n/a")]
         )
-    lines = [f"hotspot deltas (cumulative seconds, {label_b} - {label_a}):"]
     lines.extend(
         format_table(["phase", label_a, label_b, "delta", "pct"], rows)
     )

@@ -376,3 +376,38 @@ class TestRenderDiff:
         lines = render_diff(*paths).splitlines()
         listed = [line.split()[0] for line in lines if line.startswith("x")]
         assert listed == names + names
+
+    def _write_span_trace(self, path, durations):
+        import json
+
+        records = [
+            {"type": "meta", "kind": "trace", "version": 1, "label": path.stem},
+            {"type": "event", "event": "search_start", "data": {}, "t": 0.0},
+            {"type": "event", "event": "search_end", "data": {}, "t": 1.0},
+        ]
+        records += [
+            {"type": "span", "id": index, "parent": None, "name": name, "dur": dur}
+            for index, (name, dur) in enumerate(durations)
+        ]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        return path
+
+    def test_float_noise_deltas_are_left_out(self, tmp_path):
+        # 0.1 + 0.2 and 0.3 differ by ~5.6e-17: the row would print as
+        # "-0.0000 -0.0%" and take a top-8 slot from a real move.
+        assert 0.1 + 0.2 != 0.3
+        path_a = self._write_span_trace(
+            tmp_path / "a.jsonl", [("noise", 0.1), ("noise", 0.2), ("real", 1.0)]
+        )
+        path_b = self._write_span_trace(
+            tmp_path / "b.jsonl", [("noise", 0.3), ("real", 1.5)]
+        )
+        lines = render_diff(path_a, path_b).splitlines()
+        listed = [line.split()[0] for line in lines if line.startswith(("noise", "real"))]
+        assert listed == ["real"]
+
+    def test_no_moved_phase_is_said_once(self, tmp_path):
+        path = self._write_span_trace(tmp_path / "a.jsonl", [("noise", 0.3)])
+        text = render_diff(path, path)
+        assert "(no phase moved at 4-decimal precision)" in text
+        assert "-0.0000" not in text and "+0.0000" not in text
