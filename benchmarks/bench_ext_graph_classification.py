@@ -10,12 +10,12 @@ import numpy as np
 
 from repro.graphclf import (
     GraphClassifier,
-    GraphClfConfig,
     GraphSearchConfig,
     generate_graph_dataset,
     search_graph_classifier,
     train_graph_classifier,
 )
+from repro.train import TrainConfig
 
 from common import bench_scale, show
 
@@ -24,7 +24,7 @@ def run_extension(scale):
     dataset = generate_graph_dataset(
         seed=0, graphs_per_class=max(6, int(14 * scale.dataset_scale))
     )
-    config = GraphClfConfig(epochs=scale.train_epochs)
+    config = TrainConfig(epochs=scale.train_epochs)
 
     fixed = {}
     for pooling in ("mean", "max", "sum", "attention"):

@@ -14,18 +14,18 @@ import numpy as np
 
 from repro.graphclf import (
     GraphClassifier,
-    GraphClfConfig,
     GraphSearchConfig,
     generate_graph_dataset,
     search_graph_classifier,
     train_graph_classifier,
 )
+from repro.train import TrainConfig
 
 
 def main():
     dataset = generate_graph_dataset(seed=0, graphs_per_class=14)
     print(f"Dataset: {dataset} (classes: ring / star / blocks / random)")
-    config = GraphClfConfig(epochs=150)
+    config = TrainConfig(epochs=150)
 
     print("\nFixed GCN encoder, each pooling readout:")
     for pooling in ("mean", "max", "sum", "attention"):

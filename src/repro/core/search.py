@@ -20,17 +20,14 @@ import dataclasses
 
 import numpy as np
 
-from repro.autograd import functional as F
-from repro.autograd import no_grad
 from repro.core import bilevel
 from repro.core.search_space import Architecture, SearchSpace
 from repro.core.supernet import SaneSupernet, derive_from_alphas
 from repro.graph.data import Graph, MultiGraphDataset
-from repro.gnn.common import GraphCache
 from repro.nn.optim import Adam
 from repro.nn.schedulers import create_scheduler
 from repro.obs.search_telemetry import SearchTelemetry
-from repro.train.metrics import accuracy, micro_f1
+from repro.train.trainer import graph_caches, node_mode, split_loss, split_score
 
 __all__ = ["SearchConfig", "SearchResult", "SaneSearcher", "derive_from_alphas"]
 
@@ -108,12 +105,7 @@ class SaneSearcher:
         self.seed = seed
         self._rng = np.random.default_rng(seed)
 
-        if isinstance(data, Graph):
-            self._mode = "transductive"
-        elif isinstance(data, MultiGraphDataset):
-            self._mode = "inductive"
-        else:
-            raise TypeError(f"cannot search over {type(data).__name__}")
+        self._mode = node_mode(data)
 
         self.supernet = SaneSupernet(
             space=space,
@@ -142,10 +134,7 @@ class SaneSearcher:
         self._w_scheduler = create_scheduler(
             self.config.w_lr_schedule, self._w_optimizer, self.config.epochs
         )
-        if self._mode == "transductive":
-            self._caches = {id(data): GraphCache(data)}
-        else:
-            self._caches = {id(g): GraphCache(g) for g in data.all_graphs}
+        self._caches = graph_caches(data)
 
     # ------------------------------------------------------------------
     def search(self) -> SearchResult:
@@ -265,36 +254,9 @@ class SaneSearcher:
         )
 
     def _loss(self, split: str):
-        if self._mode == "transductive":
-            graph = self.data
-            mask = graph.mask(split)
-            logits = self.supernet(graph.features, self._caches[id(graph)])
-            return F.cross_entropy(logits[mask], graph.labels[mask])
-        graphs = (
-            self.data.train_graphs if split == "train" else self.data.val_graphs
-        )
-        total = None
-        for graph in graphs:
-            logits = self.supernet(graph.features, self._caches[id(graph)])
-            loss = F.binary_cross_entropy_with_logits(
-                logits, graph.labels.astype(np.float64)
-            )
-            total = loss if total is None else total + loss
-        return total / len(graphs)
+        return split_loss(self.supernet, self.data, split, self._caches)
 
     # ------------------------------------------------------------------
     def validation_score(self) -> float:
         """Supernet validation accuracy / micro-F1 (progress signal)."""
-        self.supernet.eval()
-        with no_grad():
-            if self._mode == "transductive":
-                graph = self.data
-                logits = self.supernet(graph.features, self._caches[id(graph)])
-                return accuracy(logits.numpy(), graph.labels, graph.mask("val"))
-            all_logits = []
-            all_labels = []
-            for graph in self.data.val_graphs:
-                logits = self.supernet(graph.features, self._caches[id(graph)])
-                all_logits.append(logits.numpy())
-                all_labels.append(graph.labels)
-        return micro_f1(np.concatenate(all_logits), np.concatenate(all_labels))
+        return split_score(self.supernet, self.data, "val", self._caches)

@@ -9,7 +9,6 @@ from repro.graphclf.pooling import POOLING_OPS, PoolingOp, create_pooling_op
 from repro.graphclf.models import (
     GraphBatch,
     GraphClassifier,
-    GraphClfConfig,
     collate,
     train_graph_classifier,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "create_pooling_op",
     "GraphBatch",
     "GraphClassifier",
-    "GraphClfConfig",
     "collate",
     "train_graph_classifier",
     "GraphSearchConfig",

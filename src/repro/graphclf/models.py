@@ -13,7 +13,6 @@ import dataclasses
 
 import numpy as np
 
-from repro import obs
 from repro.autograd import functional as F
 from repro.autograd import no_grad
 from repro.autograd.tensor import Tensor
@@ -24,9 +23,9 @@ from repro.graphclf.data import GraphClassificationDataset
 from repro.graphclf.pooling import create_pooling_op
 from repro.nn.layers import Dropout, Linear
 from repro.nn.module import Module
-from repro.nn.optim import Adam, clip_grad_norm
+from repro.train.trainer import TrainConfig, run_training
 
-__all__ = ["GraphBatch", "collate", "GraphClassifier", "GraphClfConfig", "train_graph_classifier"]
+__all__ = ["GraphBatch", "collate", "GraphClassifier", "train_graph_classifier"]
 
 
 @dataclasses.dataclass
@@ -109,15 +108,6 @@ class GraphClassifier(Module):
 
 
 @dataclasses.dataclass
-class GraphClfConfig:
-    epochs: int = 150
-    lr: float = 5e-3
-    weight_decay: float = 5e-4
-    patience: int = 30
-    grad_clip: float = 5.0
-
-
-@dataclasses.dataclass
 class GraphClfResult:
     val_score: float
     test_score: float
@@ -135,49 +125,27 @@ def _accuracy(model: GraphClassifier, batch: GraphBatch) -> float:
 def train_graph_classifier(
     model: GraphClassifier,
     dataset: GraphClassificationDataset,
-    config: GraphClfConfig | None = None,
+    config: TrainConfig | None = None,
 ) -> GraphClfResult:
-    """Full-batch training with validation early stopping."""
-    config = config or GraphClfConfig()
+    """Full-batch training with validation early stopping (150 epochs by default)."""
+    config = config or TrainConfig(epochs=150)
     train_batch = collate(dataset.train)
     val_batch = collate(dataset.val)
     test_batch = collate(dataset.test)
-    optimizer = Adam(model.parameters(), lr=config.lr, weight_decay=config.weight_decay)
 
-    best = {"val": -1.0, "test": 0.0, "epoch": 0, "state": None}
-    since_best = 0
-    train_span = obs.span("train", kind="train", task="graphclf").start()
-    for epoch in range(config.epochs):
-        with obs.span("epoch", index=epoch):
-            model.train()
-            optimizer.zero_grad()
-            with obs.span("forward"):
-                loss = F.cross_entropy(model(train_batch), train_batch.labels)
-            with obs.span("backward"):
-                loss.backward()
-            clip_grad_norm(model.parameters(), config.grad_clip)
-            optimizer.step()
+    def validate():
+        return _accuracy(model, val_batch), None, lambda: {"test": _accuracy(model, test_batch)}
 
-            with obs.span("eval"):
-                val_score = _accuracy(model, val_batch)
-            if val_score > best["val"]:
-                best.update(
-                    val=val_score,
-                    test=_accuracy(model, test_batch),
-                    epoch=epoch,
-                    state=model.state_dict(),
-                )
-                since_best = 0
-            else:
-                since_best += 1
-                if since_best >= config.patience:
-                    break
-    if best["state"] is not None:
-        model.load_state_dict(best["state"])
-    train_span.finish()
+    best = run_training(
+        model,
+        config,
+        [lambda: F.cross_entropy(model(train_batch), train_batch.labels)],
+        validate,
+        task="graphclf",
+    )
     return GraphClfResult(
-        val_score=best["val"],
-        test_score=best["test"],
-        best_epoch=best["epoch"],
-        train_time=train_span.duration,
+        val_score=best.val_score,
+        test_score=best.scores.get("test", 0.0),
+        best_epoch=best.epoch,
+        train_time=best.train_time,
     )

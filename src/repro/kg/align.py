@@ -19,7 +19,6 @@ import dataclasses
 
 import numpy as np
 
-from repro import obs
 from repro.autograd import functional as F
 from repro.autograd import no_grad, ops
 from repro.autograd.scatter import gather
@@ -30,7 +29,7 @@ from repro.kg.data import AlignmentDataset
 from repro.kg.metrics import evaluate_alignment
 from repro.nn import init
 from repro.nn.module import Module, Parameter
-from repro.nn.optim import Adam, clip_grad_norm
+from repro.train.trainer import run_training
 
 __all__ = [
     "AlignConfig",
@@ -219,56 +218,31 @@ def train_aligner(
     """Train any aligner exposing ``encode()``; early-stop on val Hits@1."""
     config = config or AlignConfig()
     rng = np.random.default_rng(seed)
-    optimizer = Adam(model.parameters(), lr=config.lr, weight_decay=config.weight_decay)
 
-    best = {"val": -1.0, "test": None, "epoch": 0, "state": None}
-    since_best = 0
-    train_span = obs.span("train", kind="train", task="kg-align").start()
-    for epoch in range(config.epochs):
-        with obs.span("epoch", index=epoch):
-            model.train()
-            optimizer.zero_grad()
-            with obs.span("forward"):
-                z1, z2 = model.encode()
-                loss = margin_ranking_loss(
-                    z1, z2, dataset.train_links, rng, config.margin, config.num_negatives
-                )
-                structure = model.structure_loss(rng)
-                if structure is not None:
-                    loss = loss + 0.5 * structure
-            with obs.span("backward"):
-                loss.backward()
-            clip_grad_norm(model.parameters(), config.grad_clip)
-            optimizer.step()
+    def loss() -> Tensor:
+        z1, z2 = model.encode()
+        ranking = margin_ranking_loss(
+            z1, z2, dataset.train_links, rng, config.margin, config.num_negatives
+        )
+        structure = model.structure_loss(rng)
+        return ranking if structure is None else ranking + 0.5 * structure
 
-            model.eval()
-            with obs.span("eval"), no_grad():
-                z1_eval, z2_eval = model.encode()
-            val = evaluate_alignment(
-                z1_eval.numpy(), z2_eval.numpy(), dataset.val_links, ks=(1,)
-            )
-            val_hits1 = val["zh->en"][1]
-            if val_hits1 > best["val"]:
-                best.update(
-                    val=val_hits1,
-                    test=evaluate_alignment(
-                        z1_eval.numpy(), z2_eval.numpy(), dataset.test_links
-                    ),
-                    epoch=epoch,
-                    state=model.state_dict(),
-                )
-                since_best = 0
-            else:
-                since_best += 1
-                if since_best >= config.patience:
-                    break
+    def validate():
+        model.eval()
+        with no_grad():
+            z1, z2 = model.encode()
+        z1, z2 = z1.numpy(), z2.numpy()
+        val = evaluate_alignment(z1, z2, dataset.val_links, ks=(1,))
 
-    if best["state"] is not None:
-        model.load_state_dict(best["state"])
-    train_span.finish()
+        def record():
+            return {"test": evaluate_alignment(z1, z2, dataset.test_links)}
+
+        return val["zh->en"][1], None, record
+
+    best = run_training(model, config, [loss], validate, task="kg-align")
     return AlignResult(
-        val_hits1=best["val"],
-        test_hits=best["test"],
-        best_epoch=best["epoch"],
-        train_time=train_span.duration,
+        val_hits1=best.val_score,
+        test_hits=best.scores.get("test"),
+        best_epoch=best.epoch,
+        train_time=best.train_time,
     )

@@ -4,8 +4,6 @@ from repro.train.trainer import (
     TrainConfig,
     TrainResult,
     fit,
-    train_inductive,
-    train_transductive,
 )
 from repro.train.metrics import accuracy, micro_f1, mean_std, format_mean_std
 
@@ -13,8 +11,6 @@ __all__ = [
     "TrainConfig",
     "TrainResult",
     "fit",
-    "train_inductive",
-    "train_transductive",
     "accuracy",
     "micro_f1",
     "mean_std",

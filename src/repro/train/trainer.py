@@ -1,22 +1,32 @@
-"""Training loops for transductive and inductive node classification.
+"""The one early-stopping training loop, and node-classification training.
 
 The paper trains every model full-batch with Adam and early-stops on
-validation performance before reporting test numbers; both loops here
-follow that protocol. Losses: cross-entropy for single-label tasks,
-sigmoid BCE for the multi-label inductive task (Section III-B "we
-focus on the node classification task, thus cross-entropy loss is
-used").
+validation performance before reporting test numbers.
+:func:`run_training` is that loop for every trainer: node
+classification (:func:`fit`), graph classification and entity
+alignment pass it only their training steps and their validation.
+
+Node classification comes in two data kinds, and the functions here
+are the one place that tells them apart (the SANE searcher calls them
+too): a transductive :class:`Graph` trains on cross-entropy over its
+train mask and scores accuracy; an inductive
+:class:`MultiGraphDataset` trains on sigmoid BCE per training graph and
+scores micro-F1 (Section III-B "we focus on the node classification
+task, thus cross-entropy loss is used").
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+from typing import Callable, Sequence
 
 import numpy as np
 
 from repro import obs
 from repro.autograd import functional as F
 from repro.autograd import no_grad
+from repro.autograd.tensor import Tensor
 from repro.obs import events, health
 from repro.graph.data import Graph, MultiGraphDataset
 from repro.gnn.common import GraphCache
@@ -24,7 +34,17 @@ from repro.nn.module import Module
 from repro.nn.optim import Adam, clip_grad_norm
 from repro.train.metrics import accuracy, micro_f1
 
-__all__ = ["TrainConfig", "TrainResult", "train_transductive", "train_inductive", "fit"]
+__all__ = [
+    "TrainConfig",
+    "TrainResult",
+    "BestEpoch",
+    "run_training",
+    "node_mode",
+    "graph_caches",
+    "split_loss",
+    "split_score",
+    "fit",
+]
 
 
 @dataclasses.dataclass
@@ -57,144 +77,66 @@ class TrainResult:
     history: list[tuple[float, float]] = dataclasses.field(default_factory=list)
 
 
-def train_transductive(
-    model: Module, graph: Graph, config: TrainConfig | None = None
-) -> TrainResult:
-    """Full-batch transductive training with early stopping.
+@dataclasses.dataclass
+class BestEpoch:
+    """What :func:`run_training` keeps of a run."""
 
-    The model is left loaded with its best-validation weights so the
-    caller can keep using it (e.g. Figure 2 renders the final model).
+    val_score: float = -1.0
+    epoch: int = 0
+    # What the trainer's ``record`` returned at the best epoch.
+    scores: dict = dataclasses.field(default_factory=dict)
+    # (mean training loss, validation score) per epoch run.
+    history: list[tuple[float, float]] = dataclasses.field(default_factory=list)
+    train_time: float = 0.0
+
+
+def run_training(
+    model: Module,
+    config,
+    steps: Sequence[Callable[[], Tensor]],
+    validate: Callable[[], tuple[float, float | None, Callable[[], dict]]],
+    **span_attrs,
+) -> BestEpoch:
+    """Full-batch Adam with validation early stopping, under one ``train`` span.
+
+    ``config`` supplies ``epochs``, ``lr``, ``weight_decay``,
+    ``patience`` and ``grad_clip``. Each epoch takes one clipped step
+    per loss in ``steps``, then ``validate()`` returns the score, the
+    validation loss (``None`` where the trainer has none) and
+    ``record``, called only when the epoch is the new best, for the
+    scores to keep. A higher score is better; an equal score wins only
+    on a lower loss, so without a loss a tie never wins. The run stops
+    after ``patience`` epochs without a new best and leaves the model
+    loaded with the best epoch's weights. ``span_attrs`` tag the span
+    and the ``train_start`` event.
     """
-    config = config or TrainConfig()
-    cache = GraphCache(graph)
     optimizer = Adam(model.parameters(), lr=config.lr, weight_decay=config.weight_decay)
-    labels = graph.labels
-    train_mask = graph.mask("train")
-    val_mask = graph.mask("val")
-    test_mask = graph.mask("test")
-
-    best = {"val": -1.0, "test": 0.0, "train": 0.0, "epoch": 0, "state": None}
-    best_val_loss = np.inf
-    history: list[tuple[float, float]] = []
-    events.emit("train_start", mode="transductive", epochs=config.epochs)
-    train_span = obs.span("train", kind="train", mode="transductive").start()
-    monitor = health.get_monitor()
+    best = BestEpoch()
+    best_loss = np.inf
+    best_state = None
     since_best = 0
+    monitor = health.get_monitor()
+    events.emit("train_start", **span_attrs, epochs=config.epochs)
+    train_span = obs.span("train", kind="train", **span_attrs).start()
     for epoch in range(config.epochs):
         with obs.span("epoch", index=epoch):
             model.train()
-            optimizer.zero_grad()
             weight_before = (
                 [p.data.copy() for p in model.parameters()]
                 if monitor is not None
                 else None
             )
-            with obs.span("forward"):
-                logits = model(graph.features, cache)
-                loss = F.cross_entropy(logits[train_mask], labels[train_mask])
-            with obs.span("backward"):
-                loss.backward()
-            clip_grad_norm(model.parameters(), config.grad_clip)
-            optimizer.step()
-            if monitor is not None:
-                monitor.observe_epoch(
-                    epoch,
-                    weight_params=model.parameters(),
-                    weight_before=weight_before,
-                )
-
-            model.eval()
-            with obs.span("eval"), no_grad():
-                eval_logits_t = model(graph.features, cache)
-                val_loss = F.cross_entropy(
-                    eval_logits_t[val_mask], labels[val_mask]
-                ).item()
-            eval_logits = eval_logits_t.numpy()
-            val_score = accuracy(eval_logits, labels, val_mask)
-            history.append((loss.item(), val_score))
-            events.emit(
-                "train_epoch",
-                epoch=epoch,
-                train_loss=loss.item(),
-                val_loss=val_loss,
-                val_score=val_score,
-            )
-            # Tie-break equal scores by validation loss so early stopping is
-            # not fooled by long plateaus (e.g. an all-negative start).
-            improved = val_score > best["val"] or (
-                val_score == best["val"] and val_loss < best_val_loss
-            )
-            if improved:
-                best_val_loss = min(best_val_loss, val_loss)
-                best.update(
-                    val=val_score,
-                    test=accuracy(eval_logits, labels, test_mask),
-                    train=accuracy(eval_logits, labels, train_mask),
-                    epoch=epoch,
-                    state=model.state_dict(),
-                )
-                since_best = 0
-            else:
-                since_best += 1
-                if since_best >= config.patience:
-                    break
-
-    if best["state"] is not None:
-        model.load_state_dict(best["state"])
-    train_span.finish()
-    events.emit(
-        "train_end",
-        best_epoch=best["epoch"],
-        val_score=best["val"],
-        test_score=best["test"],
-        epochs_run=len(history),
-    )
-    return TrainResult(
-        val_score=best["val"],
-        test_score=best["test"],
-        train_score=best["train"],
-        best_epoch=best["epoch"],
-        train_time=train_span.duration,
-        history=history,
-    )
-
-
-def train_inductive(
-    model: Module, dataset: MultiGraphDataset, config: TrainConfig | None = None
-) -> TrainResult:
-    """Inductive training: optimise on training graphs, score unseen ones."""
-    config = config or TrainConfig()
-    optimizer = Adam(model.parameters(), lr=config.lr, weight_decay=config.weight_decay)
-    caches = {id(g): GraphCache(g) for g in dataset.all_graphs}
-
-    best = {"val": -1.0, "test": 0.0, "train": 0.0, "epoch": 0, "state": None}
-    best_val_loss = np.inf
-    history: list[tuple[float, float]] = []
-    events.emit("train_start", mode="inductive", epochs=config.epochs)
-    train_span = obs.span("train", kind="train", mode="inductive").start()
-    monitor = health.get_monitor()
-    since_best = 0
-    for epoch in range(config.epochs):
-        with obs.span("epoch", index=epoch):
-            model.train()
-            epoch_loss = 0.0
-            weight_before = (
-                [p.data.copy() for p in model.parameters()]
-                if monitor is not None
-                else None
-            )
-            for graph in dataset.train_graphs:
+            total_loss = 0.0
+            for step in steps:
                 optimizer.zero_grad()
                 with obs.span("forward"):
-                    logits = model(graph.features, caches[id(graph)])
-                    loss = F.binary_cross_entropy_with_logits(
-                        logits, graph.labels.astype(np.float64)
-                    )
+                    loss = step()
                 with obs.span("backward"):
                     loss.backward()
                 clip_grad_norm(model.parameters(), config.grad_clip)
                 optimizer.step()
-                epoch_loss += loss.item()
+                total_loss += loss.item()
+            train_loss = total_loss / len(steps)
             if monitor is not None:
                 monitor.observe_epoch(
                     epoch,
@@ -203,77 +145,168 @@ def train_inductive(
                 )
 
             with obs.span("eval"):
-                val_score, val_loss = _score_graphs(model, dataset.val_graphs, caches)
-            history.append((epoch_loss / len(dataset.train_graphs), val_score))
+                score, val_loss, record = validate()
+            best.history.append((train_loss, score))
             events.emit(
                 "train_epoch",
                 epoch=epoch,
-                train_loss=epoch_loss / len(dataset.train_graphs),
+                train_loss=train_loss,
                 val_loss=val_loss,
-                val_score=val_score,
+                val_score=score,
             )
-            improved = val_score > best["val"] or (
-                val_score == best["val"] and val_loss < best_val_loss
+            # Tie-break equal scores by validation loss so early stopping is
+            # not fooled by long plateaus (e.g. an all-negative start).
+            tie_won = (
+                val_loss is not None and score == best.val_score and val_loss < best_loss
             )
-            if improved:
-                best_val_loss = min(best_val_loss, val_loss)
-                best.update(
-                    val=val_score,
-                    test=_score_graphs(model, dataset.test_graphs, caches)[0],
-                    train=_score_graphs(model, dataset.train_graphs, caches)[0],
-                    epoch=epoch,
-                    state=model.state_dict(),
-                )
+            if score > best.val_score or tie_won:
+                if val_loss is not None:
+                    best_loss = min(best_loss, val_loss)
+                best.val_score, best.epoch, best.scores = score, epoch, record()
+                best_state = model.state_dict()
                 since_best = 0
             else:
                 since_best += 1
                 if since_best >= config.patience:
                     break
 
-    if best["state"] is not None:
-        model.load_state_dict(best["state"])
+    if best_state is not None:
+        model.load_state_dict(best_state)
     train_span.finish()
+    best.train_time = train_span.duration
     events.emit(
         "train_end",
-        best_epoch=best["epoch"],
-        val_score=best["val"],
-        test_score=best["test"],
-        epochs_run=len(history),
+        best_epoch=best.epoch,
+        val_score=best.val_score,
+        test_score=best.scores.get("test"),
+        epochs_run=len(best.history),
+    )
+    return best
+
+
+# ----------------------------------------------------------------------
+# node classification: the Graph / MultiGraphDataset decision
+# ----------------------------------------------------------------------
+def node_mode(data) -> str:
+    """``"transductive"`` for a Graph, ``"inductive"`` for a MultiGraphDataset."""
+    if isinstance(data, Graph):
+        return "transductive"
+    if isinstance(data, MultiGraphDataset):
+        return "inductive"
+    raise TypeError(f"cannot train on or search over {type(data).__name__}")
+
+
+def graph_caches(data: Graph | MultiGraphDataset) -> dict[int, GraphCache]:
+    """One :class:`GraphCache` per graph of ``data``, keyed by ``id(graph)``."""
+    graphs = [data] if node_mode(data) == "transductive" else data.all_graphs
+    return {id(graph): GraphCache(graph) for graph in graphs}
+
+
+def _multilabel_loss(model: Module, graph: Graph, caches: dict) -> Tensor:
+    logits = model(graph.features, caches[id(graph)])
+    return F.binary_cross_entropy_with_logits(logits, graph.labels.astype(np.float64))
+
+
+def split_loss(
+    model: Module, data: Graph | MultiGraphDataset, split: str, caches: dict
+) -> Tensor:
+    """The loss on ``split``: cross-entropy over a Graph's split mask,
+    or the mean per-graph BCE over a MultiGraphDataset's split graphs."""
+    if node_mode(data) == "transductive":
+        mask = data.mask(split)
+        logits = model(data.features, caches[id(data)])
+        return F.cross_entropy(logits[mask], data.labels[mask])
+    graphs = getattr(data, f"{split}_graphs")
+    total = None
+    for graph in graphs:
+        loss = _multilabel_loss(model, graph, caches)
+        total = loss if total is None else total + loss
+    return total / len(graphs)
+
+
+def _pooled_logits(
+    model: Module, graphs: list[Graph], caches: dict
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eval-mode, tape-free logits and labels of ``graphs``, stacked."""
+    model.eval()
+    with no_grad():
+        logits = [model(graph.features, caches[id(graph)]).numpy() for graph in graphs]
+    return np.concatenate(logits), np.concatenate([graph.labels for graph in graphs])
+
+
+def split_score(
+    model: Module, data: Graph | MultiGraphDataset, split: str, caches: dict
+) -> float:
+    """Eval-mode score on ``split``: accuracy over a Graph's split mask,
+    or micro-F1 pooled over a MultiGraphDataset's split graphs."""
+    if node_mode(data) == "transductive":
+        model.eval()
+        with no_grad():
+            logits = model(data.features, caches[id(data)]).numpy()
+        return accuracy(logits, data.labels, data.mask(split))
+    return micro_f1(*_pooled_logits(model, getattr(data, f"{split}_graphs"), caches))
+
+
+def _validate(model: Module, data, caches: dict):
+    """``(val score, val loss, record)`` for :func:`run_training`.
+
+    A Graph's one eval forward serves the val loss and all three
+    splits' accuracies; a MultiGraphDataset forwards the test and
+    training graphs only when the epoch is the new best.
+    """
+    if node_mode(data) == "transductive":
+        model.eval()
+        with no_grad():
+            logits_t = model(data.features, caches[id(data)])
+            val = data.mask("val")
+            val_loss = F.cross_entropy(logits_t[val], data.labels[val]).item()
+        logits = logits_t.numpy()
+
+        def score(split):
+            return accuracy(logits, data.labels, data.mask(split))
+
+        val_score = score("val")
+    else:
+        logits, labels = _pooled_logits(model, data.val_graphs, caches)
+        val_loss = float(
+            np.mean(np.logaddexp(0.0, logits) - logits * labels.astype(np.float64))
+        )
+        val_score = micro_f1(logits, labels)
+
+        def score(split):
+            return split_score(model, data, split, caches)
+
+    return val_score, val_loss, lambda: {"test": score("test"), "train": score("train")}
+
+
+def fit(
+    model: Module, data: Graph | MultiGraphDataset, config: TrainConfig | None = None
+) -> TrainResult:
+    """Train a node classifier with early stopping; see :func:`node_mode`.
+
+    A Graph takes one full-batch step per epoch, a MultiGraphDataset
+    one step per training graph. The model is left loaded with its
+    best-validation weights so the caller can keep using it (e.g.
+    Figure 2 renders the final model).
+    """
+    mode = node_mode(data)
+    config = config or TrainConfig()
+    caches = graph_caches(data)
+    if mode == "transductive":
+        steps = [lambda: split_loss(model, data, "train", caches)]
+    else:
+        steps = [
+            functools.partial(_multilabel_loss, model, graph, caches)
+            for graph in data.train_graphs
+        ]
+    best = run_training(
+        model, config, steps, lambda: _validate(model, data, caches), mode=mode
     )
     return TrainResult(
-        val_score=best["val"],
-        test_score=best["test"],
-        train_score=best["train"],
-        best_epoch=best["epoch"],
-        train_time=train_span.duration,
-        history=history,
+        val_score=best.val_score,
+        test_score=best.scores.get("test", 0.0),
+        train_score=best.scores.get("train", 0.0),
+        best_epoch=best.epoch,
+        train_time=best.train_time,
+        history=best.history,
     )
-
-
-def _score_graphs(
-    model: Module, graphs: list[Graph], caches: dict
-) -> tuple[float, float]:
-    """(micro-F1, mean BCE loss) pooled over multi-label graphs."""
-    model.eval()
-    all_logits = []
-    all_labels = []
-    with no_grad():
-        for graph in graphs:
-            logits = model(graph.features, caches[id(graph)]).numpy()
-            all_logits.append(logits)
-            all_labels.append(graph.labels)
-    logits = np.concatenate(all_logits)
-    labels = np.concatenate(all_labels)
-    loss = float(
-        np.mean(np.logaddexp(0.0, logits) - logits * labels.astype(np.float64))
-    )
-    return micro_f1(logits, labels), loss
-
-
-def fit(model: Module, data, config: TrainConfig | None = None) -> TrainResult:
-    """Dispatch on data type: Graph → transductive, MultiGraphDataset → inductive."""
-    if isinstance(data, Graph):
-        return train_transductive(model, data, config)
-    if isinstance(data, MultiGraphDataset):
-        return train_inductive(model, data, config)
-    raise TypeError(f"cannot train on {type(data).__name__}")

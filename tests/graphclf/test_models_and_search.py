@@ -5,7 +5,6 @@ import pytest
 
 from repro.graphclf import (
     GraphClassifier,
-    GraphClfConfig,
     GraphSearchConfig,
     collate,
     generate_graph_dataset,
@@ -13,6 +12,8 @@ from repro.graphclf import (
     train_graph_classifier,
 )
 from repro.graphclf.search import GraphSupernet
+from repro.obs import record_events, render_run
+from repro.train import TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -65,12 +66,50 @@ class TestGraphClassifier:
             dataset.num_features, 16, dataset.num_classes,
             ["gcn", "gcn"], "mean", np.random.default_rng(0),
         )
-        result = train_graph_classifier(model, dataset, GraphClfConfig(epochs=80))
+        result = train_graph_classifier(model, dataset, TrainConfig(epochs=80))
         assert result.test_score > 1.0 / dataset.num_classes + 0.1
 
     def test_describe(self, dataset, rng):
         model = GraphClassifier(4, 8, 2, ["gcn"], "attention", rng)
         assert "attention" in model.describe()
+
+    def test_best_state_restored(self, dataset):
+        """The model keeps the best epoch's weights and scores result.val_score."""
+        from repro.autograd import no_grad
+
+        def train(epochs):
+            model = GraphClassifier(
+                dataset.num_features, 12, dataset.num_classes,
+                ["gcn", "gin"], "mean", np.random.default_rng(0),
+            )
+            config = TrainConfig(epochs=epochs, patience=10)
+            return model, train_graph_classifier(model, dataset, config)
+
+        model, result = train(30)
+        # A rerun that stops at the best epoch ends on the same weights.
+        stopped, __ = train(result.best_epoch + 1)
+        for name, value in stopped.state_dict().items():
+            np.testing.assert_array_equal(model.state_dict()[name], value)
+        model.eval()
+        with no_grad():
+            logits = model(collate(dataset.val)).numpy()
+        val_labels = [label for __, label in dataset.val]
+        assert float((logits.argmax(axis=1) == val_labels).mean()) == result.val_score
+
+    def test_training_emits_train_events(self, dataset, tmp_path):
+        model = GraphClassifier(
+            dataset.num_features, 8, dataset.num_classes,
+            ["gcn"], "sum", np.random.default_rng(0),
+        )
+        path = tmp_path / "events.jsonl"
+        with record_events(path) as recorder:
+            result = train_graph_classifier(model, dataset, TrainConfig(epochs=4, patience=4))
+        (start,) = recorder.events("train_start")
+        assert start["data"] == {"task": "graphclf", "epochs": 4}
+        assert len(recorder.events("train_epoch")) == 4
+        (end,) = recorder.events("train_end")
+        assert end["data"]["test_score"] == result.test_score
+        assert "training runs: 1," in render_run(path)
 
 
 class TestGraphSupernet:

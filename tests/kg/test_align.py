@@ -13,6 +13,8 @@ from repro.kg.align import (
     train_aligner,
 )
 from repro.kg.data import generate_alignment_dataset
+from repro.kg.metrics import evaluate_alignment
+from repro.obs import record_events, render_run
 
 
 @pytest.fixture(scope="module")
@@ -110,3 +112,42 @@ class TestTrainAligner:
         assert set(result.test_hits) == {"zh->en", "en->zh"}
         assert set(result.test_hits["zh->en"]) == {1, 10, 50}
         assert result.train_time > 0
+
+    @pytest.mark.parametrize("family", ["jape", "gcn-align"])
+    def test_best_state_restored(self, dataset, family):
+        """The model keeps the best epoch's weights and scores result.val_hits1."""
+        from repro.autograd import no_grad
+
+        def train(epochs):
+            rng = np.random.default_rng(0)
+            if family == "jape":
+                model = EmbeddingAligner(dataset, 16, rng)
+            else:
+                model = GNNAligner(dataset, ["gcn", "gcn"], 16, rng)
+            config = FAST.replace(epochs=epochs, patience=5)
+            return model, train_aligner(model, dataset, config, seed=0)
+
+        model, result = train(20)
+        # A rerun that stops at the best epoch ends on the same weights.
+        stopped, __ = train(result.best_epoch + 1)
+        for name, value in stopped.state_dict().items():
+            np.testing.assert_array_equal(model.state_dict()[name], value)
+        model.eval()
+        with no_grad():
+            z1, z2 = model.encode()
+        val = evaluate_alignment(z1.numpy(), z2.numpy(), dataset.val_links, ks=(1,))
+        assert val["zh->en"][1] == result.val_hits1
+
+    def test_training_emits_train_events(self, dataset, tmp_path):
+        model = EmbeddingAligner(dataset, 16, np.random.default_rng(0))
+        path = tmp_path / "events.jsonl"
+        with record_events(path) as recorder:
+            result = train_aligner(model, dataset, FAST.replace(epochs=3), seed=0)
+        (start,) = recorder.events("train_start")
+        assert start["data"] == {"task": "kg-align", "epochs": 3}
+        epochs = recorder.events("train_epoch")
+        assert [event["epoch"] for event in epochs] == [0, 1, 2]
+        assert all(event["data"]["val_loss"] is None for event in epochs)
+        (end,) = recorder.events("train_end")
+        assert end["data"]["best_epoch"] == result.best_epoch
+        assert "training runs: 1," in render_run(path)
