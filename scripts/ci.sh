@@ -270,7 +270,8 @@ from repro.obs import RunLedger
 
 tail = RunLedger(sys.argv[1]).read()[-int(sys.argv[2]):]
 commands = {manifest.command for manifest in tail}
-expected = {"lint", "sweep", "search"}
+# The live-profile and health stages run under either SKIP_BENCH setting.
+expected = {"lint", "sweep", "search", "profile"}
 if os.environ.get("SKIP_BENCH", "0") != "1":
     expected |= {"export", "serve", "bench"}
 missing = expected - commands

@@ -5,10 +5,10 @@ randomness, the numpy-only substitution rule, the dict-registry
 dispatch idiom of the op tables, and the package's layering (timing
 through ``repro.obs``, scatters through the planned kernels, processes
 through ``repro.parallel``, output through the reporters, NaN-prone
-math in the guarded autograd modules, a ledger entry per CLI command).
-Invariants a test can execute — tape integrity, parameter
-registration, gradient-free serving, complete request traces, mixture
-provenance, genotype membership — are checked at runtime in tier-1
+math in the guarded autograd modules). Invariants a test can execute —
+tape integrity, parameter registration, gradient-free serving,
+complete request traces, mixture provenance, genotype membership, a
+ledger entry per CLI command — are checked at runtime in tier-1
 instead (EXPERIMENTS "Lint rule audit").
 """
 
@@ -32,7 +32,6 @@ __all__ = [
     "RawMultiprocessingRule",
     "NakedPrintRule",
     "UncheckedNanSourceRule",
-    "UnledgeredEntrypointRule",
     "CORE_RULES",
     "package_path",
 ]
@@ -577,50 +576,6 @@ class UncheckedNanSourceRule(Rule):
         return rest is not None and rest not in cls._GUARDED
 
 
-class UnledgeredEntrypointRule(Rule):
-    """A CLI subcommand handler that never records a run manifest.
-
-    The run ledger (DESIGN section 13) only has value if it is
-    *complete*: one unledgered entry point and cross-run trends,
-    lineage, and provenance all have holes exactly where a regression
-    hid. The CLI's convention makes completeness lexically checkable —
-    every ``_cmd_<name>`` handler in ``repro/cli.py`` must contain a
-    call to ``record_run`` somewhere in its body. Handlers that are
-    genuinely read-only (``repro runs`` itself, the ``report``
-    renderers) carry a ``# lint: disable=unledgered-entrypoint``
-    justification on the ``def`` line instead.
-    """
-
-    rule_id = "unledgered-entrypoint"
-    severity = Severity.ERROR
-    description = (
-        "cli.py subcommand handler (_cmd_*) without a record_run call"
-    )
-    node_types = (ast.FunctionDef,)
-
-    def check(self, node: ast.FunctionDef, ctx: Context) -> Iterator[Finding]:
-        if not self._in_scope(ctx.path):
-            return
-        if not node.name.startswith("_cmd_"):
-            return
-        for inner in ast.walk(node):
-            if isinstance(inner, ast.Call) and _call_name(inner) == "record_run":
-                return
-        yield self.finding(
-            node,
-            ctx,
-            f"{node.name}() handles a subcommand but never calls "
-            "record_run(); every entry point must append a run manifest "
-            "to the ledger (or justify with "
-            "# lint: disable=unledgered-entrypoint)",
-        )
-
-    @staticmethod
-    def _in_scope(path: str) -> bool:
-        """True only for the package's ``cli.py`` itself."""
-        return package_path(path) == ("cli.py",)
-
-
 CORE_RULES: tuple[type[Rule], ...] = (
     GlobalRngRule,
     ForbiddenImportRule,
@@ -633,5 +588,4 @@ CORE_RULES: tuple[type[Rule], ...] = (
     RawMultiprocessingRule,
     NakedPrintRule,
     UncheckedNanSourceRule,
-    UnledgeredEntrypointRule,
 )

@@ -15,11 +15,12 @@ Commands
 ``serve``            serve an exported artifact (demo or load bench)
 ``runs``             run-ledger history, lineage, and the trend gate
 
-Every entry point that does work appends a provenance manifest to the
-run ledger (``benchmarks/history/runs.jsonl``; directory overridable
-via ``REPRO_HISTORY_DIR``, recording disabled with
-``REPRO_RUN_LEDGER=off``) — the ``unledgered-entrypoint`` lint rule
-keeps it that way.
+Every command except the read-only ``report`` and ``runs`` appends one
+provenance manifest to the run ledger
+(``benchmarks/history/runs.jsonl``; directory overridable via
+``REPRO_HISTORY_DIR``, recording disabled with
+``REPRO_RUN_LEDGER=off``). :func:`main` records it, so no handler can
+forget to.
 
 All commands take ``--scale smoke|default|full`` (default: value of
 ``REPRO_SCALE`` or ``default``) and ``--seed``, accepted both before
@@ -29,7 +30,9 @@ and after the subcommand.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import inspect
 import os
 import sys
 from pathlib import Path
@@ -45,6 +48,7 @@ from repro.obs.bench_gate import compare_bench, load_bench, render_bench_diff
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runs import (
     RunLedger,
+    RunManifest,
     build_manifest,
     env_fingerprint,
     record_run,
@@ -101,20 +105,42 @@ from repro.train.metrics import format_mean_std
 
 __all__ = ["build_parser", "main"]
 
-_TABLE_RUNNERS = {
-    "4": run_table4,
-    "6": run_table6,
-    "7": run_table7,
-    "8": run_table8,
-    "9": run_table9,
-    "10": run_table10,
+# `repro table N` / `repro figure N` runners. `--datasets` and
+# `--workers` reach a runner only if its signature takes them.
+_RUNNERS = {
+    "table": {
+        "4": run_table4,
+        "6": run_table6,
+        "7": run_table7,
+        "8": run_table8,
+        "9": run_table9,
+        "10": run_table10,
+    },
+    "figure": {
+        "2": run_figure2,
+        "3": run_figure3,
+        "4a": run_figure4a,
+        "4b": run_figure4b,
+    },
 }
-_FIGURE_RUNNERS = {
-    "2": run_figure2,
-    "3": run_figure3,
-    "4a": run_figure4a,
-    "4b": run_figure4b,
-}
+
+
+def _int_at_least(low: int):
+    """An argparse ``type`` for ints no smaller than ``low``.
+
+    A value below it exits 2 with a usage error rather than reaching a
+    slice like ``entries[-last:]``, where a negative count means
+    something else entirely.
+    """
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _add_common_options(*parsers) -> None:
@@ -203,27 +229,21 @@ def build_parser() -> argparse.ArgumentParser:
     baseline.add_argument("name", help="e.g. gcn, gat-jk, lgcn")
     baseline.add_argument("dataset", choices=ALL_DATASETS)
 
-    table = commands.add_parser("table", help="regenerate a paper table")
-    table.add_argument("number", choices=sorted(_TABLE_RUNNERS))
-    table.add_argument(
-        "--datasets", nargs="*", default=None, help="restrict to these datasets"
-    )
-    table.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="worker processes for per-cell search jobs (table 7 only)",
-    )
-
-    figure = commands.add_parser("figure", help="regenerate a paper figure")
-    figure.add_argument("number", choices=sorted(_FIGURE_RUNNERS))
-    figure.add_argument("--datasets", nargs="*", default=None)
-    figure.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="worker processes for per-cell search jobs (figure 3 only)",
-    )
+    renders = []
+    for command, runners in _RUNNERS.items():
+        render = commands.add_parser(command, help=f"regenerate a paper {command}")
+        render.add_argument("number", choices=sorted(runners))
+        render.add_argument(
+            "--datasets", nargs="*", default=None,
+            help="restrict to these datasets (every figure; tables 6, 7, 9, 10)",
+        )
+        render.add_argument(
+            "--workers",
+            type=int,
+            default=0,
+            help="worker processes for per-cell search jobs (table 7, figure 3)",
+        )
+        renders.append(render)
 
     lint = commands.add_parser(
         "lint",
@@ -479,7 +499,8 @@ def build_parser() -> argparse.ArgumentParser:
         "list", help="the run history table, oldest first"
     )
     runs_list_p.add_argument(
-        "--last", type=int, default=20, help="show only the newest N runs"
+        "--last", type=_int_at_least(0), default=20,
+        help="show only the newest N runs (0 = all)",
     )
     runs_list_p.add_argument(
         "--command",
@@ -520,12 +541,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     runs_trend_p.add_argument(
         "--window",
-        type=int,
+        type=_int_at_least(1),
         default=DEFAULT_WINDOW,
         help="longest trailing window compared against older history",
     )
     runs_trend_p.add_argument(
-        "--last", type=int, default=0, help="consider only the newest N points"
+        "--last", type=_int_at_least(0), default=0,
+        help="consider only the newest N points (0 = all)",
     )
     runs_trend_p.add_argument(
         "--command",
@@ -537,7 +559,8 @@ def build_parser() -> argparse.ArgumentParser:
         "gc", help="truncate the ledger to the newest N manifests"
     )
     runs_gc_p.add_argument(
-        "--keep", type=int, default=200, help="manifests to retain"
+        "--keep", type=_int_at_least(0), default=200,
+        help="manifests to retain",
     )
     for sub in (runs_list_p, runs_show_p, runs_diff_p, runs_trend_p, runs_gc_p):
         sub.add_argument(
@@ -549,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     _add_common_options(
-        stats, search, sweep, baseline, table, figure, lint, profile,
+        stats, search, sweep, baseline, *renders, lint, profile,
         report, report_run, report_diff, report_memory, report_serve,
         report_bench,
         export, export_search_p, export_baseline_p, export_kg_p, serve,
@@ -558,63 +581,72 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _ledger_env(args) -> dict:
-    """One env-fingerprint shape for every handler's manifest."""
-    return env_fingerprint(
-        scale=args.scale,
-        seed=getattr(args, "seed", None),
-        workers=getattr(args, "workers", 0) or 0,
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns a process exit code.
 
-    Dispatches to one ``_cmd_<command>`` handler per subcommand. Every
-    handler that does work records a run manifest via
-    :func:`repro.obs.runs.record_run` — the ``unledgered-entrypoint``
-    lint rule enforces the convention (read-only handlers carry a
-    justified suppression instead).
+    The one place a run is recorded. Every command but the read-only
+    ``report`` and ``runs`` appends exactly one manifest via
+    :func:`repro.obs.runs.record_run`: the handler's fields, the env
+    fingerprint of ``--scale``/``--seed``/``--workers`` and the whole
+    command's ``duration_s``. A handler returns its exit code and its
+    :func:`~repro.obs.runs.build_manifest` keywords (config, metrics or
+    registry, outputs, files, children, lineage), or ``None`` on an
+    error path, which records nothing. ``export`` returns a prebuilt
+    manifest instead: the artifact it saves embeds the run id.
     """
     args = build_parser().parse_args(argv)
+    read_only = {"report": _cmd_report, "runs": _cmd_runs}
+    if args.command in read_only:
+        # A ledger reader that wrote the ledger would pollute `runs list`.
+        return read_only[args.command](args)
 
-    scaleless = {
-        "lint": _cmd_lint,
-        "report": _cmd_report,
-        "runs": _cmd_runs,
-    }
-    if args.command in scaleless:
-        return scaleless[args.command](args)
+    clock = get_tracer().clock
+    t0 = clock()
+    scale = SCALES[args.scale]
+    env = env_fingerprint(
+        scale=args.scale, seed=args.seed, workers=getattr(args, "workers", 0)
+    )
+    if args.command == "export":
+        code, manifest = _cmd_export(args, scale, env)
+    else:
+        handlers = {
+            "stats": _cmd_stats,
+            "search": _cmd_search,
+            "sweep": _cmd_sweep,
+            "baseline": _cmd_baseline,
+            "table": _cmd_render,
+            "figure": _cmd_render,
+            "lint": _cmd_lint,
+            "profile": _cmd_profile,
+            "serve": _cmd_serve,
+        }
+        code, fields = handlers[args.command](args, scale)
+        manifest = (
+            None if fields is None
+            else build_manifest(args.command, env=env, **fields)
+        )
+    if manifest is not None:
+        manifest.duration_s = clock() - t0
+        record_run(manifest=manifest)
+    return code
 
-    handlers = {
-        "stats": _cmd_stats,
-        "search": _cmd_search,
-        "sweep": _cmd_sweep,
-        "baseline": _cmd_baseline,
-        "table": _cmd_table,
-        "figure": _cmd_figure,
-        "profile": _cmd_profile,
-        "export": _cmd_export,
-        "serve": _cmd_serve,
-    }
-    return handlers[args.command](args, SCALES[args.scale])
 
-
-def _cmd_lint(args) -> int:
+def _cmd_lint(args, scale) -> tuple[int, dict | None]:
     """``repro lint``: static analysis of repo invariants."""
     paths = args.paths or lint_roots()
     try:
         result = lint_paths(paths)
     except FileNotFoundError as exc:
         print(f"repro lint: error: {exc}", file=sys.stderr)
-        return 2
+        return 2, None
     render = render_json if args.format == "json" else render_text
     print(render(result))
     code = 1 if result.error_count else 0
-    record_run(
-        "lint",
-        {"paths": [str(p) for p in (args.paths or [])], "format": args.format},
-        env=_ledger_env(args),
+    return code, dict(
+        config={
+            "paths": [str(p) for p in (args.paths or [])],
+            "format": args.format,
+        },
         outputs={
             "exit_code": code,
             "files": result.files,
@@ -622,55 +654,37 @@ def _cmd_lint(args) -> int:
             "warnings": result.warning_count,
         },
     )
-    return code
 
 
-def _cmd_stats(args, scale) -> int:
+def _cmd_stats(args, scale) -> tuple[int, dict | None]:
     """``repro stats``: the Table IV/V dataset statistics."""
-    clock = get_tracer().clock
-    t0 = clock()
     rendered = run_table4(scale, seed=args.seed).render()
     print(rendered)
-    record_run(
-        "stats",
-        {"scale": args.scale},
-        env=_ledger_env(args),
+    return 0, dict(
+        config={"scale": args.scale},
         outputs={"render_sha256": text_digest(rendered)},
-        duration_s=clock() - t0,
     )
-    return 0
 
 
-def _cmd_search(args, scale) -> int:
+def _cmd_search(args, scale) -> tuple[int, dict | None]:
     """``repro search``: run SANE on one dataset."""
-    clock = get_tracer().clock
-    t0 = clock()
     data = load_dataset(args.dataset, seed=args.seed, scale=scale.dataset_scale)
     monitor = None
     if args.check_numerics != "off":
         monitor = HealthMonitor(mode=args.check_numerics).install()
-
-    def run_search():
-        if args.events:
-            with record_events(
-                args.events, label=f"search:{args.dataset}", spans=True
-            ):
-                return run_sane(
-                    data, scale, seed=args.seed,
-                    num_layers=args.layers, epsilon=args.epsilon,
-                    workers=args.workers,
-                )
-        return run_sane(
-            data, scale, seed=args.seed,
-            num_layers=args.layers, epsilon=args.epsilon,
-            workers=args.workers,
-        )
-
     try:
-        run = run_search()
+        with (
+            record_events(args.events, label=f"search:{args.dataset}", spans=True)
+            if args.events else contextlib.nullcontext()
+        ):
+            run = run_sane(
+                data, scale, seed=args.seed,
+                num_layers=args.layers, epsilon=args.epsilon,
+                workers=args.workers,
+            )
     except NumericsAnomaly as anomaly:
         print(f"repro search: numerics anomaly: {anomaly}", file=sys.stderr)
-        return 3
+        return 3, None
     finally:
         if monitor is not None:
             monitor.uninstall()
@@ -693,15 +707,13 @@ def _cmd_search(args, scale) -> int:
             )
     if args.events:
         print(f"events:       {args.events} (render with `repro report run`)")
-    record_run(
-        "search",
-        {
+    return 0, dict(
+        config={
             "dataset": args.dataset,
             "layers": args.layers,
             "epsilon": args.epsilon,
             "scale": args.scale,
         },
-        env=_ledger_env(args),
         metrics={
             "search.time_s": run.search_time,
             "search.epoch_ms": run.search_time
@@ -713,15 +725,11 @@ def _cmd_search(args, scale) -> int:
             "test_scores": [float(s) for s in run.test_scores],
         },
         files=[args.events] if args.events else None,
-        duration_s=clock() - t0,
     )
-    return 0
 
 
-def _cmd_sweep(args, scale) -> int:
+def _cmd_sweep(args, scale) -> tuple[int, dict | None]:
     """``repro sweep``: the (dataset, method) grid on a worker pool."""
-    clock = get_tracer().clock
-    t0 = clock()
     registry = MetricsRegistry()
     result = run_sweep(
         args.datasets,
@@ -748,91 +756,64 @@ def _cmd_sweep(args, scale) -> int:
         }
         for cell in result.cells
     ]
-    record_run(
-        "sweep",
-        {
+    return 0, dict(
+        config={
             "datasets": list(args.datasets),
             "methods": list(args.methods),
             "rollout_batch": args.rollout_batch,
             "scale": args.scale,
         },
-        env=_ledger_env(args),
         registry=registry,
         outputs={"digest": result.digest()},
         children=children,
-        duration_s=clock() - t0,
     )
-    return 0
 
 
-def _cmd_baseline(args, scale) -> int:
+def _cmd_baseline(args, scale) -> tuple[int, dict | None]:
     """``repro baseline``: train a named human baseline."""
-    clock = get_tracer().clock
-    t0 = clock()
     data = load_dataset(args.dataset, seed=args.seed, scale=scale.dataset_scale)
     scores = run_human_baseline(args.name, data, scale, seed=args.seed)
     print(f"{args.name} on {args.dataset}: {format_mean_std(scores)}")
-    record_run(
-        "baseline",
-        {"name": args.name, "dataset": args.dataset, "scale": args.scale},
-        env=_ledger_env(args),
+    return 0, dict(
+        config={"name": args.name, "dataset": args.dataset, "scale": args.scale},
         metrics={"baseline.test_score": float(np.mean(scores))},
         outputs={"scores": [float(s) for s in scores]},
-        duration_s=clock() - t0,
     )
-    return 0
 
 
-def _cmd_table(args, scale) -> int:
-    """``repro table``: regenerate a paper table."""
-    clock = get_tracer().clock
-    t0 = clock()
-    runner = _TABLE_RUNNERS[args.number]
+def _cmd_render(args, scale) -> tuple[int, dict | None]:
+    """``repro table`` / ``repro figure``: regenerate a paper result.
+
+    A ``--datasets`` or ``--workers`` the runner does not take is an
+    error, not a silently ignored flag.
+    """
+    runner = _RUNNERS[args.command][args.number]
+    takes = inspect.signature(runner).parameters
     kwargs = {"seed": args.seed}
-    if args.datasets and args.number in ("6", "7", "9", "10"):
-        kwargs["datasets"] = tuple(args.datasets)
-    if args.workers and args.number == "7":
-        kwargs["workers"] = args.workers
+    for flag, value in (
+        ("datasets", tuple(args.datasets or ())),
+        ("workers", args.workers),
+    ):
+        if not value:
+            continue
+        if flag not in takes:
+            print(
+                f"repro {args.command}: error: --{flag} does not apply to "
+                f"{args.command} {args.number}",
+                file=sys.stderr,
+            )
+            return 2, None
+        kwargs[flag] = value
     rendered = runner(scale, **kwargs).render()
     print(rendered)
-    record_run(
-        "table",
-        {
+    return 0, dict(
+        config={
             "number": args.number,
             "datasets": list(args.datasets or []),
             "scale": args.scale,
         },
-        env=_ledger_env(args),
         outputs={"render_sha256": text_digest(rendered)},
-        duration_s=clock() - t0,
     )
-    return 0
-
-
-def _cmd_figure(args, scale) -> int:
-    """``repro figure``: regenerate a paper figure."""
-    clock = get_tracer().clock
-    t0 = clock()
-    runner = _FIGURE_RUNNERS[args.number]
-    kwargs = {"seed": args.seed}
-    if args.datasets:
-        kwargs["datasets"] = tuple(args.datasets)
-    if args.workers and args.number == "3":
-        kwargs["workers"] = args.workers
-    rendered = runner(scale, **kwargs).render()
-    print(rendered)
-    record_run(
-        "figure",
-        {
-            "number": args.number,
-            "datasets": list(args.datasets or []),
-            "scale": args.scale,
-        },
-        env=_ledger_env(args),
-        outputs={"render_sha256": text_digest(rendered)},
-        duration_s=clock() - t0,
-    )
-    return 0
 
 
 def _emit(text: str) -> None:
@@ -846,7 +827,7 @@ def _emit(text: str) -> None:
         os.dup2(devnull, sys.stdout.fileno())
 
 
-def _cmd_runs(args) -> int:  # lint: disable=unledgered-entrypoint -- reading the ledger must never write it
+def _cmd_runs(args) -> int:
     """``repro runs``: history, lineage, and the trend gate."""
     ledger = RunLedger(args.history)
     if args.view == "gc":
@@ -909,7 +890,7 @@ def _cmd_runs(args) -> int:  # lint: disable=unledgered-entrypoint -- reading th
     return 1 if (failed and args.gate) else 0
 
 
-def _cmd_report(args) -> int:  # lint: disable=unledgered-entrypoint -- read-only dashboards and gate renderers
+def _cmd_report(args) -> int:
     """``repro report``: run/diff dashboards and the bench gate."""
     renderers = {
         "run": lambda: render_run(args.events),
@@ -999,18 +980,18 @@ def _run_report_bench(args) -> int:
 _SERVE_BENCH_REQUESTS = {"smoke": 64, "default": 256, "full": 2048}
 
 
-def _cmd_export(args, scale) -> int:
+def _cmd_export(
+    args, scale, env: dict
+) -> tuple[int, RunManifest | None]:
     """``repro export``: train a model and write its artifact bundle.
 
     The run id must exist *before* the artifact is saved so it can be
     embedded as provenance (hash-covered), which is what lets ``repro
     serve`` manifests point back at the producing run. The manifest is
-    therefore built first — its id covers command/config/env/outputs,
-    never the artifact hash — and recorded after the save with the
-    final content hash attached.
+    therefore built here — its id covers command/config/env/outputs,
+    never the artifact hash — and returned with the final content hash
+    attached, for :func:`main` to record.
     """
-    clock = get_tracer().clock
-    t0 = clock()
     try:
         if args.target == "search":
             artifact = export_search(
@@ -1044,11 +1025,11 @@ def _cmd_export(args, scale) -> int:
             }
     except ArtifactError as exc:
         print(f"repro export: error: {exc}", file=sys.stderr)
-        return 2
+        return 2, None
     manifest = build_manifest(
         "export",
         config,
-        env=_ledger_env(args),
+        env=env,
         outputs={
             "target": args.target,
             "task": artifact.task,
@@ -1084,21 +1065,17 @@ def _cmd_export(args, scale) -> int:
             "content_hash": payload["content_hash"],
         }
     )
-    manifest.duration_s = clock() - t0
-    record_run(manifest=manifest)
-    return 0
+    return 0, manifest
 
 
-def _cmd_serve(args, scale) -> int:
+def _cmd_serve(args, scale) -> tuple[int, dict | None]:
     """``repro serve``: load an artifact, run demo traffic or the bench."""
-    clock = get_tracer().clock
-    t0 = clock()
     try:
         artifact = load_artifact(args.artifact)
         engine = InferenceEngine.from_artifact(artifact)
     except (OSError, ArtifactError) as exc:
         print(f"repro serve: error: {exc}", file=sys.stderr)
-        return 2
+        return 2, None
     print(f"artifact:  {args.artifact}")
     print(f"task:      {artifact.task}")
     if artifact.genotype is not None:
@@ -1160,22 +1137,18 @@ def _cmd_serve(args, scale) -> int:
         lineage["producer_run_id"] = provenance["run_id"]
         if provenance.get("command"):
             lineage["producer_command"] = provenance["command"]
-    record_run(
-        "serve",
-        {
+    return code, dict(
+        config={
             "bench": bool(args.bench),
             "bench_name": args.bench_name if args.bench else None,
             "max_batch": args.max_batch,
             "scale": args.scale,
         },
-        env=_ledger_env(args),
         registry=engine.metrics.registry,
         outputs={"exit_code": code, "task": artifact.task},
         lineage=lineage,
         files=[args.trace] if args.trace else None,
-        duration_s=clock() - t0,
     )
-    return code
 
 
 def _serve_work(args, engine, artifact, deadline_s, trace_sink) -> int:
@@ -1271,7 +1244,7 @@ def _minor_faults() -> int | None:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def _cmd_profile(args, scale) -> int:
+def _cmd_profile(args, scale) -> tuple[int, dict | None]:
     """``repro profile``: wrap search/baseline in a ProfileSession."""
     trace_path = args.trace or f"trace-{args.target}-{args.dataset}.jsonl"
     data = load_dataset(args.dataset, seed=args.seed, scale=scale.dataset_scale)
@@ -1324,15 +1297,11 @@ def _cmd_profile(args, scale) -> int:
     }
     if args.target == "baseline":
         config["name"] = args.name
-    record_run(
-        "profile",
-        config,
-        env=_ledger_env(args),
+    return 0, dict(
+        config=config,
         metrics=session.metric_scalars(),
         files=[str(trace_path)],
-        duration_s=session.duration,
     )
-    return 0
 
 
 if __name__ == "__main__":

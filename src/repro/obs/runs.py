@@ -2,9 +2,9 @@
 
 ``BENCH_*.json`` files are overwritten in place and the bench gate
 compares one point against one baseline — the repo had no memory
-*across* runs. The ledger fixes that: every entry point (``search``,
-``sweep``, ``baseline``, ``table``, ``figure``, ``serve --bench``,
-``export``, ``lint``, ``profile``, the benchmarks) appends one
+*across* runs. The ledger fixes that: every CLI command but the
+read-only ``report`` and ``runs`` (``repro.cli.main`` records it), and
+every tracked benchmark, appends one
 versioned :class:`RunManifest` to an append-only JSONL store under
 ``benchmarks/history/`` (override the directory with
 ``REPRO_HISTORY_DIR``; set ``REPRO_RUN_LEDGER=off`` to disable
@@ -368,6 +368,8 @@ class RunLedger:
     def gc(self, keep: int) -> int:
         """Rewrite the store with only the last ``keep`` valid entries;
         returns how many entries (including corrupt lines) were dropped."""
+        if keep < 0:
+            raise ValueError(f"keep must be >= 0, got {keep}")
         manifests = self.read()
         kept = manifests[-keep:] if keep > 0 else []
         try:
@@ -401,13 +403,14 @@ def record_run(
 ) -> RunManifest | None:
     """Build (unless prebuilt) and append one manifest to the ledger.
 
-    The single call every CLI handler makes (the
-    ``unledgered-entrypoint`` lint rule checks for it by name). Pass
-    ``manifest=`` when the id had to exist *before* the work finished —
-    ``repro export`` derives the id first so it can embed provenance
-    into the artifact, then records the manifest with the final
-    artifact hash attached. Returns the manifest, or None when
-    recording is disabled (``REPRO_RUN_LEDGER=off``).
+    ``repro.cli.main`` calls it once per command, after the handler
+    returns, with the manifest it built from the handler's fields; the
+    benchmarks call it per tracked bench. Pass ``manifest=`` when the
+    manifest is already built — ``repro export`` derives the id first
+    so it can embed provenance into the artifact, then hands over the
+    manifest with the final artifact hash attached. Returns the
+    manifest, or None when recording is disabled
+    (``REPRO_RUN_LEDGER=off``).
     """
     if os.environ.get("REPRO_RUN_LEDGER", "").lower() in ("off", "0", "false"):
         return None

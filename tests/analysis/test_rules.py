@@ -739,78 +739,6 @@ class TestUntracedServePath:
         assert all("resolved outside its resolve stage" in p for p in problems)
 
 
-class TestUnledgeredEntrypoint:
-    CLI_PATH = "src/repro/cli.py"
-
-    def run_at(self, source: str, path: str):
-        return analyze_source(
-            textwrap.dedent(source), path=path, rules=default_rules()
-        )
-
-    def test_flags_handler_without_record_run(self):
-        result = self.run_at(
-            """
-            def _cmd_stats(args, scale):
-                print(run_table4(scale).render())
-                return 0
-            """,
-            self.CLI_PATH,
-        )
-        assert rule_ids(result) == ["unledgered-entrypoint"]
-        assert result.findings[0].severity is Severity.ERROR
-
-    def test_record_run_anywhere_in_body_is_clean(self):
-        result = self.run_at(
-            """
-            def _cmd_stats(args, scale):
-                rendered = run_table4(scale).render()
-                print(rendered)
-                record_run("stats", {"scale": args.scale})
-                return 0
-
-            def _cmd_search(args, scale):
-                if args.events:
-                    with record_events(args.events):
-                        runs.record_run("search", {})
-                return 0
-            """,
-            self.CLI_PATH,
-        )
-        assert rule_ids(result) == []
-
-    def test_non_handler_functions_are_out_of_scope(self):
-        result = self.run_at(
-            """
-            def _run_report_bench(args):
-                return 0
-
-            def helper(args):
-                return 1
-            """,
-            self.CLI_PATH,
-        )
-        assert rule_ids(result) == []
-
-    def test_other_files_are_out_of_scope(self):
-        source = """
-            def _cmd_stats(args, scale):
-                return 0
-            """
-        assert rule_ids(self.run_at(source, "src/repro/obs/runs.py")) == []
-        assert rule_ids(self.run_at(source, "tests/test_cli.py")) == []
-
-    def test_suppressible_on_the_def_line(self):
-        result = self.run_at(
-            """
-            def _cmd_runs(args):  # lint: disable=unledgered-entrypoint -- read-only
-                return 0
-            """,
-            self.CLI_PATH,
-        )
-        assert result.findings == []
-        assert [f.rule_id for f in result.suppressed] == ["unledgered-entrypoint"]
-
-
 class TestSuppression:
     def test_inline_disable_moves_finding_to_suppressed(self):
         result = run(

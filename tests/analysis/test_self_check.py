@@ -17,13 +17,10 @@ from repro.analysis import (
     lint_roots,
 )
 
-# Rules the tree legitimately suppresses, each pattern reviewed:
-# - unledgered-entrypoint: the two read-only CLI handlers (`repro runs`
-#   must not write the ledger it reads; `repro report` only renders
-#   existing telemetry).
-# New suppressions of other rules deserve review — extend this set
+# Rules the tree legitimately suppresses, each pattern reviewed. The
+# tree has none; a new suppression deserves review — extend this set
 # consciously.
-ALLOWED_SUPPRESSIONS = {"unledgered-entrypoint"}
+ALLOWED_SUPPRESSIONS: set[str] = set()
 
 
 @pytest.fixture(scope="module")

@@ -157,6 +157,14 @@ class TestLedgerStore:
         kept = ledger.read()
         assert [m.outputs["n"] for m in kept] == [3, 4]
 
+    def test_gc_refuses_a_negative_keep(self, tmp_path):
+        ledger = RunLedger(tmp_path / "runs.jsonl")
+        for i in range(2):
+            ledger.append(_manifest(outputs={"n": i}))
+        with pytest.raises(ValueError, match="keep must be >= 0"):
+            ledger.gc(keep=-1)
+        assert len(ledger.read()) == 2
+
     def test_record_run_respects_kill_switch(self, tmp_path, monkeypatch):
         ledger = RunLedger(tmp_path / "runs.jsonl")
         monkeypatch.setenv("REPRO_RUN_LEDGER", "off")

@@ -1,9 +1,15 @@
 """Command-line interface."""
 
+import argparse
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.obs.runs import RunLedger
 from tests.naive_kernels import KERNEL_PATHS, kernel_path
+
+FIXTURES = Path(__file__).parent / "obs" / "fixtures"
 
 
 class TestParser:
@@ -64,6 +70,28 @@ class TestCommands:
         code = main(["--scale", "smoke", "figure", "2", "--datasets", "cora"])
         assert code == 0
         assert "Figure 2" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["table", "4", "--datasets", "cora"], "--datasets"),
+            (["table", "8", "--datasets", "cora"], "--datasets"),
+            (["table", "6", "--datasets", "cora", "--workers", "2"], "--workers"),
+            (["figure", "2", "--datasets", "cora", "--workers", "2"], "--workers"),
+        ],
+        ids=["table4-datasets", "table8-datasets", "table6-workers",
+             "figure2-workers"],
+    )
+    def test_render_rejects_a_flag_its_runner_ignores(
+        self, argv, flag, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("REPRO_HISTORY_DIR", str(tmp_path))
+        assert main(["--scale", "smoke", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"repro {argv[0]}: error: {flag} ")
+        # An error path records nothing.
+        assert RunLedger(tmp_path / "runs.jsonl").read() == []
 
 
 class TestProfileCommand:
@@ -572,6 +600,34 @@ class TestRunLedgerCLI:
         capsys.readouterr()
         assert len(self._ledger(history).read()) == 1
 
+    def test_runs_gc_negative_keep_exits_2_and_keeps_ledger(
+        self, history, capsys
+    ):
+        assert main(["--scale", "smoke", "stats"]) == 0
+        assert main(["--scale", "smoke", "table", "4"]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["runs", "gc", "--keep", "-1"])
+        assert exc.value.code == 2
+        assert "argument --keep: must be >= 0" in capsys.readouterr().err
+        commands = [m.command for m in self._ledger(history).read()]
+        assert commands == ["stats", "table"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["runs", "list", "--last", "-1"],
+            ["runs", "trend", "search.epoch_ms", "--last", "-1"],
+            ["runs", "trend", "search.epoch_ms", "--gate", "--window", "0"],
+        ],
+        ids=["list-last", "trend-last", "trend-window"],
+    )
+    def test_runs_counts_out_of_range_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "must be >= " in capsys.readouterr().err
+
     def test_runs_show_unknown_ref_exits_2(self, history, capsys):
         assert main(["runs", "show", "rdeadbeef"]) == 2
         assert "no run matching" in capsys.readouterr().err
@@ -636,6 +692,67 @@ class TestRunLedgerCLI:
         assert main(["--scale", "smoke", "stats"]) == 0
         capsys.readouterr()
         assert self._ledger(history).read() == []
+
+
+# The cheapest invocation of every subcommand. `{tmp}` is the test's
+# temporary directory, `{artifact}` an exported artifact file in it.
+INVOCATIONS = {
+    "stats": ["stats"],
+    "search": ["search", "cora", "--layers", "1"],
+    "sweep": ["sweep", "cora", "--methods", "random"],
+    "baseline": ["baseline", "gcn", "cora"],
+    "table": ["table", "4"],
+    "figure": ["figure", "2", "--datasets", "cora"],
+    "lint": ["lint", "{tmp}/clean.py"],
+    "profile": [
+        "profile", "baseline", "--no-autograd", "--trace", "{tmp}/trace.jsonl",
+    ],
+    "export": ["export", "baseline", "gcn", "cora", "--out", "{tmp}/a.json"],
+    "serve": ["serve", "{artifact}"],
+    "report": ["report", "run", str(FIXTURES / "profile-a.jsonl")],
+    "runs": ["runs", "list"],
+}
+READ_ONLY = {"report", "runs"}
+
+
+class TestEveryCommandIsRecorded:
+    """`main` appends one manifest per working command, none otherwise."""
+
+    def test_every_subcommand_has_an_invocation(self):
+        (subcommands,) = [
+            action.choices
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        assert set(subcommands) == set(INVOCATIONS)
+
+    @pytest.mark.parametrize("command", sorted(INVOCATIONS))
+    def test_command_appends_its_manifest(
+        self, command, tmp_path, monkeypatch, capsys, request
+    ):
+        from repro.serve import save_artifact
+
+        history = tmp_path / "history"
+        monkeypatch.setenv("REPRO_HISTORY_DIR", str(history))
+        (tmp_path / "clean.py").write_text("x = 1\n")
+        artifact = tmp_path / "served.json"
+        if command == "serve":
+            save_artifact(request.getfixturevalue("node_artifact"), artifact)
+        argv = [
+            arg.format(tmp=tmp_path, artifact=artifact)
+            for arg in INVOCATIONS[command]
+        ]
+        assert main(["--scale", "smoke", "--seed", "0", *argv]) == 0
+        capsys.readouterr()
+        manifests = RunLedger(history / "runs.jsonl").read()
+        if command in READ_ONLY:
+            assert manifests == []
+            return
+        assert [m.command for m in manifests] == [command]
+        (manifest,) = manifests
+        assert manifest.env["scale"] == "smoke"
+        assert manifest.env["seed"] == 0
+        assert manifest.duration_s > 0
 
 
 class TestLintCommand:
