@@ -37,8 +37,10 @@ REPRO_SCALE=smoke python -m pytest -x -q
 # to end, CLI included, on every CI run.
 #
 # Each of the four sweeps below takes 0.9-1.8 s on a 2-core box. The
-# bound leaves room for a cold bytecode cache and a loaded machine, and
-# turns a wedged pool into a failed stage instead of a stalled CI run.
+# pool gives a job no time limit, so this shell timeout is the only
+# guard against a wedged job: it turns one into a failed stage instead
+# of a stalled CI run, and leaves room for a cold bytecode cache and a
+# loaded machine.
 SWEEP_TIMEOUT_S=20
 sweep() {
     REPRO_SCALE=smoke timeout "$SWEEP_TIMEOUT_S" python -m repro sweep cora "$@" || {
@@ -233,6 +235,12 @@ PYEOF
     python -m repro report serve "$SERVE_DIR/serve-trace.jsonl" --top 3 | head -n 1
     python -m repro report bench --baselines benchmarks/baselines/cli \
         --time-tolerance 1.5 "$SERVE_DIR/BENCH_serve_cli.json"
+    # The entity-alignment artifact through the same two commands: its
+    # genotype has no skip or layer aggregator, and serving it answers
+    # one demo batch of alignment queries.
+    echo "==> kg serve smoke (repro export kg + repro serve)"
+    REPRO_SCALE=smoke python -m repro export kg --out "$SERVE_DIR/kg.json"
+    REPRO_SCALE=smoke python -m repro serve "$SERVE_DIR/kg.json"
 
     # Publish the fresh payloads to the repo root so the bench
     # trajectory (wall-clock + kernel byte counters) is tracked across

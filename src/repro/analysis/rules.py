@@ -387,7 +387,7 @@ class RawMultiprocessingRule(Rule):
 
     DESIGN.md section 12: every multi-process fan-out goes through the
     :class:`repro.parallel.WorkerPool`, which owns the determinism
-    contract (merge by job id, per-job seeds), the crash/timeout/retry
+    contract (merge by job id, per-job seeds), the crash/retry
     handling and the ``parallel.*`` telemetry. A stray
     ``multiprocessing`` import or ``os.fork()`` call elsewhere forks
     work the pool cannot see — results merged in completion order,

@@ -234,10 +234,6 @@ class Tensor:
     # ------------------------------------------------------------------
     # autograd machinery
     # ------------------------------------------------------------------
-    def detach(self) -> "Tensor":
-        """Return a tensor sharing data but cut off from the tape."""
-        return Tensor(self.data, requires_grad=False)
-
     def zero_grad(self) -> None:
         self.grad = None
 

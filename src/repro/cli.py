@@ -77,6 +77,7 @@ from repro.experiments import (
     run_table9,
     run_table10,
 )
+from repro.gnn.models import BASELINE_NAMES
 from repro.graph.datasets import ALL_DATASETS, load_dataset
 from repro.parallel.sweep import SWEEP_METHODS, run_sweep
 from repro.obs import (
@@ -123,6 +124,9 @@ _RUNNERS = {
         "4b": run_figure4b,
     },
 }
+# Every name `run_human_baseline` trains. `export baseline lgcn` parses,
+# then fails with its own ArtifactError.
+_BASELINE_CHOICES = (*BASELINE_NAMES, "lgcn")
 
 
 def _int_at_least(low: int):
@@ -226,7 +230,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     baseline = commands.add_parser("baseline", help="train a human baseline")
-    baseline.add_argument("name", help="e.g. gcn, gat-jk, lgcn")
+    baseline.add_argument(
+        "name", choices=_BASELINE_CHOICES, metavar="name",
+        help="e.g. gcn, gat-jk, lgcn",
+    )
     baseline.add_argument("dataset", choices=ALL_DATASETS)
 
     renders = []
@@ -271,7 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile.add_argument("--dataset", choices=ALL_DATASETS, default="cora")
     profile.add_argument(
-        "--name", default="gcn", help="baseline architecture (target=baseline)"
+        "--name", default="gcn", choices=_BASELINE_CHOICES, metavar="NAME",
+        help="baseline architecture (target=baseline)",
     )
     profile.add_argument("--layers", type=int, default=3)
     profile.add_argument("--epsilon", type=float, default=0.0)
@@ -390,7 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
     export_baseline_p = targets.add_parser(
         "baseline", help="train a human baseline and bundle it"
     )
-    export_baseline_p.add_argument("name", help="e.g. gcn, gat-jk")
+    export_baseline_p.add_argument(
+        "name", choices=_BASELINE_CHOICES, metavar="name", help="e.g. gcn, gat-jk"
+    )
     export_baseline_p.add_argument("dataset", choices=ALL_DATASETS)
     export_baseline_p.add_argument(
         "--out",

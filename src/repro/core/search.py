@@ -51,7 +51,6 @@ class SearchConfig:
     alpha_weight_decay: float = 1e-3
     grad_clip: float = 5.0
     epsilon: float = 0.0
-    use_layer_aggregator: bool = True
     # Per-op output normalisation inside the mixture. Helps when op
     # output magnitudes differ wildly (the entity-alignment search uses
     # its own normalised supernet); on the node-classification tasks the
@@ -59,7 +58,7 @@ class SearchConfig:
     # design-choice ablation bench compares both.
     normalize_ops: bool = False
     # DARTS anneals the weight learning rate with a cosine schedule;
-    # options: None/'constant', 'cosine', 'step'.
+    # options: None/'constant', 'cosine'.
     w_lr_schedule: str | None = None
     # Eq. 8's xi. The paper sets xi = 0 (first-order approximation,
     # "more efficient and the performance is good enough"); xi > 0
@@ -116,7 +115,6 @@ class SaneSearcher:
             dropout=self.config.dropout,
             activation=self.config.activation,
             epsilon=self.config.epsilon,
-            use_layer_aggregator=self.config.use_layer_aggregator,
             normalize_ops=self.config.normalize_ops,
         )
         self._arch = self.supernet.arch_parameters()

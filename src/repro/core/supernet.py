@@ -102,7 +102,6 @@ class SaneSupernet(Module):
         dropout: float = 0.6,
         activation: str = "relu",
         epsilon: float = 0.0,
-        use_layer_aggregator: bool = True,
         normalize_ops: bool = False,
     ):
         super().__init__()
@@ -111,7 +110,6 @@ class SaneSupernet(Module):
         self.space = space
         self.hidden_dim = hidden_dim
         self.epsilon = epsilon
-        self.use_layer_aggregator = use_layer_aggregator
         self.normalize_ops = normalize_ops
         self.activation = F.ACTIVATIONS[activation]
         self._rng = rng
@@ -129,18 +127,14 @@ class SaneSupernet(Module):
             for __ in range(k)
         ]
         # Candidate layer aggregators, each with a projection to hidden_dim.
-        if use_layer_aggregator:
-            self.layer_candidates = []
-            self.layer_projections = []
-            for name in space.layer_ops:
-                aggregator = create_layer_aggregator(name, k, hidden_dim, rng)
-                self.layer_candidates.append(aggregator)
-                self.layer_projections.append(
-                    Linear(aggregator.output_dim, hidden_dim, rng)
-                )
-        else:
-            self.layer_candidates = []
-            self.layer_projections = []
+        self.layer_candidates = []
+        self.layer_projections = []
+        for name in space.layer_ops:
+            aggregator = create_layer_aggregator(name, k, hidden_dim, rng)
+            self.layer_candidates.append(aggregator)
+            self.layer_projections.append(
+                Linear(aggregator.output_dim, hidden_dim, rng)
+            )
 
         self.classifier = Linear(hidden_dim, num_classes, rng)
 
@@ -157,13 +151,10 @@ class SaneSupernet(Module):
     # parameter groups for the bi-level optimiser
     # ------------------------------------------------------------------
     def arch_parameters(self) -> list[Parameter]:
-        params = [self.alpha_node, self.alpha_skip]
-        if self.use_layer_aggregator:
-            params.append(self.alpha_layer)
-        return params
+        return [self.alpha_node, self.alpha_skip, self.alpha_layer]
 
     def weight_parameters(self) -> list[Parameter]:
-        arch_ids = {id(p) for p in (self.alpha_node, self.alpha_skip, self.alpha_layer)}
+        arch_ids = {id(p) for p in self.arch_parameters()}
         return [p for p in self.parameters() if id(p) not in arch_ids]
 
     # ------------------------------------------------------------------
@@ -215,9 +206,6 @@ class SaneSupernet(Module):
                 h = self.activation(ops.weighted_sum(outputs, weights))
             h = self.dropout(h)
             layer_outputs.append(h)
-
-        if not self.use_layer_aggregator:
-            return layer_outputs[-1]
 
         # Skip mixture (Eq. 4): identity keeps the layer, zero drops it,
         # so the mixture reduces to scaling by the identity weight.

@@ -189,18 +189,9 @@ _BASE_AGGREGATOR = {
     "gin": "gin",
     "geniepath": "geniepath",
 }
-
-BASELINE_NAMES = (
-    "gcn",
-    "gcn-jk",
-    "sage",
-    "sage-jk",
-    "gat",
-    "gat-jk",
-    "gin",
-    "gin-jk",
-    "geniepath",
-    "geniepath-jk",
+# Every name build_baseline accepts.
+BASELINE_NAMES = tuple(
+    base + suffix for base in _BASE_AGGREGATOR for suffix in ("", "-jk")
 )
 
 

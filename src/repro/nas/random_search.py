@@ -34,13 +34,12 @@ def random_search(
     evaluator: ArchitectureEvaluator,
     num_candidates: int,
     seed: int = 0,
-    deduplicate: bool = True,
     pool=None,
 ) -> SearchOutcome:
     """Evaluate ``num_candidates`` uniform samples; return the best.
 
-    ``deduplicate`` skips exact repeats (retrying up to 20 times),
-    which matters in small spaces like Table X's MLP grid.
+    Exact repeats are skipped (retrying up to 20 times), which matters
+    in small spaces like Table X's MLP grid.
 
     Random search has no feedback loop, so the whole candidate list is
     drawn up front (the exact RNG draw sequence of the sequential
@@ -53,11 +52,10 @@ def random_search(
     batch: list[tuple[int, ...]] = []
     for __ in range(num_candidates):
         indices = evaluator.space.sample_indices(rng)
-        if deduplicate:
-            for __retry in range(20):
-                if indices not in seen:
-                    break
-                indices = evaluator.space.sample_indices(rng)
+        for __retry in range(20):
+            if indices not in seen:
+                break
+            indices = evaluator.space.sample_indices(rng)
         seen.add(indices)
         batch.append(indices)
     evaluator.evaluate_batch(batch, pool=pool)

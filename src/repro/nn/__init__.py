@@ -4,7 +4,7 @@ from repro.nn.module import Module, Parameter
 from repro.nn.layers import Linear, MLP, Dropout
 from repro.nn.lstm import LSTMCell, BiLSTMAttention
 from repro.nn.optim import Adam, Optimizer, clip_grad_norm
-from repro.nn.schedulers import CosineAnnealingLR, LRScheduler, StepLR, create_scheduler
+from repro.nn.schedulers import CosineAnnealingLR, create_scheduler
 from repro.nn import init
 
 __all__ = [
@@ -18,8 +18,6 @@ __all__ = [
     "Adam",
     "Optimizer",
     "clip_grad_norm",
-    "LRScheduler",
-    "StepLR",
     "CosineAnnealingLR",
     "create_scheduler",
     "init",

@@ -48,7 +48,6 @@ class MLP(Module):
         dims: list[int],
         rng: np.random.Generator,
         activation: str = "relu",
-        final_activation: bool = False,
     ):
         super().__init__()
         if len(dims) < 2:
@@ -57,16 +56,12 @@ class MLP(Module):
             Linear(d_in, d_out, rng) for d_in, d_out in zip(dims[:-1], dims[1:])
         ]
         self.activation = F.ACTIVATIONS[activation]
-        self.final_activation = final_activation
 
     def forward(self, x) -> Tensor:
         out = as_tensor(x)
-        last = len(self.layers) - 1
-        for i, layer in enumerate(self.layers):
-            out = layer(out)
-            if i < last or self.final_activation:
-                out = self.activation(out)
-        return out
+        for layer in self.layers[:-1]:
+            out = self.activation(layer(out))
+        return self.layers[-1](out)
 
 
 class Dropout(Module):

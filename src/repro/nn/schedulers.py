@@ -1,9 +1,9 @@
-"""Learning-rate schedules.
+"""Learning-rate schedule.
 
 DARTS (the search algorithm SANE builds on) anneals the weight
 learning rate with a cosine schedule during supernet training; the
-searcher enables this via ``SearchConfig.w_lr_schedule``. Schedulers
-mutate ``optimizer.lr`` in place — call :meth:`step` once per epoch.
+searcher enables this via ``SearchConfig.w_lr_schedule``. The scheduler
+mutates ``optimizer.lr`` in place — call :meth:`step` once per epoch.
 """
 
 from __future__ import annotations
@@ -12,66 +12,37 @@ import math
 
 from repro.nn.optim import Optimizer
 
-__all__ = ["LRScheduler", "StepLR", "CosineAnnealingLR", "create_scheduler"]
+__all__ = ["CosineAnnealingLR", "create_scheduler"]
 
 
-class LRScheduler:
-    """Base class tracking the epoch count and the initial rate."""
+class CosineAnnealingLR:
+    """Anneal from the base rate to ``eta_min`` over ``t_max`` epochs."""
 
-    def __init__(self, optimizer: Optimizer):
+    def __init__(self, optimizer: Optimizer, t_max: int, eta_min: float = 0.0):
+        if t_max < 1:
+            raise ValueError("t_max must be >= 1")
         self.optimizer = optimizer
         self.base_lr = optimizer.lr
         self.epoch = 0
+        self.t_max = t_max
+        self.eta_min = eta_min
 
     def step(self) -> float:
         """Advance one epoch; returns the new learning rate."""
         self.epoch += 1
-        self.optimizer.lr = self._rate(self.epoch)
-        return self.optimizer.lr
-
-    def _rate(self, epoch: int) -> float:
-        raise NotImplementedError
-
-
-class StepLR(LRScheduler):
-    """Multiply the rate by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.5):
-        super().__init__(optimizer)
-        if step_size < 1:
-            raise ValueError("step_size must be >= 1")
-        self.step_size = step_size
-        self.gamma = gamma
-
-    def _rate(self, epoch: int) -> float:
-        return self.base_lr * self.gamma ** (epoch // self.step_size)
-
-
-class CosineAnnealingLR(LRScheduler):
-    """Anneal from the base rate to ``eta_min`` over ``t_max`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, t_max: int, eta_min: float = 0.0):
-        super().__init__(optimizer)
-        if t_max < 1:
-            raise ValueError("t_max must be >= 1")
-        self.t_max = t_max
-        self.eta_min = eta_min
-
-    def _rate(self, epoch: int) -> float:
-        progress = min(epoch, self.t_max) / self.t_max
-        return self.eta_min + 0.5 * (self.base_lr - self.eta_min) * (
+        progress = min(self.epoch, self.t_max) / self.t_max
+        self.optimizer.lr = self.eta_min + 0.5 * (self.base_lr - self.eta_min) * (
             1.0 + math.cos(math.pi * progress)
         )
+        return self.optimizer.lr
 
 
 def create_scheduler(
     name: str | None, optimizer: Optimizer, epochs: int
-) -> LRScheduler | None:
+) -> CosineAnnealingLR | None:
     """Build a scheduler by name (``None`` or ``'constant'`` → none)."""
     if name is None or name == "constant":
         return None
     if name == "cosine":
         return CosineAnnealingLR(optimizer, t_max=epochs, eta_min=1e-4)
-    if name == "step":
-        return StepLR(optimizer, step_size=max(1, epochs // 3))
     raise ValueError(f"unknown lr schedule {name!r}")

@@ -84,10 +84,10 @@ _HIGHER_BETTER = frozenset(
      "gbps"}
 )
 # Failure counts (serve.errors, serve.deadline_exceeded,
-# parallel.crashes/timeouts): lower is better, and they are counts, not
+# parallel.crashes): lower is better, and they are counts, not
 # wall-clock measurements, so they take the strict tolerance — any
 # failure against a zero baseline gates.
-_FAILURE_COUNTS = frozenset({"errors", "exceeded", "crashes", "timeouts"})
+_FAILURE_COUNTS = frozenset({"errors", "exceeded", "crashes"})
 # Higher-is-better metrics that are nevertheless ratios of wall-clock
 # measurements, so they inherit wall-clock noise and the looser
 # time tolerance. Requests/s from the serve bench is the same kind of

@@ -113,9 +113,6 @@ class ProfileSession:
     def op_stats(self) -> list[dict]:
         return self.profiler.stats() if self.profiler is not None else []
 
-    def memory_stats(self) -> dict | None:
-        return self.tracker.stats() if self.tracker is not None else None
-
     @property
     def duration(self) -> float:
         """Wall time of the profiled block (root span duration)."""

@@ -15,7 +15,6 @@ without a cycle) builds multi-seed/multi-dataset sweeps on top.
 from repro.parallel.jobs import (
     JobDispatchError,
     JobError,
-    JobTimeoutError,
     ParallelError,
     SearchJob,
     WorkerCrashError,
@@ -34,6 +33,5 @@ __all__ = [
     "ParallelError",
     "JobDispatchError",
     "JobError",
-    "JobTimeoutError",
     "WorkerCrashError",
 ]

@@ -32,7 +32,6 @@ __all__ = [
     "ParallelError",
     "JobDispatchError",
     "JobError",
-    "JobTimeoutError",
     "WorkerCrashError",
 ]
 
@@ -94,19 +93,6 @@ class WorkerCrashError(ParallelError):
         self.exitcode = exitcode
 
 
-class JobTimeoutError(ParallelError):
-    """A job exceeded its timeout; its worker was killed."""
-
-    def __init__(self, job_id: int, tag: str, timeout_s: float):
-        super().__init__(
-            f"job {job_id} ({tag or 'untagged'}) exceeded its "
-            f"{timeout_s:.1f}s timeout; retry budget exhausted"
-        )
-        self.job_id = job_id
-        self.tag = tag
-        self.timeout_s = timeout_s
-
-
 @dataclasses.dataclass(frozen=True)
 class SearchJob:
     """One independent unit of search work.
@@ -121,7 +107,6 @@ class SearchJob:
     fn: str
     kwargs: dict = dataclasses.field(default_factory=dict)
     tag: str = ""
-    timeout_s: float | None = None
 
 
 def resolve_job_fn(path: str):

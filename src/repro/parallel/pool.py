@@ -31,12 +31,14 @@ exactly one job:
   :class:`WorkerCrashError` surfaces — a worker that can never start
   charges a job on every attempt, so the batch ends there too;
 * a worker found dead while idle is replaced, and no job is charged;
-* a job exceeding its timeout (counted from dispatch) gets its worker
-  killed and the same bounded retry, then :class:`JobTimeoutError`;
 * a job that raises is retried the same way, then :class:`JobError`
   carries the remote traceback. In-process mode re-raises the
   original exception unwrapped (callers like the CLI's
   ``--check-numerics raise`` depend on catching the real type).
+
+A job has no time limit: one that never returns blocks its run, so
+a caller that must end runs under an outside guard (CI's sweeps run
+under a shell ``timeout``).
 
 On any fatal error the pool shuts its workers down before raising —
 a failed run never leaves orphan processes behind. The pool is
@@ -44,8 +46,8 @@ reusable afterwards (workers respawn lazily).
 
 Telemetry lands in the pool's :class:`MetricsRegistry` (pass the
 bench registry to fold it into a ``BENCH_*.json`` payload):
-``parallel.jobs`` / ``parallel.retries`` / ``parallel.crashes`` /
-``parallel.timeouts`` counters, ``parallel.workers`` /
+``parallel.jobs`` / ``parallel.retries`` / ``parallel.crashes``
+counters, ``parallel.workers`` /
 ``parallel.queue_depth`` (jobs waiting for a worker) /
 ``parallel.utilization`` / ``parallel.straggler_s`` gauges, plus
 per-worker utilization: ``parallel.worker.<i>.busy_frac`` gauges and
@@ -66,7 +68,6 @@ from repro.obs import events
 from repro.parallel.jobs import (
     JobDispatchError,
     JobError,
-    JobTimeoutError,
     SearchJob,
     WorkerCrashError,
     execute_job,
@@ -143,7 +144,7 @@ class WorkerPool:
 
         waiting = collections.deque(by_id)  # the caller's order
         failures = dict.fromkeys(by_id, 0)
-        held: dict[int, tuple[int, float]] = {}  # wid -> (jid, dispatched at)
+        held: dict[int, int] = {}  # worker id -> the job id it holds
         results: dict[int, object] = {}
         finish_times: list[float] = []
         busy_s = 0.0
@@ -163,7 +164,7 @@ class WorkerPool:
 
         def crashed(worker_id: int) -> None:
             """The worker holding a job is gone: charge that job."""
-            job_id, __ = held.pop(worker_id)
+            job_id = held.pop(worker_id)
             exitcode = self._drop_worker(worker_id, grace_s=1.0)
             self.metrics.counter("parallel.crashes").inc()
             retry(job_id, WorkerCrashError(job_id, by_id[job_id].tag, exitcode))
@@ -173,7 +174,7 @@ class WorkerPool:
                 if not waiting:
                     break
                 job_id = waiting.popleft()
-                held[worker_id] = (job_id, clock())
+                held[worker_id] = job_id
                 try:
                     self._conns[worker_id].send_bytes(payloads[job_id])
                 except OSError:
@@ -182,17 +183,8 @@ class WorkerPool:
             if not held:
                 continue  # every send failed; each charged its job
 
-            deadlines = [
-                t0 + by_id[job_id].timeout_s
-                for job_id, t0 in held.values()
-                if by_id[job_id].timeout_s is not None
-            ]
             by_conn = {self._conns[wid]: wid for wid in held}
-            ready = connection.wait(
-                list(by_conn),
-                timeout=max(0.0, min(deadlines) - clock()) if deadlines else None,
-            )
-            for conn in ready:
+            for conn in connection.wait(list(by_conn)):
                 worker_id = by_conn[conn]
                 try:
                     message = conn.recv()
@@ -200,7 +192,7 @@ class WorkerPool:
                     # The worker holds the only other end: it is gone.
                     crashed(worker_id)
                     continue
-                job_id, __ = held.pop(worker_id)
+                job_id = held.pop(worker_id)
                 if message[0] == "error":
                     __, etype, msg, tb = message
                     retry(job_id, JobError(job_id, by_id[job_id].tag, etype, msg, tb))
@@ -213,17 +205,6 @@ class WorkerPool:
                 busy_s += job_busy
                 worker_busy[worker_id] = worker_busy.get(worker_id, 0.0) + job_busy
                 worker_tasks[worker_id] = worker_tasks.get(worker_id, 0) + 1
-
-            # Timeouts: kill the worker, retry the job bounded times.
-            now = clock()
-            for worker_id, (job_id, t0) in list(held.items()):
-                limit = by_id[job_id].timeout_s
-                if limit is None or now - t0 <= limit:
-                    continue
-                del held[worker_id]
-                self._drop_worker(worker_id, grace_s=0.0)
-                self.metrics.counter("parallel.timeouts").inc()
-                retry(job_id, JobTimeoutError(job_id, by_id[job_id].tag, limit))
 
         wall = max(clock() - t_run, 1e-9)
         utilization = min(1.0, busy_s / (self.workers * wall))

@@ -1,7 +1,7 @@
 """Job bodies for exercising the pool's failure modes.
 
 Fault-injection tests need job functions that crash the worker
-process, sleep past a timeout, or fail exactly once, and ordering
+process or fail exactly once, and ordering
 tests need jobs that log when they start — and spawn workers can only
 run module-level importable functions, so they live here rather than
 inline in the tests.
@@ -24,7 +24,6 @@ __all__ = [
     "flaky_crash_job",
     "raise_job",
     "flaky_raise_job",
-    "sleep_job",
     "spanned_job",
     "rendezvous_job",
     "record_start_job",
@@ -61,12 +60,6 @@ def flaky_raise_job(marker_path: str, value):
         with open(marker_path, "w", encoding="utf-8") as fh:
             fh.write("attempted\n")
         raise ValueError("injected first-attempt failure")
-    return value
-
-
-def sleep_job(seconds: float, value=None):
-    """Block past a timeout (the parent kills the worker)."""
-    time.sleep(seconds)
     return value
 
 

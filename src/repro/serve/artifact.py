@@ -171,8 +171,12 @@ class ModelArtifact:
     # instantiation
     # ------------------------------------------------------------------
     def architecture(self) -> Architecture | None:
-        """The searched genotype as an :class:`Architecture`, if any."""
-        if self.genotype is None:
+        """The searched genotype as an :class:`Architecture`, if any.
+
+        An alignment genotype names only the encoder's aggregators, so
+        it has no :class:`Architecture`; callers print it raw.
+        """
+        if self.genotype is None or self.task == "kg_alignment":
             return None
         return Architecture(
             node_aggregators=tuple(self.genotype["node_aggregators"]),

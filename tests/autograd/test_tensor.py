@@ -1,4 +1,4 @@
-"""Tensor core semantics: tape, backward, detach, grad modes."""
+"""Tensor core semantics: tape, backward, grad modes."""
 
 import numpy as np
 import pytest
@@ -201,17 +201,6 @@ class TestGradMode:
         x = Tensor([1.0], requires_grad=True)
         (x * 2.0).sum().backward()
         np.testing.assert_allclose(x.grad, [2.0])
-
-    def test_detach_cuts_tape(self):
-        x = Tensor([1.0], requires_grad=True)
-        y = (x * 2.0).detach()
-        z = y * 3.0
-        assert not z.requires_grad
-        assert not y.requires_grad
-
-    def test_detach_shares_data(self):
-        x = Tensor([1.0, 2.0], requires_grad=True)
-        assert x.detach().data is x.data
 
 
 class TestOperatorSugar:

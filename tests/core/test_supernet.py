@@ -97,12 +97,6 @@ class TestForward:
         assert net.alpha_layer.grad is not None
         assert net.input_proj.weight.grad is not None
 
-    def test_without_layer_aggregator(self, tiny_graph, tiny_cache):
-        net = make_supernet(tiny_graph, use_layer_aggregator=False)
-        out = net(tiny_graph.features, tiny_cache)
-        assert out.shape == (tiny_graph.num_nodes, tiny_graph.num_classes)
-        assert len(net.arch_parameters()) == 2
-
     def test_eval_deterministic(self, tiny_graph, tiny_cache):
         net = make_supernet(tiny_graph)
         net.eval()

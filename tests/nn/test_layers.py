@@ -45,11 +45,6 @@ class TestMLP:
         assert len(mlp.layers) == 3
         assert mlp(Tensor(np.ones((5, 4)))).shape == (5, 2)
 
-    def test_final_activation_flag(self, rng):
-        relu_out = MLP([2, 2], rng, final_activation=True)
-        out = relu_out(Tensor(-100 * np.ones((1, 2))))
-        assert (out.data >= 0).all()
-
     def test_single_layer_no_activation_by_default(self, rng):
         mlp = MLP([2, 2], rng)
         out = mlp(Tensor(-100 * np.ones((1, 2))))

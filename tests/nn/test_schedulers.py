@@ -1,27 +1,15 @@
-"""Learning-rate schedules."""
+"""Learning-rate schedule."""
 
 import numpy as np
 import pytest
 
 from repro.nn.module import Parameter
 from repro.nn.optim import Adam
-from repro.nn.schedulers import CosineAnnealingLR, StepLR, create_scheduler
+from repro.nn.schedulers import CosineAnnealingLR, create_scheduler
 
 
 def make_optimizer(lr=0.1):
     return Adam([Parameter(np.zeros(1))], lr=lr)
-
-
-class TestStepLR:
-    def test_halves_at_boundaries(self):
-        optimizer = make_optimizer(0.1)
-        scheduler = StepLR(optimizer, step_size=2, gamma=0.5)
-        rates = [scheduler.step() for __ in range(4)]
-        np.testing.assert_allclose(rates, [0.1, 0.05, 0.05, 0.025])
-
-    def test_validates_step_size(self):
-        with pytest.raises(ValueError, match="step_size"):
-            StepLR(make_optimizer(), step_size=0)
 
 
 class TestCosine:
@@ -52,7 +40,6 @@ class TestFactory:
 
     def test_by_name(self):
         assert isinstance(create_scheduler("cosine", make_optimizer(), 10), CosineAnnealingLR)
-        assert isinstance(create_scheduler("step", make_optimizer(), 10), StepLR)
 
     def test_unknown(self):
         with pytest.raises(ValueError, match="lr schedule"):

@@ -126,7 +126,7 @@ class TestTrackerLifecycle:
             x = Tensor(np.ones((8, 8)), requires_grad=True)
             ops.sum(x * x).backward()
         assert session.tracker is not None
-        assert session.memory_stats()["peak_live_bytes"] > 0
+        assert session.tracker.stats()["peak_live_bytes"] > 0
         assert "== Tape memory:" in session.report()
         records = read_records(path, kind="trace")
         memory_records = [r for r in records if r["type"] == "memory_stats"]

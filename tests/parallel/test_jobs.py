@@ -7,7 +7,6 @@ import pytest
 from repro.parallel import (
     JobDispatchError,
     JobError,
-    JobTimeoutError,
     ParallelError,
     SearchJob,
     WorkerCrashError,
@@ -73,7 +72,7 @@ class TestSearchJob:
 
 class TestErrorHierarchy:
     def test_all_errors_are_parallel_errors(self):
-        for etype in (JobDispatchError, JobError, JobTimeoutError, WorkerCrashError):
+        for etype in (JobDispatchError, JobError, WorkerCrashError):
             assert issubclass(etype, ParallelError)
         assert issubclass(ParallelError, RuntimeError)
 
@@ -83,11 +82,6 @@ class TestErrorHierarchy:
         assert error.tag == "cell-a"
         assert error.error_type == "ValueError"
         assert "boom" in str(error)
-
-    def test_timeout_error_message(self):
-        error = JobTimeoutError(1, "slow", 0.5)
-        assert "0.5" in str(error)
-        assert error.timeout_s == 0.5
 
     def test_crash_error_exitcode(self):
         error = WorkerCrashError(2, "crashy", 3)

@@ -1,4 +1,4 @@
-"""WorkerPool robustness: merge order, retries, crashes, timeouts, spans.
+"""WorkerPool robustness: merge order, retries, crashes, spans.
 
 Every parallel test here runs real spawn workers, so they share pools
 where possible and keep job bodies tiny. The suite doubles as the
@@ -21,7 +21,6 @@ from repro.obs import InMemorySink, MetricsRegistry, get_tracer
 from repro.parallel import (
     JobDispatchError,
     JobError,
-    JobTimeoutError,
     SearchJob,
     WorkerCrashError,
     WorkerPool,
@@ -289,24 +288,6 @@ class TestFaultInjection:
         assert results == ["alive"]
         assert metric(metrics, "parallel.crashes") == 1
         assert metric(metrics, "parallel.jobs") == 1
-
-    def test_timeout_kills_worker_and_raises(self):
-        metrics = MetricsRegistry()
-        with WorkerPool(workers=2, metrics=metrics) as pool:
-            with pytest.raises(JobTimeoutError) as excinfo:
-                pool.run(
-                    [
-                        SearchJob(
-                            job_id=0,
-                            fn="repro.parallel.testing:sleep_job",
-                            kwargs={"seconds": 30.0},
-                            tag="sleeper",
-                            timeout_s=0.5,
-                        )
-                    ]
-                )
-        assert excinfo.value.timeout_s == 0.5
-        assert metric(metrics, "parallel.timeouts") == 2
 
     def test_healthy_jobs_complete_alongside_a_crash(self, tmp_path):
         marker = tmp_path / "mixed.marker"

@@ -93,6 +93,29 @@ class TestCommands:
         # An error path records nothing.
         assert RunLedger(tmp_path / "runs.jsonl").read() == []
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["baseline", "nosuch", "cora"],
+            ["export", "baseline", "nosuch", "cora"],
+            ["profile", "baseline", "--name", "nosuch"],
+        ],
+        ids=["baseline", "export-baseline", "profile"],
+    )
+    def test_unknown_baseline_name_is_a_usage_error(
+        self, argv, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("REPRO_HISTORY_DIR", str(tmp_path))
+        with pytest.raises(SystemExit) as exc:
+            main(["--scale", "smoke", *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        command = " ".join(argv[:2] if argv[0] == "export" else argv[:1])
+        assert f"repro {command}: error: argument " in err
+        assert "invalid choice: 'nosuch'" in err
+        assert "Traceback" not in err
+        assert RunLedger(tmp_path / "runs.jsonl").read() == []
+
 
 class TestProfileCommand:
     def test_parser_defaults(self):
@@ -753,6 +776,28 @@ class TestEveryCommandIsRecorded:
         assert manifest.env["scale"] == "smoke"
         assert manifest.env["seed"] == 0
         assert manifest.duration_s > 0
+
+    @pytest.mark.parametrize(
+        "target", [["kg"], ["search", "cora", "--layers", "1"]], ids=["kg", "search"]
+    )
+    def test_served_export_resolves_to_its_export(
+        self, target, tmp_path, monkeypatch, capsys
+    ):
+        # serve --bench writes its BENCH payload to the working directory.
+        monkeypatch.chdir(tmp_path)
+        history = tmp_path / "history"
+        monkeypatch.setenv("REPRO_HISTORY_DIR", str(history))
+        smoke = ["--scale", "smoke", "--seed", "0"]
+        assert main([*smoke, "export", *target, "--out", "a.json"]) == 0
+        assert main([
+            *smoke, "serve", "a.json", "--bench", "--levels", "1", "--requests", "4",
+        ]) == 0
+        capsys.readouterr()
+        export, serve = RunLedger(history / "runs.jsonl").read()
+        assert [export.command, serve.command] == ["export", "serve"]
+        assert serve.lineage["producer_run_id"] == export.run_id
+        assert main(["runs", "show", "-1"]) == 0
+        assert f"produced by {export.run_id}" in capsys.readouterr().out
 
 
 class TestLintCommand:

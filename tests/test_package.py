@@ -11,6 +11,7 @@ imported them.
 """
 
 import ast
+import importlib
 import json
 import os
 import re
@@ -89,6 +90,19 @@ USERS = ("benchmarks", "perfbench", "examples", "scripts")
 # live in src/ although only tests/ runs them.
 EXEMPT = {"repro/parallel/testing.py"}
 JOB_STRING = re.compile(r"^[A-Za-z_][\w.]*:([A-Za-z_]\w*)$")
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+# ``http.server`` dispatches a request to ``do_<verb>`` by name, which
+# its base class does not define.
+CALLBACKS = {"do_GET"}
+# Config fields nothing outside tests/ needs to set: the paper's
+# Appendix C hyper-parameters and the pooling search's op list.
+PAPER_FIELDS = {
+    "w_lr", "w_weight_decay", "alpha_lr", "alpha_weight_decay", "grad_clip",
+    "pooling_ops",
+    # Eq. 8's xi (the paper sets 0): whether its second-order path stays
+    # waits on ROADMAP item 1's verdict.
+    "xi",
+}
 
 
 def _names_used(node) -> set[str]:
@@ -110,40 +124,154 @@ def _names_used(node) -> set[str]:
     return names
 
 
-def test_every_library_definition_runs_outside_tests():
-    """Each top-level def and class in ``src/repro`` is reachable from
-    module-level code, ``benchmarks/``, ``perfbench/``, ``examples/``,
-    ``scripts/`` or the Python in ``scripts/ci.sh`` through other
-    reachable definitions. Re-exports are imports, so they reach
-    nothing; names are matched, not resolved.
-    """
+def _library():
+    """``(file, module AST)`` for each module of ``src/repro``."""
     package = ROOT / "src" / "repro"
-    definitions = []  # (file, name, names its body uses)
-    live = set()
     for path in sorted(package.rglob("*.py")):
-        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                file = path.relative_to(package.parent).as_posix()
-                definitions.append((file, stmt.name, _names_used(stmt)))
-            else:
-                live |= _names_used(stmt)
+        file = path.relative_to(package.parent).as_posix()
+        yield file, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _users():
+    """ASTs of the code outside tests/ that may run library code:
+    ``benchmarks/``, ``perfbench/``, ``examples/``, ``scripts/`` and the
+    Python in ``scripts/ci.sh``."""
     for user in USERS:
         for path in sorted((ROOT / user).rglob("*.py")):
-            live |= _names_used(ast.parse(path.read_text(encoding="utf-8")))
+            yield ast.parse(path.read_text(encoding="utf-8"))
     ci = (ROOT / "scripts" / "ci.sh").read_text(encoding="utf-8")
     for block in re.findall(r"<<'PYEOF'\n(.*?)\nPYEOF", ci, re.S):
-        live |= _names_used(ast.parse(block))
+        yield ast.parse(block)
 
+
+def _foreign_overrides(file, name) -> set[str]:
+    """What class ``name`` of ``file`` may override from a base outside
+    ``repro``, such as ``http.server``'s ``log_message``."""
+    module = importlib.import_module(file[: -len(".py")].replace("/", "."))
+    return {
+        attr
+        for base in getattr(module, name).__mro__[1:]
+        if not base.__module__.startswith("repro")
+        for attr in vars(base)
+    }
+
+
+def _dead_definitions(library, users) -> list[str]:
+    """Top-level defs and classes nothing live reaches, and the methods
+    of reached classes whose names nothing live uses.
+
+    A class reaches its bases, decorators and class-level statements,
+    its dunder methods (Python calls them) and what it overrides from a
+    base outside ``repro`` or it calls back by name; any other method
+    only once its name is used.
+    """
+    live = set().union(*map(_names_used, users))
+    pending = []  # (file, owning class or None, name, names its body uses)
+    for file, tree in library:
+        for stmt in tree.body:
+            if isinstance(stmt, FUNCTIONS):
+                pending.append((file, None, stmt.name, _names_used(stmt)))
+            elif isinstance(stmt, ast.ClassDef):
+                kept = [*stmt.bases, *stmt.keywords, *stmt.decorator_list]
+                foreign = None
+                for sub in stmt.body:
+                    if isinstance(sub, FUNCTIONS) and not sub.name.startswith("__"):
+                        if foreign is None:
+                            foreign = _foreign_overrides(file, stmt.name) | CALLBACKS
+                        if sub.name not in foreign:
+                            pending.append((file, stmt.name, sub.name, _names_used(sub)))
+                            continue
+                    kept.append(sub)
+                used = set().union(*map(_names_used, kept))
+                pending.append((file, None, stmt.name, used))
+            else:
+                live |= _names_used(stmt)
     # Python itself calls module-level ``__getattr__``/``__dir__``.
-    pending = [d for d in definitions if not d[1].startswith("__")]
+    pending = [d for d in pending if not d[2].startswith("__")]
+    classes = set()
+
+    def reachable(definition):
+        file, owner, name, __ = definition
+        return name in live and (owner is None or (file, owner) in classes)
+
     grew = True
     while grew:
-        reached = [d for d in pending if d[1] in live]
-        pending = [d for d in pending if d[1] not in live]
-        for __, __, used in reached:
+        reached = [d for d in pending if reachable(d)]
+        pending = [d for d in pending if not reachable(d)]
+        for file, owner, name, used in reached:
             live |= used
+            if owner is None:
+                classes.add((file, name))
         grew = bool(reached)
-    dead = [f"{file}:{name}" for file, name, __ in pending if file not in EXEMPT]
+    return [
+        f"{file}:{name}" if owner is None else f"{file}:{owner}.{name}"
+        for file, owner, name, __ in pending
+        if file not in EXEMPT and (owner is None or (file, owner) in classes)
+    ]
+
+
+def _settings(tree) -> set[str]:
+    """Names ``tree`` sets as a call keyword, a string dict key or an
+    attribute store. Passing a value on under its own name
+    (``x=self.config.x``, ``self.x = x``) sets nothing."""
+
+    def passed_on(value, name):
+        return (isinstance(value, ast.Name) and value.id == name) or (
+            isinstance(value, ast.Attribute) and value.attr == name
+        )
+
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.keyword):
+            pairs = [(node.arg, node.value)]
+        elif isinstance(node, ast.Dict):
+            pairs = [
+                (key.value, value)
+                for key, value in zip(node.keys, node.values)
+                if isinstance(key, ast.Constant)
+            ]
+        elif isinstance(node, ast.Assign):
+            pairs = [
+                (target.attr, node.value)
+                for target in node.targets
+                if isinstance(target, ast.Attribute)
+            ]
+        else:
+            continue
+        names |= {name for name, value in pairs if not passed_on(value, name)}
+    return names
+
+
+def _unset_config_fields(library, users) -> list[str]:
+    """Fields of ``*Config`` dataclasses nothing outside tests/ sets."""
+    settings = set().union(*map(_settings, users))
+    fields = []
+    for file, tree in library:
+        settings |= _settings(tree)
+        fields += [
+            (file, stmt.name, sub.target.id)
+            for stmt in tree.body
+            if isinstance(stmt, ast.ClassDef) and stmt.name.endswith("Config")
+            for sub in stmt.body
+            if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name)
+        ]
+    return [
+        f"{file}:{config}.{field}"
+        for file, config, field in fields
+        if field not in settings and field not in PAPER_FIELDS
+    ]
+
+
+def test_every_library_definition_runs_outside_tests():
+    """Each top-level def and class in ``src/repro``, and each method of
+    such a class, is reachable from module-level code or from code
+    outside tests/ (see ``_users``) through other reachable definitions.
+    Each field of a ``*Config`` dataclass is set by such code. Re-exports
+    are imports, so they reach nothing; names are matched, not resolved.
+    """
+    library = list(_library())
+    users = list(_users())
+    dead = _dead_definitions(library, users) + _unset_config_fields(library, users)
     assert dead == [], f"{len(dead)} definitions nothing outside tests/ runs: {dead}"
 
 
